@@ -7,11 +7,13 @@ package givetake_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	gt "givetake"
 	"givetake/internal/bitset"
 	"givetake/internal/cfg"
+	"givetake/internal/check"
 	"givetake/internal/comm"
 	"givetake/internal/core"
 	"givetake/internal/frontend"
@@ -463,6 +465,44 @@ func BenchmarkPipelineScaling(b *testing.B) {
 				nodes = len(a.Graph.Nodes)
 			}
 			b.ReportMetric(float64(nodes), "nodes")
+		})
+	}
+}
+
+// BenchmarkVerifyScaling — experiment E6b: the static verifier
+// (internal/check) on the programs of BenchmarkPipelineScaling, both
+// placement problems. The paper's O(E) bound covers the solver, not this
+// context-sensitive fixed point; ns/node and allocs/node show how close
+// to linear it stays, and iterations/node how often the LIFO worklist
+// re-evaluates a context.
+func BenchmarkVerifyScaling(b *testing.B) {
+	for _, stmts := range []int{50, 200, 800} {
+		b.Run(fmt.Sprintf("stmts=%d", stmts), func(b *testing.B) {
+			prog := progen.Generate(9, progen.Config{Stmts: stmts, MaxDepth: 3, Arrays: true})
+			a, err := comm.Analyze(prog)
+			if err != nil {
+				b.Fatal(err)
+			}
+			probs := a.Problems()
+			nodes := float64(len(a.Graph.Nodes))
+			var res *check.Result
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res = check.VerifyAll(probs...)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			iters := 0
+			for _, s := range res.Stats {
+				iters += s.Iterations
+			}
+			per := nodes * float64(b.N)
+			b.ReportMetric(nodes, "nodes")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/node")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/per, "allocs/node")
+			b.ReportMetric(float64(iters)/nodes, "iterations/node")
 		})
 	}
 }

@@ -77,6 +77,11 @@ func (s *Set) check(i int) {
 	}
 }
 
+// Words returns the packed words of s, item i at bit i%64 of word i/64,
+// for callers that keep their own word-level representation. Bits at or
+// beyond Len() are zero. The slice aliases s and must not be modified.
+func (s *Set) Words() []uint64 { return s.words }
+
 // Clear removes all items.
 func (s *Set) Clear() {
 	for i := range s.words {

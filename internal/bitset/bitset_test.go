@@ -38,6 +38,17 @@ func TestOfAndItems(t *testing.T) {
 	}
 }
 
+func TestWords(t *testing.T) {
+	s := Of(130, 0, 64, 129)
+	want := []uint64{1, 1, 2}
+	if got := s.Words(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Words = %#x, want %#x", got, want)
+	}
+	if got := NewFull(70).Words(); got[1] != 1<<6-1 {
+		t.Fatalf("NewFull(70) last word %#x, want bits beyond Len zero", got[1])
+	}
+}
+
 func TestFullAndTrim(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 100, 128} {
 		s := NewFull(n)

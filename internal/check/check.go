@@ -272,12 +272,16 @@ func Verify(p *Problem) *Result {
 }
 
 // VerifyCtx is Verify with cooperative cancellation: the fixed-point
-// worklist polls ctx every few iterations and abandons the analysis
-// with ctx.Err() once it is canceled (partial results are discarded —
-// an unconverged lattice proves nothing).
+// worklist, the reporting pass and its witness searches poll ctx and
+// abandon the analysis with ctx.Err() once it is canceled (partial
+// results are discarded — an unconverged lattice proves nothing, and a
+// half-reported one is incomplete).
 func VerifyCtx(ctx context.Context, p *Problem) (*Result, error) {
-	v := newVerifier(p)
-	if err := v.runCtx(ctx); err != nil {
+	v := newVerifier(ctx, p)
+	if err := v.fixpoint(); err != nil {
+		return nil, err
+	}
+	if err := v.report(); err != nil {
 		return nil, err
 	}
 	res := &Result{

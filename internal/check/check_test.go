@@ -10,6 +10,7 @@ import (
 	"givetake/internal/check"
 	"givetake/internal/comm"
 	"givetake/internal/frontend"
+	"givetake/internal/progen"
 )
 
 // corpusFiles returns every mini-Fortran program under testdata/,
@@ -175,5 +176,27 @@ func TestResultHelpers(t *testing.T) {
 	r.Sort()
 	if r.Diagnostics[0].Pre != 2 || r.Diagnostics[2].Severity != check.Warning {
 		t.Fatalf("sort order wrong: %+v", r.Diagnostics)
+	}
+}
+
+// TestVerifyAllocsScale guards the verifier's flat state representation:
+// allocations per flow-graph node must not grow with program size. At
+// 800 statements they may be at most twice the figure at 50. The count
+// is deterministic, unlike a timing.
+func TestVerifyAllocsScale(t *testing.T) {
+	perNode := map[int]float64{}
+	for _, stmts := range []int{50, 200, 800} {
+		prog := progen.Generate(9, progen.Config{Stmts: stmts, MaxDepth: 3, Arrays: true})
+		a, err := comm.Analyze(prog)
+		if err != nil {
+			t.Fatalf("%d statements: analyze: %v", stmts, err)
+		}
+		probs := a.Problems()
+		allocs := testing.AllocsPerRun(2, func() { check.VerifyAll(probs...) })
+		perNode[stmts] = allocs / float64(len(a.Graph.Nodes))
+		t.Logf("%d statements, %d nodes: %.1f allocs/node", stmts, len(a.Graph.Nodes), perNode[stmts])
+	}
+	if perNode[800] > 2*perNode[50] {
+		t.Errorf("allocs/node grew from %.1f at 50 statements to %.1f at 800", perNode[50], perNode[800])
 	}
 }

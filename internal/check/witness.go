@@ -1,6 +1,8 @@
 package check
 
 import (
+	"slices"
+
 	"givetake/internal/bitset"
 	"givetake/internal/interval"
 )
@@ -60,6 +62,25 @@ type visKey struct {
 	s itemState
 }
 
+// searchEntry is one witness search entry: a (context, item state) pair
+// and the index of the entry it was reached from (-1 at program entry).
+type searchEntry struct {
+	key    ctxKey
+	s      itemState
+	parent int
+}
+
+// witnessPath returns the path that reached queue[i], as 1-based
+// preorder numbers from program entry.
+func witnessPath(g *interval.Graph, queue []searchEntry, i int) []int {
+	var path []int
+	for ; i >= 0; i = queue[i].parent {
+		path = append(path, g.Nodes[queue[i].key.node].Pre+1)
+	}
+	slices.Reverse(path)
+	return path
+}
+
 func (v *verifier) goalPred(g witnessGoal, s itemState) bool {
 	switch g.fp {
 	case fpO1:
@@ -85,43 +106,35 @@ func (v *verifier) goalPred(g witnessGoal, s itemState) bool {
 // point along which the goal predicate holds, returned as 1-based
 // preorder numbers. nil when no witness is found within the budget
 // (the diagnostic stands regardless; must-style checks are backed by
-// every path).
+// every path). The search polls the verification's ctx and, once it is
+// canceled, records the error in v.err and returns nil.
 func (v *verifier) witness(g witnessGoal) []int {
-	entry := v.entryNode()
-	if entry == nil || g.ctx == nil {
+	if v.entry == nil || g.ctx == nil {
 		return nil
 	}
-	type qent struct {
-		key    ctxKey
-		s      itemState
-		parent int
-	}
-	start := qent{key: ctxKey{entry.ID, "", true}, s: itemState{untainted: true, from: fromNone}, parent: -1}
-	queue := []qent{start}
+	start := searchEntry{key: ctxKey{v.entry.ID, 0, true}, s: itemState{untainted: true, from: fromNone}, parent: -1}
+	queue := []searchEntry{start}
 	visited := map[visKey]bool{{start.key, start.s}: true}
+	done := v.ctx.Done()
 	for head := 0; head < len(queue) && len(queue) < 20000; head++ {
+		if head%pollEvery == 0 && canceled(done) {
+			v.err = v.ctx.Err()
+			return nil
+		}
 		cur := queue[head]
-		c := v.ctxs[cur.key]
+		c := v.lookup(cur.key)
 		if c == nil {
 			continue
 		}
 		hit, succs := v.replay(c, cur.s, g)
 		if hit {
-			var rev []int
-			for i := head; i >= 0; i = queue[i].parent {
-				rev = append(rev, v.g.Nodes[queue[i].key.node].Pre+1)
-			}
-			path := make([]int, 0, len(rev))
-			for i := len(rev) - 1; i >= 0; i-- {
-				path = append(path, rev[i])
-			}
-			return path
+			return witnessPath(v.g, queue, head)
 		}
 		for _, sc := range succs {
 			vk := visKey{sc.key, sc.s}
 			if !visited[vk] {
 				visited[vk] = true
-				queue = append(queue, qent{key: sc.key, s: sc.s, parent: head})
+				queue = append(queue, searchEntry{key: sc.key, s: sc.s, parent: head})
 			}
 		}
 	}
@@ -138,7 +151,7 @@ type wit struct {
 }
 
 func (w *wit) check(fp firePoint, ph phase, s itemState) {
-	if w.hit || w.c.key != w.g.ctx.key || fp != w.g.fp || ph != w.g.ph {
+	if w.hit || w.c != w.g.ctx || fp != w.g.fp || ph != w.g.ph {
 		return
 	}
 	if w.v.goalPred(w.g, s) {
@@ -170,10 +183,10 @@ func (v *verifier) replay(c *dfContext, s itemState, g witnessGoal) (bool, []suc
 
 	var succs []succItem
 	if n.IsHeader {
-		if c.outside || !c.f.has(n.ID) {
-			bodyF := c.f.with(n.ID)
+		if c.outside || !v.fr.has(c.f, n.ID) {
+			bodyF := v.fr.step(c.f, opWith, n)
 			z := s
-			if sk := bitset.Subtract(v.p.Sol.Give[n.ID], v.p.Sol.Steal[n.ID]); sk.Has(g.item) {
+			if v.p.Sol.Give[n.ID].Has(g.item) && !v.p.Sol.Steal[n.ID].Has(g.item) {
 				z.avail, z.availO1, z.from = true, true, fromExt
 			}
 			if c.outside {
@@ -181,7 +194,7 @@ func (v *verifier) replay(c *dfContext, s itemState, g witnessGoal) (bool, []suc
 			}
 			succs = append(succs, v.replayExit(n, c.f, z, w)...)
 			if child := entryChild(n); child != nil {
-				succs = append(succs, succItem{ctxKey{child.ID, bodyF.key(), true}, s})
+				succs = append(succs, succItem{ctxKey{child.ID, bodyF, true}, s})
 			} else {
 				succs = append(succs, v.replayExit(n, c.f, s, w)...)
 			}
@@ -189,16 +202,16 @@ func (v *verifier) replay(c *dfContext, s itemState, g witnessGoal) (bool, []suc
 		}
 		// Iteration: O1 knowledge resets to the loop-entry snapshot minus
 		// the body's may-steal summary (Eq. 11 inherits GIVEN − STEAL).
-		if sn := v.snaps[snapKey{n.ID, c.f.key()}]; sn == nil || !sn[g.mode].Has(g.item) {
+		if sn, ok := v.snaps[snapKey{n.ID, c.f}]; !ok || !sn[g.mode*v.uw:].has(g.item) {
 			s.availO1 = false
 		}
 		if sl := v.p.Sol.Steal[n.ID]; sl != nil && sl.Has(g.item) {
 			s.availO1 = false
 		}
 		if child := entryChild(n); child != nil {
-			succs = append(succs, succItem{ctxKey{child.ID, c.f.key(), true}, s})
+			succs = append(succs, succItem{ctxKey{child.ID, c.f, true}, s})
 		}
-		succs = append(succs, v.replayExit(n, c.f.without(n.ID), s, w)...)
+		succs = append(succs, v.replayExit(n, v.fr.step(c.f, opWithout, n), s, w)...)
 		return w.hit, succs
 	}
 
@@ -218,14 +231,13 @@ func (v *verifier) replay(c *dfContext, s itemState, g witnessGoal) (bool, []suc
 		exited = true
 		switch e.Type {
 		case interval.Cycle:
-			succs = append(succs, succItem{ctxKey{e.To.ID, c.f.key(), false}, sOut})
+			succs = append(succs, succItem{ctxKey{e.To.ID, c.f, false}, sOut})
 		case interval.Forward:
-			succs = append(succs, succItem{ctxKey{e.To.ID, c.f.key(), true}, sOut})
+			succs = append(succs, succItem{ctxKey{e.To.ID, c.f, true}, sOut})
 		case interval.Jump:
-			tf := v.popJump(c.f, e.To)
 			sj := sOut
-			sj.availO1 = false // mirror the verifier's jumpCut
-			succs = append(succs, succItem{ctxKey{e.To.ID, tf.key(), true}, sj})
+			sj.availO1 = false // mirror the verifier's jump
+			succs = append(succs, succItem{ctxKey{e.To.ID, v.fr.step(c.f, opJump, e.To), true}, sj})
 		}
 	}
 	if !exited {
@@ -234,7 +246,7 @@ func (v *verifier) replay(c *dfContext, s itemState, g witnessGoal) (bool, []suc
 	return w.hit, succs
 }
 
-func (v *verifier) replayExit(h *interval.Node, f frames, s itemState, w *wit) []succItem {
+func (v *verifier) replayExit(h *interval.Node, f int32, s itemState, w *wit) []succItem {
 	fired := false
 	exited := false
 	var out []succItem
@@ -251,10 +263,10 @@ func (v *verifier) replayExit(h *interval.Node, f frames, s itemState, w *wit) [
 		tf := f
 		se := sOut
 		if e.Type == interval.Jump {
-			tf = v.popJump(f, e.To)
-			se.availO1 = false // mirror the verifier's jumpCut
+			tf = v.fr.step(f, opJump, e.To)
+			se.availO1 = false // mirror the verifier's jump
 		}
-		out = append(out, succItem{ctxKey{e.To.ID, tf.key(), true}, se})
+		out = append(out, succItem{ctxKey{e.To.ID, tf, true}, se})
 	}
 	if !exited {
 		w.check(fpEnd, phaseIn, s)

@@ -297,6 +297,37 @@ func BenchmarkScaling(b *testing.B) {
 	}
 }
 
+// BenchmarkIntervalScaling — experiment E6c: the front half that
+// BenchmarkScaling leaves out of its timer. Each iteration builds the
+// interval flow graph of a generated program (interval.FromCFG) and its
+// reversed view (interval.Reverse); ns/node should stay roughly constant
+// as programs grow.
+func BenchmarkIntervalScaling(b *testing.B) {
+	for _, stmts := range []int{1000, 2000, 4000, 8000} {
+		b.Run(fmt.Sprintf("stmts=%d", stmts), func(b *testing.B) {
+			prog := progen.Generate(42, progen.Config{Stmts: stmts, MaxDepth: 3, Arrays: true})
+			c, err := cfg.Build(prog)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var nodes int
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g, err := interval.FromCFG(c)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := interval.Reverse(g); err != nil {
+					b.Fatal(err)
+				}
+				nodes = len(g.Nodes)
+			}
+			b.ReportMetric(float64(nodes), "nodes")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes*b.N), "ns/node")
+		})
+	}
+}
+
 // BenchmarkPREComparison — experiment E7 (§1): classical PRE as a
 // GIVE-N-TAKE instance versus Morel–Renvoise and Lazy Code Motion over a
 // corpus of generated programs. Metrics: total weighted insertion cost

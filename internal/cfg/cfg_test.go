@@ -238,10 +238,11 @@ func TestDominators(t *testing.T) {
 	if idom[join.ID] != br {
 		t.Fatalf("idom(join) = %v, want branch %v", idom[join.ID], br)
 	}
-	if !Dominates(idom, g.Entry, join) {
+	dom := g.DomTree()
+	if !dom.Dominates(g.Entry, join) {
 		t.Fatal("entry should dominate join")
 	}
-	if Dominates(idom, join, br) {
+	if dom.Dominates(join, br) {
 		t.Fatal("join should not dominate branch")
 	}
 }

@@ -51,19 +51,65 @@ func (g *Graph) Dominators() []*Block {
 	return idom
 }
 
-// Dominates reports whether a dominates b under the idom relation
-// returned by Dominators (every node dominates itself).
-func Dominates(idom []*Block, a, b *Block) bool {
-	for {
-		if a == b {
-			return true
+// DomTree is the dominator tree of a graph, numbered so that a
+// dominance query is an interval test instead of a walk up the idom
+// chain: a dominates b iff a's preorder and postorder numbers bracket
+// b's. It is a snapshot of the graph it was built from; rebuild it
+// after adding or removing edges.
+type DomTree struct {
+	g *Graph
+	// pre and post number each block on entry to and exit from its
+	// subtree in one depth-first walk of the tree; -1 marks blocks
+	// unreachable from entry.
+	pre, post []int
+}
+
+// DomTree computes the dominators of g and numbers the dominator tree.
+// The walk is iterative: the tree of a long straight-line program is as
+// deep as the program is long.
+func (g *Graph) DomTree() *DomTree {
+	n := len(g.Blocks)
+	idom := g.Dominators()
+	t := &DomTree{g: g, pre: make([]int, n), post: make([]int, n)}
+	// children as sibling lists: first[p] and next[c] hold a block ID
+	// plus one, zero ending the list
+	first := make([]int, n)
+	next := make([]int, n)
+	for _, b := range g.Blocks {
+		t.pre[b.ID], t.post[b.ID] = -1, -1
+		if p := idom[b.ID]; p != nil && p != b {
+			next[b.ID] = first[p.ID]
+			first[p.ID] = b.ID + 1
 		}
-		next := idom[b.ID]
-		if next == nil || next == b {
-			return false
-		}
-		b = next
 	}
+	clock := 0
+	t.pre[g.Entry.ID] = clock
+	stack := []int{g.Entry.ID}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		if c := first[v]; c != 0 {
+			first[v] = next[c-1]
+			clock++
+			t.pre[c-1] = clock
+			stack = append(stack, c-1)
+			continue
+		}
+		stack = stack[:len(stack)-1]
+		clock++
+		t.post[v] = clock
+	}
+	return t
+}
+
+// Dominates reports whether a dominates b. Every block dominates
+// itself; a block unreachable from entry dominates no other block and
+// is dominated by no other block.
+func (t *DomTree) Dominates(a, b *Block) bool {
+	if a == b {
+		return true
+	}
+	// the -1 of an unreachable block fails one of the strict tests
+	return t.pre[a.ID] < t.pre[b.ID] && t.post[b.ID] < t.post[a.ID]
 }
 
 // ReversePostorder returns the blocks reachable from Entry in reverse
@@ -91,11 +137,11 @@ func (g *Graph) ReversePostorder() []*Block {
 // BackEdges returns the edges (m, h) where h dominates m — the loop back
 // edges of a reducible graph.
 func (g *Graph) BackEdges() [][2]*Block {
-	idom := g.Dominators()
+	t := g.DomTree()
 	var out [][2]*Block
 	for _, b := range g.Blocks {
 		for _, s := range b.Succs {
-			if Dominates(idom, s, b) {
+			if t.Dominates(s, b) {
 				out = append(out, [2]*Block{b, s})
 			}
 		}
@@ -107,13 +153,17 @@ func (g *Graph) BackEdges() [][2]*Block {
 // edges (sink dominates source) must leave an acyclic graph. Programs
 // accepted by the frontend are reducible by construction; hand-built
 // graphs may not be.
-func (g *Graph) Reducible() bool {
-	idom := g.Dominators()
+func (g *Graph) Reducible() bool { return g.DomTree().Reducible() }
+
+// Reducible reports whether the graph t was built from is reducible
+// (see Graph.Reducible), reusing t's dominance numbering.
+func (t *DomTree) Reducible() bool {
+	g := t.g
 	// Kahn's algorithm on the forward (non-back) edges.
 	indeg := make([]int, len(g.Blocks))
 	for _, b := range g.Blocks {
 		for _, s := range b.Succs {
-			if !Dominates(idom, s, b) {
+			if !t.Dominates(s, b) {
 				indeg[s.ID]++
 			}
 		}
@@ -130,7 +180,7 @@ func (g *Graph) Reducible() bool {
 		queue = queue[:len(queue)-1]
 		removed++
 		for _, s := range b.Succs {
-			if !Dominates(idom, s, b) {
+			if !t.Dominates(s, b) {
 				if indeg[s.ID]--; indeg[s.ID] == 0 {
 					queue = append(queue, s)
 				}

@@ -69,9 +69,9 @@ func TestMakeReducibleNoOpOnReducible(t *testing.T) {
 	}
 }
 
-// TestMakeReducibleNested puts an irreducible pair inside a natural
-// loop: h → {x ⇄ y entered from two places inside the loop} → h.
-func TestMakeReducibleNested(t *testing.T) {
+// irreducibleNested puts an irreducible pair inside a natural loop:
+// h → {x ⇄ y entered from two places inside the loop} → h.
+func irreducibleNested() *Graph {
 	g := &Graph{}
 	e := g.NewBlock(KEntry)
 	h := g.NewBlock(KStmt) // acts as loop header
@@ -92,6 +92,11 @@ func TestMakeReducibleNested(t *testing.T) {
 	g.AddEdge(y, latch)
 	g.AddEdge(latch, h)
 	g.AddEdge(latch, exit)
+	return g
+}
+
+func TestMakeReducibleNested(t *testing.T) {
+	g := irreducibleNested()
 	if g.Reducible() {
 		t.Fatal("nested construction should be irreducible")
 	}
@@ -107,38 +112,7 @@ func TestMakeReducibleNested(t *testing.T) {
 // become reducible within the split budget.
 func TestMakeReducibleRandom(t *testing.T) {
 	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g := &Graph{}
-		e := g.NewBlock(KEntry)
-		g.Entry = e
-		n := 4 + r.Intn(8)
-		nodes := []*Block{e}
-		for i := 0; i < n; i++ {
-			nodes = append(nodes, g.NewBlock(KStmt))
-		}
-		exit := g.NewBlock(KExit)
-		g.Exit = exit
-		nodes = append(nodes, exit)
-		// random forward and backward edges; keep everything reachable
-		for i := 0; i < len(nodes)-1; i++ {
-			g.AddEdge(nodes[i], nodes[i+1])
-		}
-		for k := 0; k < n; k++ {
-			from := nodes[1+r.Intn(len(nodes)-2)]
-			to := nodes[1+r.Intn(len(nodes)-2)]
-			if from == to || from == exit || to == e {
-				continue
-			}
-			dup := false
-			for _, s := range from.Succs {
-				if s == to {
-					dup = true
-				}
-			}
-			if !dup {
-				g.AddEdge(from, to)
-			}
-		}
+		g := randomGraph(rand.New(rand.NewSource(seed)))
 		// node splitting is worst-case exponential; a clean budget error
 		// is acceptable on adversarial dense graphs, a hang is not
 		if err := g.MakeReducible(120); err != nil {
@@ -150,4 +124,41 @@ func TestMakeReducibleRandom(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// randomGraph builds a chain entry → … → exit with random extra
+// forward and backward edges, so it is often irreducible.
+func randomGraph(r *rand.Rand) *Graph {
+	g := &Graph{}
+	e := g.NewBlock(KEntry)
+	g.Entry = e
+	n := 4 + r.Intn(8)
+	nodes := []*Block{e}
+	for i := 0; i < n; i++ {
+		nodes = append(nodes, g.NewBlock(KStmt))
+	}
+	exit := g.NewBlock(KExit)
+	g.Exit = exit
+	nodes = append(nodes, exit)
+	// random forward and backward edges; keep everything reachable
+	for i := 0; i < len(nodes)-1; i++ {
+		g.AddEdge(nodes[i], nodes[i+1])
+	}
+	for k := 0; k < n; k++ {
+		from := nodes[1+r.Intn(len(nodes)-2)]
+		to := nodes[1+r.Intn(len(nodes)-2)]
+		if from == to || from == exit || to == e {
+			continue
+		}
+		dup := false
+		for _, s := range from.Succs {
+			if s == to {
+				dup = true
+			}
+		}
+		if !dup {
+			g.AddEdge(from, to)
+		}
+	}
+	return g
 }

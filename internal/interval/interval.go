@@ -184,21 +184,6 @@ type Graph struct {
 // NodeFor returns the interval node of a CFG block.
 func (g *Graph) NodeFor(b *cfg.Block) *Node { return g.byBlock[b] }
 
-// Interval returns T(h): all nodes strictly inside h's interval, i.e.
-// every node whose Parent chain reaches h. For ROOT it returns all nodes.
-func (g *Graph) Interval(h *Node) []*Node {
-	var out []*Node
-	for _, n := range g.Nodes {
-		for p := n.Parent; p != nil; p = p.Parent {
-			if p == h {
-				out = append(out, n)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // InInterval reports n ∈ T(h).
 func InInterval(n, h *Node) bool {
 	for p := n.Parent; p != nil; p = p.Parent {
@@ -217,7 +202,10 @@ func FromCFG(c *cfg.Graph) (*Graph, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if !c.Reducible() {
+	// one dominator tree answers both the reducibility test and the
+	// back-edge queries of the loop forest
+	dom := c.DomTree()
+	if !dom.Reducible() {
 		return nil, fmt.Errorf("interval: graph is irreducible; apply node splitting first (cfg.MakeReducible)")
 	}
 
@@ -230,7 +218,7 @@ func FromCFG(c *cfg.Graph) (*Graph, error) {
 		g.byBlock[b] = n
 	}
 
-	if err := g.buildLoopForest(); err != nil {
+	if err := g.buildLoopForest(dom); err != nil {
 		return nil, err
 	}
 	if err := g.classifyEdges(); err != nil {
@@ -247,9 +235,7 @@ func FromCFG(c *cfg.Graph) (*Graph, error) {
 // buildLoopForest discovers natural loops from back edges and assigns
 // Parent/Level. With the unique-latch normalization every header has
 // exactly one back edge; multiple back edges to one header are rejected.
-func (g *Graph) buildLoopForest() error {
-	idom := g.CFG.Dominators()
-
+func (g *Graph) buildLoopForest(dom *cfg.DomTree) error {
 	// loop membership per header, innermost assignment wins later
 	type loop struct {
 		header *Node
@@ -261,7 +247,7 @@ func (g *Graph) buildLoopForest() error {
 
 	for _, b := range g.CFG.Blocks {
 		for _, s := range b.Succs {
-			if !cfg.Dominates(idom, s, b) {
+			if !dom.Dominates(s, b) {
 				continue
 			}
 			h := g.byBlock[s]
@@ -299,6 +285,11 @@ func (g *Graph) buildLoopForest() error {
 	// the smallest loop up makes the innermost header win
 	sort.Slice(loops, func(i, j int) bool { return len(loops[i].body) < len(loops[j].body) })
 
+	// headers themselves: a header's parent is the innermost loop that
+	// contains it as a body member — handled here too, since headers of
+	// inner loops are body members of outer loops. Natural loops of a
+	// reducible graph nest, so the loops whose body holds n are exactly
+	// the headers on n's Parent chain: each adds one to n's level.
 	assigned := map[*Node]bool{}
 	for _, l := range loops {
 		for n := range l.body {
@@ -306,22 +297,8 @@ func (g *Graph) buildLoopForest() error {
 				n.Parent = l.header
 				assigned[n] = true
 			}
+			n.Level++
 		}
-	}
-	// headers themselves: a header's parent is the innermost loop that
-	// contains it as a body member — already handled above since headers
-	// of inner loops are body members of outer loops.
-
-	// levels by parent chain
-	var level func(n *Node) int
-	level = func(n *Node) int {
-		if n.Parent == nil {
-			return 0
-		}
-		return level(n.Parent) + 1
-	}
-	for _, n := range g.Nodes {
-		n.Level = level(n)
 	}
 	return nil
 }

@@ -39,6 +39,18 @@ func buildGraph(t *testing.T, src string) *Graph {
 	return g
 }
 
+// members returns T(h): every node whose Parent chain reaches h (all
+// nodes for ROOT).
+func members(g *Graph, h *Node) []*Node {
+	var out []*Node
+	for _, n := range g.Nodes {
+		if InInterval(n, h) {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
 // paperNum maps a node to its 1-based preorder number as used in the
 // paper's Figure 12 discussion.
 func paperNum(n *Node) int { return n.Pre + 1 }
@@ -72,7 +84,7 @@ func TestFig12Structure(t *testing.T) {
 		t.Fatalf("node 2 should be the i-loop header, got %v", n2)
 	}
 	// T(2) = {3, 4, 5}
-	tn := g.Interval(n2)
+	tn := members(g, n2)
 	if len(tn) != 3 {
 		t.Fatalf("|T(2)| = %d, want 3:\n%s", len(tn), g)
 	}

@@ -6,6 +6,15 @@ import (
 	"givetake/internal/cfg"
 )
 
+// reversedType maps an edge type to its type in the reversed view.
+var reversedType = [...]EdgeType{
+	Entry:     Cycle,
+	Cycle:     Entry,
+	Forward:   Forward,
+	Jump:      Jump,
+	Synthetic: Synthetic,
+}
+
 // Reverse builds the reversed view of g used to solve AFTER problems
 // (paper §5.3): an AFTER problem is a BEFORE problem with reversed flow
 // of control. The reversed graph keeps the same nodes (same IDs and
@@ -80,16 +89,9 @@ func Reverse(g *Graph) (*Graph, error) {
 		}
 	}
 
-	typeMap := map[EdgeType]EdgeType{
-		Entry:     Cycle,
-		Cycle:     Entry,
-		Forward:   Forward,
-		Jump:      Jump,
-		Synthetic: Synthetic,
-	}
 	for _, n := range g.Nodes {
 		for _, e := range n.Out {
-			re := Edge{From: get(e.To), To: get(e.From), Type: typeMap[e.Type]}
+			re := Edge{From: get(e.To), To: get(e.From), Type: reversedType[e.Type]}
 			re.From.Out = append(re.From.Out, re)
 			re.To.In = append(re.To.In, re)
 			if e.Type == Jump {

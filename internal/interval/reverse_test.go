@@ -116,7 +116,7 @@ func TestReverseNoHoistOnJumpLoops(t *testing.T) {
 		if n.IsHeader {
 			// the i-loop contains the jump: its reversed header is guarded
 			hasJump := false
-			for _, m := range g.Interval(n) {
+			for _, m := range members(g, n) {
 				for _, e := range m.Out {
 					if e.Type == Jump {
 						hasJump = true
@@ -190,11 +190,11 @@ enddo
 	if InInterval(outer, inner) {
 		t.Fatal("outer header not in inner interval")
 	}
-	all := g.Interval(g.Root)
+	all := members(g, g.Root)
 	if len(all) != len(g.Nodes) {
 		t.Fatalf("T(ROOT) = %d nodes, want all %d", len(all), len(g.Nodes))
 	}
-	for _, m := range g.Interval(outer) {
+	for _, m := range members(g, outer) {
 		if m.Level < 2 {
 			t.Fatalf("T(outer) contains level-%d node %v", m.Level, m)
 		}

@@ -104,10 +104,10 @@ func BuildProblem(g *cfg.Graph) (*Problem, []string) {
 // all loops), from the natural loops of the reducible CFG.
 func LoopDepths(g *cfg.Graph) []int {
 	depth := make([]int, len(g.Blocks))
-	idom := g.Dominators()
+	dom := g.DomTree()
 	for _, b := range g.Blocks {
 		for _, s := range b.Succs {
-			if !cfg.Dominates(idom, s, b) {
+			if !dom.Dominates(s, b) {
 				continue
 			}
 			// natural loop of back edge (b, s)

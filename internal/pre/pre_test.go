@@ -208,7 +208,7 @@ y = 2
 	// inserting anywhere outside the then-branch would be unsafe; with a
 	// single use the only legal "insert" is the use itself (dropped as
 	// isolated) — so no inserts at blocks dominating the branch
-	idom := p.G.Dominators()
+	dom := p.G.DomTree()
 	var branch *cfg.Block
 	for _, b := range p.G.Blocks {
 		if b.Kind == cfg.KBranch {
@@ -216,7 +216,7 @@ y = 2
 		}
 	}
 	for _, b := range p.G.Blocks {
-		if !lcm.Insert[b.ID].IsEmpty() && cfg.Dominates(idom, b, branch) {
+		if !lcm.Insert[b.ID].IsEmpty() && dom.Dominates(b, branch) {
 			t.Fatalf("unsafe hoist above the branch at %v", b)
 		}
 	}

@@ -6,6 +6,7 @@
 package givetake_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -403,7 +404,7 @@ enddo
 `)
 	var withGive, withoutGive int
 	for i := 0; i < b.N; i++ {
-		cg, err := comm.Analyze(prog)
+		cg, err := comm.Analyze(context.Background(), prog, nil, comm.Opts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -489,7 +490,7 @@ func BenchmarkPipelineScaling(b *testing.B) {
 			var nodes int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				a, err := comm.Analyze(prog)
+				a, err := comm.Analyze(context.Background(), prog, nil, comm.Opts{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -510,7 +511,7 @@ func BenchmarkVerifyScaling(b *testing.B) {
 	for _, stmts := range []int{50, 200, 800} {
 		b.Run(fmt.Sprintf("stmts=%d", stmts), func(b *testing.B) {
 			prog := progen.Generate(9, progen.Config{Stmts: stmts, MaxDepth: 3, Arrays: true})
-			a, err := comm.Analyze(prog)
+			a, err := comm.Analyze(context.Background(), prog, nil, comm.Opts{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -23,7 +23,7 @@
 //	-nodes a,b,c    comma-separated serve node addresses for -mode route
 //	-replicas K     replica-set size per key for -mode route (default 2)
 //	-probe-ms N     health-probe interval in ms for -mode route (default 250)
-//	-workers N      engine worker pool size for -mode serve (0: GOMAXPROCS)
+//	-workers N      engine worker count for -mode serve, sizing its stage pipeline (0: GOMAXPROCS)
 //	-cache-mb N     result-cache budget in MiB for -mode serve (0: default, -1: off)
 //	-atomic         emit atomic READ/WRITE instead of Send/Recv halves
 //	-explain node   why communication is placed at that node (or "all")
@@ -93,7 +93,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	nodes := fs.String("nodes", "", "comma-separated serve node addresses for -mode route")
 	replicas := fs.Int("replicas", 0, "replica-set size per key for -mode route (0: default 2)")
 	probeMS := fs.Int64("probe-ms", 0, "health-probe interval in ms for -mode route (0: default 250)")
-	workers := fs.Int("workers", 0, "engine worker pool size for -mode serve (0: GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "engine worker count for -mode serve, sizing its stage pipeline (0: GOMAXPROCS)")
 	cacheMB := fs.Int64("cache-mb", 0, "result-cache budget in MiB for -mode serve (0: default, -1: off)")
 	journalDir := fs.String("journal-dir", "", "durable result journal directory for -mode serve (empty: no journal)")
 	journalFlushMS := fs.Int64("journal-flush-ms", 0, "max time a result waits for group commit, in ms (0: default 50)")
@@ -281,7 +281,7 @@ func dispatch(mode string, atomic bool, explain string, jsonOut bool, mutateSeed
 	prog *ir.Program, cfgRun interp.Config, rec *obs.Recorder, col obs.Collector,
 	program string, stdout io.Writer) error {
 	if explain != "" {
-		a, err := comm.AnalyzeObs(prog, col)
+		a, err := comm.Analyze(context.Background(), prog, col, comm.Opts{})
 		if err != nil {
 			return err
 		}
@@ -302,7 +302,7 @@ func dispatch(mode string, atomic bool, explain string, jsonOut bool, mutateSeed
 	}
 	switch mode {
 	case "comm":
-		a, err := comm.AnalyzeObs(prog, col)
+		a, err := comm.Analyze(context.Background(), prog, col, comm.Opts{})
 		if err != nil {
 			return err
 		}
@@ -318,7 +318,7 @@ func dispatch(mode string, atomic bool, explain string, jsonOut bool, mutateSeed
 		}
 		fmt.Fprint(stdout, g.String())
 	case "dump":
-		a, err := comm.AnalyzeObs(prog, col)
+		a, err := comm.Analyze(context.Background(), prog, col, comm.Opts{})
 		if err != nil {
 			return err
 		}
@@ -410,7 +410,7 @@ func variants(prog *ir.Program, a *comm.Analysis, col obs.Collector) []struct {
 }
 
 func runMachine(prog *ir.Program, cfgRun interp.Config, stdout io.Writer) error {
-	a, err := comm.AnalyzeObs(prog, cfgRun.Collector)
+	a, err := comm.Analyze(context.Background(), prog, cfgRun.Collector, comm.Opts{})
 	if err != nil {
 		return err
 	}
@@ -459,7 +459,7 @@ func runMachine(prog *ir.Program, cfgRun interp.Config, stdout io.Writer) error 
 // runtime statistics with cost-model evaluations, and PRE metrics.
 func runStats(prog *ir.Program, cfgRun interp.Config, rec *obs.Recorder, col obs.Collector,
 	jsonOut bool, program string, stdout io.Writer) error {
-	a, err := comm.AnalyzeObs(prog, col)
+	a, err := comm.Analyze(context.Background(), prog, col, comm.Opts{})
 	if err != nil {
 		return err
 	}
@@ -509,7 +509,7 @@ func runStats(prog *ir.Program, cfgRun interp.Config, rec *obs.Recorder, col obs
 // verifier is expected to fail and name the violated criterion.
 func runCheck(prog *ir.Program, col obs.Collector, jsonOut bool, mutateSeed int64,
 	program string, stdout io.Writer) error {
-	a, err := comm.AnalyzeObs(prog, col)
+	a, err := comm.Analyze(context.Background(), prog, col, comm.Opts{})
 	if err != nil {
 		return err
 	}

@@ -322,7 +322,7 @@ func bench(ctx context.Context, file string) (*obs.Report, error) {
 		return nil, err
 	}
 	rec := obs.NewRecorder(obs.Config{Mem: true})
-	a, err := comm.AnalyzeCtx(ctx, prog, rec)
+	a, err := comm.Analyze(ctx, prog, rec, comm.Opts{})
 	if err != nil {
 		return nil, err
 	}
@@ -373,11 +373,8 @@ func benchParallel(files []string, workers int, timeout time.Duration, serialWal
 	e := engine.New(engine.Config{Workers: workers, Collector: bridge})
 	defer e.Close()
 	reg.GaugeFunc(obs.MetricPoolWorkers,
-		"Size of the engine worker pool.",
+		"Engine worker count, which sizes the stage pipeline.",
 		func() float64 { return float64(e.Workers()) })
-	reg.GaugeFunc(obs.MetricPoolBusy,
-		"Engine pool tasks executing right now.",
-		func() float64 { return float64(e.Busy()) })
 	reg.GaugeFunc(obs.MetricCacheEntries,
 		"Resident result-cache entries.",
 		func() float64 { return float64(e.Stats().Cache.Entries) })

@@ -110,8 +110,8 @@ func TestBenchParallelSweep(t *testing.T) {
 		art.Pipeline.IdealWallMS <= 0 || art.Pipeline.Ratio <= 0 || art.Pipeline.Ratio > 1.001 {
 		t.Fatalf("pipeline block incomplete: %+v", art.Pipeline)
 	}
-	if len(art.Pipeline.Stages) != 7 {
-		t.Fatalf("pipeline block has %d stages, want 7", len(art.Pipeline.Stages))
+	if len(art.Pipeline.Stages) != 6 {
+		t.Fatalf("pipeline block has %d stages, want 6", len(art.Pipeline.Stages))
 	}
 	// an impossible bar must fail the run
 	if err := run([]string{"../../testdata"}, out, DefaultTimeout, 4, 1e9, 0); err == nil {

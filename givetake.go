@@ -67,7 +67,9 @@ var AtomicComm = CommOptions{Reads: true, Writes: true}
 
 // GenerateComm analyzes a program and solves both communication
 // placement problems.
-func GenerateComm(p *Program) (*CommGen, error) { return comm.Analyze(p) }
+func GenerateComm(p *Program) (*CommGen, error) {
+	return comm.Analyze(context.Background(), p, nil, CommOpts{})
+}
 
 // NaiveComm is the per-reference strawman of the paper's Figure 2 left:
 // each distributed reference fetches its element in place.
@@ -258,19 +260,13 @@ type SolverCounters = obs.SolverCounters
 // NewRecorder returns an empty recorder whose epoch is now.
 func NewRecorder(cfg ObsConfig) *Recorder { return obs.NewRecorder(cfg) }
 
-// GenerateCommObs is GenerateComm with observability: pipeline stages
-// report spans to col, and the returned analysis exposes solver
-// counters via its Counters method. A nil col behaves exactly like
-// GenerateComm.
-func GenerateCommObs(p *Program, col Collector) (*CommGen, error) {
-	return comm.AnalyzeObs(p, col)
-}
-
-// GenerateCommCtx is GenerateCommObs with cooperative cancellation:
-// the pipeline checks ctx between stages and the solver polls it at
-// interval-node granularity.
+// GenerateCommCtx is GenerateComm with observability and cooperative
+// cancellation: pipeline stages report spans to col (nil records
+// nothing), the returned analysis exposes solver counters via its
+// Counters method, and the pipeline checks ctx between stages while the
+// solver polls it at interval-node granularity.
 func GenerateCommCtx(ctx context.Context, p *Program, col Collector) (*CommGen, error) {
-	return comm.AnalyzeCtx(ctx, p, col)
+	return comm.Analyze(ctx, p, col, CommOpts{})
 }
 
 // CommOpts tunes placement analysis beyond the defaults; see comm.Opts.
@@ -280,7 +276,7 @@ type CommOpts = comm.Opts
 // SuppressHoist, the paper's STEAL_init conservative mode (§4.1), which
 // pins production inside every loop (rung 2 of the degradation ladder).
 func GenerateCommOpts(ctx context.Context, p *Program, col Collector, opt CommOpts) (*CommGen, error) {
-	return comm.AnalyzeOpts(ctx, p, col, opt)
+	return comm.Analyze(ctx, p, col, opt)
 }
 
 // AtomicFallbackComm builds the rung-3 fallback analysis: atomic
@@ -293,19 +289,21 @@ func AtomicFallbackComm(p *Program, col Collector) (*CommGen, error) {
 
 // Concurrent analysis engine ---------------------------------------------
 
-// Engine schedules analysis pipelines over a bounded worker pool: the
+// Engine schedules analyses on a bounded stage pipeline: the
 // independent READ and WRITE halves of each request solve in parallel
 // on arena-backed bit-vector slabs, repeated requests are served from a
 // content-addressed LRU result cache with single-flight deduplication,
-// and batches fan out with fan-out bounded by the worker count.
+// and batches stream through the pipeline stage-wise.
 type Engine = engine.Engine
 
-// EngineConfig parameterizes an Engine: worker count, cache byte
-// budget, and an optional counter collector.
+// EngineConfig parameterizes an Engine: worker count (which sizes the
+// stage pipeline), cache byte budget, an optional counter collector,
+// and an optional journal.
 type EngineConfig = engine.Config
 
-// EngineStats is an Engine's observable state: pool task/panic and
-// admission counters plus cache hit/miss/follower/eviction counters.
+// EngineStats is an Engine's observable state: worker count, stage
+// panic and admission counters, cache hit/miss/follower/eviction
+// counters, and per-stage pipeline accounting.
 type EngineStats = engine.Stats
 
 // EngineJob is one analysis to schedule on an Engine.
@@ -322,7 +320,7 @@ type (
 	BatchResult = engine.BatchResult
 )
 
-// NewEngine builds an engine and starts its workers.
+// NewEngine builds an engine and starts its stage pipeline.
 func NewEngine(cfg EngineConfig) *Engine { return engine.New(cfg) }
 
 // CacheKey derives the content address of one analysis request — a

@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -45,7 +46,7 @@ func analyzeFile(t *testing.T, file string) *comm.Analysis {
 	if err != nil {
 		t.Fatalf("parse %s: %v", file, err)
 	}
-	a, err := comm.Analyze(prog)
+	a, err := comm.Analyze(context.Background(), prog, nil, comm.Opts{})
 	if err != nil {
 		t.Fatalf("analyze %s: %v", file, err)
 	}
@@ -187,7 +188,7 @@ func TestVerifyAllocsScale(t *testing.T) {
 	perNode := map[int]float64{}
 	for _, stmts := range []int{50, 200, 800} {
 		prog := progen.Generate(9, progen.Config{Stmts: stmts, MaxDepth: 3, Arrays: true})
-		a, err := comm.Analyze(prog)
+		a, err := comm.Analyze(context.Background(), prog, nil, comm.Opts{})
 		if err != nil {
 			t.Fatalf("%d statements: analyze: %v", stmts, err)
 		}

@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -48,7 +49,7 @@ func hashVerify(t *testing.T, h hash.Hash, label string, p *check.Problem) int {
 // returns the number of diagnostics hashed.
 func hashProgram(t *testing.T, h hash.Hash, label string, prog *ir.Program, seed int64) int {
 	t.Helper()
-	a, err := comm.Analyze(prog)
+	a, err := comm.Analyze(context.Background(), prog, nil, comm.Opts{})
 	if err != nil {
 		t.Fatalf("%s: analyze: %v", label, err)
 	}
@@ -110,7 +111,7 @@ func TestGoldenIdentity(t *testing.T) {
 		diags += hashProgram(t, h, fmt.Sprintf("medium%d", seed), prog, seed)
 	}
 
-	a, err := comm.Analyze(serveColdRejected())
+	a, err := comm.Analyze(context.Background(), serveColdRejected(), nil, comm.Opts{})
 	if err != nil {
 		t.Fatalf("serve-cold program: analyze: %v", err)
 	}

@@ -1,6 +1,7 @@
 package mutate_test
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -34,7 +35,7 @@ func corpusProblems(t *testing.T) []*check.Problem {
 			if err != nil {
 				t.Fatalf("parse %s: %v", file, err)
 			}
-			a, err := comm.Analyze(prog)
+			a, err := comm.Analyze(context.Background(), prog, nil, comm.Opts{})
 			if err != nil {
 				t.Fatalf("analyze %s: %v", file, err)
 			}

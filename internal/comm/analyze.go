@@ -19,7 +19,6 @@ import (
 	"givetake/internal/bitset"
 	"givetake/internal/cfg"
 	"givetake/internal/core"
-	"givetake/internal/frontend"
 	"givetake/internal/interval"
 	"givetake/internal/ir"
 	"givetake/internal/obs"
@@ -65,29 +64,35 @@ type Analysis struct {
 	Reduce map[int]string
 }
 
-// Analyze parses nothing: it takes a checked program, builds the interval
-// flow graph and the section universe, derives the READ and WRITE initial
-// sets, and solves both placement problems.
-func Analyze(prog *ir.Program) (*Analysis, error) {
-	return AnalyzeObs(prog, nil)
-}
-
-// AnalyzeObs is Analyze with observability: each pipeline stage (CFG
-// build, interval reduction, section-universe collection, the two
-// dataflow solves) is wrapped in a span on ocol, annotated with its
-// headline sizes, and the solver counters are exported via Counters.
-// A nil collector makes it behave — and cost — exactly like Analyze.
-func AnalyzeObs(prog *ir.Program, ocol obs.Collector) (*Analysis, error) {
-	return AnalyzeCtx(context.Background(), prog, ocol)
-}
-
-// AnalyzeCtx is AnalyzeObs with cooperative cancellation: ctx is polled
-// between pipeline stages and inside both dataflow solves (at interval
-// node granularity), and the analysis aborts with ctx.Err() once it is
-// canceled. A solver one-pass violation surfaces as core.ErrInvariant
-// rather than a panic.
-func AnalyzeCtx(ctx context.Context, prog *ir.Program, ocol obs.Collector) (*Analysis, error) {
-	return AnalyzeOpts(ctx, prog, ocol, Opts{})
+// Analyze is the sequential analysis entry point. It parses nothing:
+// it takes a checked program, builds the interval flow graph and the
+// section universe, derives the READ and WRITE initial sets, applies
+// opts, and solves both placement problems. Each stage is wrapped in a
+// span on ocol, annotated with its headline sizes; a nil collector
+// records nothing. ctx is polled between stages and inside both solves
+// (at interval node granularity), and the analysis aborts with
+// ctx.Err() once it is canceled. A solver one-pass violation surfaces
+// as core.ErrInvariant rather than a panic.
+//
+// The same steps are exported one by one (StageCFG, StageIntervals,
+// StageUniverse, ApplyOpts, SolveRead, SolveWrite) for a stage
+// scheduler. The two solves share no mutable state — SolveRead touches
+// only Read, SolveWrite only RevGraph and Write, and neither mutates
+// the graph — so a scheduler may run them concurrently
+// (internal/engine does).
+func Analyze(ctx context.Context, prog *ir.Program, ocol obs.Collector, opts Opts) (*Analysis, error) {
+	a, err := build(ctx, prog, ocol)
+	if err != nil {
+		return nil, err
+	}
+	a.ApplyOpts(opts)
+	if err := a.SolveRead(ctx, ocol, nil); err != nil {
+		return nil, err
+	}
+	if err := a.SolveWrite(ctx, ocol, nil); err != nil {
+		return nil, err
+	}
+	return a, nil
 }
 
 // build runs the solver-free front half of the pipeline: CFG, interval
@@ -223,38 +228,6 @@ func (a *Analysis) StageUniverse(ctx context.Context, ocol obs.Collector) error 
 	return nil
 }
 
-// AnalyzeOpts is AnalyzeCtx with analysis options. It is the full entry
-// point the serve degradation ladder drives: rung 1 passes the zero
-// Opts, rung 2 retries with SuppressHoist.
-func AnalyzeOpts(ctx context.Context, prog *ir.Program, ocol obs.Collector, opt Opts) (*Analysis, error) {
-	a, err := Build(ctx, prog, ocol, opt)
-	if err != nil {
-		return nil, err
-	}
-	if err := a.SolveRead(ctx, ocol, nil); err != nil {
-		return nil, err
-	}
-	if err := a.SolveWrite(ctx, ocol, nil); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// Build runs the solver-free front half of the pipeline and applies the
-// analysis options, leaving an Analysis ready for SolveRead and
-// SolveWrite. The two solves share no mutable state beyond this point —
-// SolveRead touches only Read, SolveWrite only RevGraph and Write, and
-// neither mutates the graph — so a scheduler may run them as concurrent
-// tasks (internal/engine does).
-func Build(ctx context.Context, prog *ir.Program, ocol obs.Collector, opt Opts) (*Analysis, error) {
-	a, err := build(ctx, prog, ocol)
-	if err != nil {
-		return nil, err
-	}
-	a.ApplyOpts(opt)
-	return a, nil
-}
-
 // ApplyOpts applies the analysis options to a built Analysis, after
 // StageUniverse and before the solves: SuppressHoist marks every
 // non-root loop header NoHoist (the degradation ladder's rung 2).
@@ -348,15 +321,6 @@ func (a *Analysis) Counters() []obs.SolverCounters {
 		out = append(out, a.Write.Counters("WRITE"))
 	}
 	return out
-}
-
-// AnalyzeSource parses, checks, and analyzes program text.
-func AnalyzeSource(src string) (*Analysis, error) {
-	prog, err := frontend.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return Analyze(prog)
 }
 
 type evKind int

@@ -1,12 +1,24 @@
 package comm
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"givetake/internal/core"
+	"givetake/internal/frontend"
 	"givetake/internal/interp"
 )
+
+// analyzeSource parses and analyzes program text with no collector and
+// the default options.
+func analyzeSource(src string) (*Analysis, error) {
+	prog, err := frontend.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return Analyze(context.Background(), prog, nil, Opts{})
+}
 
 // The paper's three worked communication codes, used as golden tests.
 
@@ -67,7 +79,7 @@ enddo
 // lines returns the trimmed non-empty lines of the annotated program.
 func annotatedLines(t *testing.T, src string, opt Options) []string {
 	t.Helper()
-	a, err := AnalyzeSource(src)
+	a, err := analyzeSource(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,11 +252,11 @@ func TestFig14Placement(t *testing.T) {
 // TestRoundTripParse: annotated programs are valid mini-Fortran modulo
 // the READ/WRITE statements, which the printer renders unambiguously.
 func TestAnnotationDeterministic(t *testing.T) {
-	a1, err := AnalyzeSource(fig11Src)
+	a1, err := analyzeSource(fig11Src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := AnalyzeSource(fig11Src)
+	a2, err := analyzeSource(fig11Src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +269,7 @@ func TestAnnotationDeterministic(t *testing.T) {
 // criteria on the paper figures.
 func TestReadSolutionVerifies(t *testing.T) {
 	for name, src := range map[string]string{"fig1": fig1Src, "fig3": fig3Src, "fig11": fig11Src} {
-		a, err := AnalyzeSource(src)
+		a, err := analyzeSource(src)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -274,14 +286,14 @@ func TestReadSolutionVerifies(t *testing.T) {
 
 // TestUniverseContents checks the value-numbered universes of the figures.
 func TestUniverseContents(t *testing.T) {
-	a, err := AnalyzeSource(fig1Src)
+	a, err := analyzeSource(fig1Src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Universe.Size() != 1 {
 		t.Fatalf("fig1 universe = %d items (%s), want 1", a.Universe.Size(), a.Universe.Describe())
 	}
-	a, err = AnalyzeSource(fig11Src)
+	a, err = analyzeSource(fig11Src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +301,7 @@ func TestUniverseContents(t *testing.T) {
 	if a.Universe.Size() != 3 {
 		t.Fatalf("fig11 universe = %d items (%s), want 3", a.Universe.Size(), a.Universe.Describe())
 	}
-	a, err = AnalyzeSource(fig3Src)
+	a, err = analyzeSource(fig3Src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +316,7 @@ func TestUniverseContents(t *testing.T) {
 // residue classes disjoint. One fetch of the odd section suffices for
 // the whole sweep; no re-fetch after the even update.
 func TestRedBlackNoRefetch(t *testing.T) {
-	a, err := AnalyzeSource(`
+	a, err := analyzeSource(`
 distributed x(4000)
 real w(4000)
 
@@ -370,7 +382,7 @@ enddo
 // analysis (the row sections u(1:n, *) and the halo u(n+1, *) are
 // handled as distinct items).
 func TestTwoDimensionalSections(t *testing.T) {
-	a, err := AnalyzeSource(`
+	a, err := analyzeSource(`
 distributed u(300, 300)
 real v(300, 300)
 
@@ -451,7 +463,7 @@ enddo
 		t.Fatalf("coalesced section missing:\n%s", strings.Join(co, "\n"))
 	}
 	// dynamic: one message instead of two
-	a, err := AnalyzeSource(src)
+	a, err := analyzeSource(src)
 	if err != nil {
 		t.Fatal(err)
 	}

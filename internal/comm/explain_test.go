@@ -9,7 +9,7 @@ import (
 // equation, the consumers demanding the item, and the availability gap
 // that forced production there.
 func TestExplainNode(t *testing.T) {
-	a, err := AnalyzeSource(`
+	a, err := analyzeSource(`
 distributed x(1000)
 real a(1000)
 do i = 1, n

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -17,7 +18,7 @@ import (
 func TestPropertyCommPlacements(t *testing.T) {
 	f := func(seed int64) bool {
 		prog := progen.Generate(seed, progen.Config{Stmts: 25, MaxDepth: 3, Arrays: true})
-		a, err := Analyze(prog)
+		a, err := Analyze(context.Background(), prog, nil, Opts{})
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -45,7 +46,7 @@ func TestPropertyCommPlacements(t *testing.T) {
 func TestPropertyDynamicBalance(t *testing.T) {
 	f := func(seed int64) bool {
 		prog := progen.Generate(seed, progen.Config{Stmts: 20, MaxDepth: 3, Arrays: true})
-		a, err := Analyze(prog)
+		a, err := Analyze(context.Background(), prog, nil, Opts{})
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -78,7 +79,7 @@ func TestPropertyDynamicBalance(t *testing.T) {
 func TestPropertyVectorizationWins(t *testing.T) {
 	f := func(seed int64) bool {
 		prog := progen.Generate(seed, progen.Config{Stmts: 20, MaxDepth: 3, Arrays: true})
-		a, err := Analyze(prog)
+		a, err := Analyze(context.Background(), prog, nil, Opts{})
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false

@@ -23,7 +23,7 @@ enddo
 `
 
 func TestReductionDetected(t *testing.T) {
-	a, err := AnalyzeSource(scatterAddSrc)
+	a, err := analyzeSource(scatterAddSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestReductionDetected(t *testing.T) {
 }
 
 func TestReductionPlacement(t *testing.T) {
-	a, err := AnalyzeSource(scatterAddSrc)
+	a, err := analyzeSource(scatterAddSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestReductionPlacement(t *testing.T) {
 }
 
 func TestReductionProductDetected(t *testing.T) {
-	a, err := AnalyzeSource(`
+	a, err := analyzeSource(`
 distributed x(100)
 real w(100)
 
@@ -104,7 +104,7 @@ enddo
 // A plain read of the accumulated item elsewhere disqualifies the
 // reduction: partial sums would be observed.
 func TestReductionDisqualifiedByRead(t *testing.T) {
-	a, err := AnalyzeSource(`
+	a, err := analyzeSource(`
 distributed x(100)
 real a(100), w(100)
 
@@ -131,7 +131,7 @@ enddo
 
 // Mixed operators on one item disqualify it too.
 func TestReductionDisqualifiedByMixedOps(t *testing.T) {
-	a, err := AnalyzeSource(`
+	a, err := analyzeSource(`
 distributed x(100)
 real w(100)
 
@@ -148,7 +148,7 @@ x(5) = x(5) * w(2)
 
 // Subtraction is not commutative-associative in this form: no reduction.
 func TestReductionIgnoresSubtraction(t *testing.T) {
-	a, err := AnalyzeSource(`
+	a, err := analyzeSource(`
 distributed x(100)
 real w(100)
 
@@ -165,7 +165,7 @@ enddo
 }
 
 func TestReductionDynamicBalance(t *testing.T) {
-	a, err := AnalyzeSource(scatterAddSrc)
+	a, err := analyzeSource(scatterAddSrc)
 	if err != nil {
 		t.Fatal(err)
 	}

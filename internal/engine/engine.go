@@ -1,18 +1,19 @@
 // Package engine is the concurrent analysis engine behind the serving
-// and batch paths: it turns the sequential GIVE-N-TAKE pipeline into
-// schedulable tasks and runs the independent halves of each request in
-// parallel.
+// and batch paths. Every program travels one stage pipeline
+// (pipeline.go), whose stages follow the data dependences of the
+// analysis:
 //
-// The task decomposition follows the data dependences of the pipeline
-// (comm.Build documents why the halves are independent):
+//	parse → cfg-build → interval-reduce → section-universe ─┬─ solve READ  ─┬─ check
+//	                                                        └─ solve WRITE ─┘
 //
-//	cfg-build ──┬── READ/BEFORE solve ───── verify READ ──┬── merge
-//	            └── reverse + WRITE solve ─ verify WRITE ─┘
+// READ runs on the forward graph and WRITE on the reversed one; the two
+// share no mutable state (comm.Analyze documents why), so the solve
+// stage runs them concurrently, and the check stage verifies the two
+// solved problems concurrently. Three mechanisms make the engine
+// production-shaped:
 //
-// Three mechanisms make the engine production-shaped:
-//
-//   - a bounded worker pool with panic isolation: leaf tasks (solves,
-//     verifications) run on a fixed set of workers, a panicking task is
+//   - bounded stages with panic isolation: each stage has its own
+//     workers and a bounded input queue, a panicking stage body is
 //     returned as a structured *PanicError, and per-task bit-vector
 //     slabs are carved from leased bitset.Arena buffers so steady-state
 //     allocation stays flat across requests;
@@ -22,16 +23,16 @@
 //     in bytes with LRU eviction, with single-flight deduplication so a
 //     thundering herd of identical requests costs one analysis;
 //
-//   - a batch path: AnalyzeBatch and Map fan independent programs out
-//     over the pool, so corpus throughput scales with cores instead of
-//     being pinned to one sequential pipeline.
+//   - a batch path: AnalyzeBatch streams independent programs through
+//     the pipeline and Map fans bodies out with bounded concurrency, so
+//     corpus throughput scales with cores instead of being pinned to
+//     one sequential pipeline.
 package engine
 
 import (
 	"context"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -49,21 +50,16 @@ const DefaultCacheBytes int64 = 32 << 20
 
 // Config parameterizes an Engine.
 type Config struct {
-	// Workers is the size of the leaf-task pool and the fan-out bound
-	// of Map/AnalyzeBatch; zero means GOMAXPROCS.
+	// Workers sizes the stage pipeline — the solve and check stages get
+	// Workers workers each, the four front-half stages Workers/2 (at
+	// least one), and every inter-stage queue holds max(4, 2*Workers)
+	// tasks — and bounds the fan-out of Map; zero means GOMAXPROCS.
 	Workers int
-	// StageWorkers sets the per-stage worker counts of the stage
-	// pipeline (pipeline.go); zero fields default to a split of
-	// Workers.
-	StageWorkers StageWorkers
-	// StageQueue bounds each inter-stage queue of the pipeline; zero
-	// means max(4, 2*Workers).
-	StageQueue int
 	// CacheBytes bounds the result cache; zero means DefaultCacheBytes,
 	// negative disables caching (single-flight still dedups).
 	CacheBytes int64
 	// Collector receives engine-level counters (cache hit/miss/evict,
-	// pool tasks/panics); nil records nothing.
+	// stage items and panics); nil records nothing.
 	Collector obs.Collector
 	// Journal, when non-nil, makes cache fills durable: every storable
 	// result Do computes is appended for group commit, and
@@ -74,13 +70,11 @@ type Config struct {
 	Journal *journal.Journal
 }
 
-// Engine schedules analysis pipelines over a worker pool and serves
-// repeated requests from a content-addressed cache. Create with New;
-// an Engine is safe for concurrent use and runs until Close.
+// Engine schedules analyses on its stage pipeline and serves repeated
+// requests from a content-addressed cache. Create with New; an Engine
+// is safe for concurrent use and runs until Close.
 type Engine struct {
 	cfg    Config
-	tasks  chan func()
-	wg     sync.WaitGroup
 	arenas sync.Pool
 	pipe   *pipeline
 
@@ -88,133 +82,58 @@ type Engine struct {
 	flights map[string]*flight
 	cache   *cache
 
-	tasksRun   atomic.Int64
 	taskPanics atomic.Int64
-	running    atomic.Int64
 	admitWon   atomic.Int64
 	admitShed  atomic.Int64
 	closed     atomic.Bool
 }
 
-// New builds an Engine and starts its workers.
+// New builds an Engine and starts its stage pipeline, with stage widths
+// and queue bounds derived from cfg.Workers.
 func New(cfg Config) *Engine {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
+	return newEngine(cfg, stageWidths(cfg.Workers), max(4, 2*cfg.Workers))
+}
+
+// newEngine is New with explicit per-stage worker counts and an explicit
+// inter-stage queue bound; cfg.Workers must be positive.
+func newEngine(cfg Config, widths [numStages]int, queue int) *Engine {
 	if cfg.CacheBytes == 0 {
 		cfg.CacheBytes = DefaultCacheBytes
 	}
 	e := &Engine{
 		cfg:     cfg,
-		tasks:   make(chan func()),
 		flights: map[string]*flight{},
 		cache:   newCache(cfg.CacheBytes),
 	}
 	e.arenas.New = func() any { return new(bitset.Arena) }
-	e.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go e.worker()
-	}
-	queue := cfg.StageQueue
-	if queue <= 0 {
-		queue = 2 * cfg.Workers
-		if queue < 4 {
-			queue = 4
-		}
-	}
-	e.pipe = newPipeline(e, cfg.StageWorkers.withDefaults(cfg.Workers), queue)
+	e.pipe = newPipeline(e, widths, queue)
 	return e
 }
 
-// Close stops the pool workers and the stage pipeline after draining
-// queued tasks. Only useful in tests; a serving engine lives for the
-// process.
+// Close stops the stage pipeline after draining queued tasks. Only
+// useful in tests; a serving engine lives for the process.
 func (e *Engine) Close() {
 	if e.closed.CompareAndSwap(false, true) {
-		close(e.tasks)
-		e.wg.Wait()
 		e.pipe.close()
 	}
 }
 
-// Workers reports the pool size.
+// Workers reports the configured worker count.
 func (e *Engine) Workers() int { return e.cfg.Workers }
 
-func (e *Engine) worker() {
-	defer e.wg.Done()
-	for fn := range e.tasks {
-		fn()
-	}
-}
-
-// PanicError is a leaf-task panic converted to an error at the pool
-// boundary, so one poisoned request degrades instead of killing the
-// process. The serving layer maps it to a "panic" ladder outcome.
+// PanicError is a stage-body panic converted to an error at the
+// stage's isolation boundary, so one poisoned request degrades instead
+// of killing the process. The serving layer maps it to a "panic" ladder
+// outcome.
 type PanicError struct {
 	Value any
 	Stack []byte
 }
 
 func (p *PanicError) Error() string { return fmt.Sprintf("recovered panic: %v", p.Value) }
-
-// run executes fn on the pool and waits for it, capturing panics. A
-// canceled ctx sheds the task before it ever occupies a worker: an
-// already-dead caller returns immediately, and a caller that dies while
-// its task is still queued abandons the enqueue instead of burning a
-// pool slot on doomed work. Once a worker has picked the task up it
-// runs to completion (the bodies poll ctx themselves).
-func (e *Engine) run(ctx context.Context, fn func() error) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	done := make(chan error, 1)
-	task := func() {
-		e.running.Add(1)
-		defer e.running.Add(-1)
-		defer func() {
-			if r := recover(); r != nil {
-				e.taskPanics.Add(1)
-				obs.Count(e.cfg.Collector, obs.CounterPoolPanic, 1)
-				done <- &PanicError{Value: r, Stack: debug.Stack()}
-			}
-		}()
-		e.tasksRun.Add(1)
-		obs.Count(e.cfg.Collector, obs.CounterPoolTask, 1)
-		done <- fn()
-	}
-	select {
-	case e.tasks <- task:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	return <-done
-}
-
-// Busy reports how many pool tasks are executing right now — the
-// occupancy the gnt_engine_pool_busy gauge samples at scrape time.
-func (e *Engine) Busy() int64 { return e.running.Load() }
-
-// parallel runs every fn as a pool task, waits for all, and returns the
-// first error in argument order (errors never hide behind a later nil).
-func (e *Engine) parallel(ctx context.Context, fns ...func() error) error {
-	errs := make([]error, len(fns))
-	var wg sync.WaitGroup
-	wg.Add(len(fns))
-	for i, fn := range fns {
-		i, fn := i, fn
-		go func() {
-			defer wg.Done()
-			errs[i] = e.run(ctx, fn)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // Job is one analysis to schedule.
 type Job struct {
@@ -226,10 +145,10 @@ type Job struct {
 	// Collector receives the pipeline's stage spans; nil records
 	// nothing. Concurrent stages may interleave their spans.
 	Collector obs.Collector
-	// PostSolve, when non-nil, runs on the calling goroutine after both
-	// solves join and before verification — the hook the chaos harness
-	// uses to corrupt solutions. A panic inside it propagates to the
-	// caller (after the job's arenas are released).
+	// PostSolve, when non-nil, runs in the solve stage after both
+	// solves join without error and before verification — the hook the
+	// chaos harness uses to corrupt solutions. A panic inside it is
+	// returned as a *PanicError, like any stage panic.
 	PostSolve func(*comm.Analysis)
 }
 
@@ -261,28 +180,20 @@ func (r *Result) Release() {
 	r.arenas = nil
 }
 
-// Analyze runs one program through the analysis pipeline and returns
-// its solved placements with their merged static verification. The
-// merged Check result is ordering-identical to the sequential
-// comm.CheckPlacementCtx (check.Merge sorts).
-//
-// Jobs normally travel the stage pipeline (pipeline.go), entering at
-// cfg-build since the program is already parsed: concurrent Analyze
-// calls overlap stage-wise, and the READ/WRITE solve halves still run
-// concurrently within the solve stage. A job with a PostSolve hook
-// takes the pool path instead (analyzePool) — the hook's contract is
-// that it runs on the calling goroutine and its panic propagates to
-// the caller, which a detached stage worker cannot honor.
+// Analyze runs one program through the stage pipeline and returns its
+// solved placements with their merged static verification. The merged
+// Check result is ordering-identical to the sequential
+// comm.CheckPlacementCtx (check.Merge sorts). The job enters at
+// cfg-build since the program is already parsed; concurrent Analyze
+// calls overlap stage-wise.
 func (e *Engine) Analyze(ctx context.Context, job Job) (*Result, error) {
-	if job.PostSolve != nil {
-		return e.analyzePool(ctx, job)
-	}
 	t := &pipeTask{
-		ctx:  ctx,
-		col:  job.Collector,
-		prog: job.Prog,
-		opts: job.Opts,
-		done: make(chan struct{}),
+		ctx:       ctx,
+		col:       job.Collector,
+		prog:      job.Prog,
+		opts:      job.Opts,
+		postSolve: job.PostSolve,
+		done:      make(chan struct{}),
 	}
 	t.endAnalyze = obs.Begin(job.Collector, obs.SpanEngineAnalyze)
 	if !e.pipe.submit(stageCFG, t) {
@@ -293,84 +204,16 @@ func (e *Engine) Analyze(ctx context.Context, job Job) (*Result, error) {
 	return t.res, t.err
 }
 
-// analyzePool is the worker-pool analysis path: the front half runs on
-// the calling goroutine (comm.Build), the solve halves and the
-// verifications fan out as pool tasks, and the PostSolve hook runs
-// between them on the calling goroutine. The serve ladder's chaos
-// harness depends on this shape.
-func (e *Engine) analyzePool(ctx context.Context, job Job) (res *Result, err error) {
-	col := job.Collector
-	end := obs.Begin(col, obs.SpanEngineAnalyze)
-	defer func() {
-		if err != nil {
-			res.Release()
-			res = nil
-		}
-		end()
-	}()
-
-	a, aerr := comm.Build(ctx, job.Prog, col, job.Opts)
-	if aerr != nil {
-		return nil, aerr
-	}
-	res = &Result{
-		Analysis: a,
-		eng:      e,
-		arenas:   []*bitset.Arena{e.arenas.Get().(*bitset.Arena), e.arenas.Get().(*bitset.Arena)},
-	}
-	defer func() {
-		// PostSolve (and nothing else here) may panic through us; don't
-		// leak the leased arenas when it does
-		if r := recover(); r != nil {
-			res.Release()
-			res = nil
-			panic(r)
-		}
-	}()
-	if err := e.parallel(ctx,
-		func() error { return a.SolveRead(ctx, col, res.arenas[0]) },
-		func() error { return a.SolveWrite(ctx, col, res.arenas[1]) },
-	); err != nil {
-		return res, err // the deferred cleanup releases and nils res
-	}
-	if job.PostSolve != nil {
-		job.PostSolve(a)
-	}
-
-	vend := obs.Begin(col, obs.SpanEngineVerify)
-	probs := a.Problems()
-	partial := make([]*check.Result, len(probs))
-	fns := make([]func() error, len(probs))
-	for i, p := range probs {
-		i, p := i, p
-		fns[i] = func() error {
-			r, err := check.VerifyCtx(ctx, p)
-			partial[i] = r
-			return err
-		}
-	}
-	if err := e.parallel(ctx, fns...); err != nil {
-		vend()
-		return res, err // the deferred cleanup releases and nils res
-	}
-	cr := check.Merge(partial...)
-	cr.Diagnostics = append(cr.Diagnostics, a.Lints(probs)...)
-	cr.Sort()
-	res.Check = cr
-	vend("errors", len(cr.Errors()), "warnings", len(cr.Warnings()))
-	return res, nil
-}
-
 // Map runs f for every index in [0, n) with fan-out bounded by the
 // worker count, in index-launch order. Bodies run on dedicated
-// goroutines — not pool workers — so they may themselves schedule pool
-// tasks (Analyze) without deadlocking the pool. Cancellation sheds
-// before each launch: once ctx is observed done, no further body
-// starts (not even one already holding a semaphore slot), and Map
-// returns after every launched body has finished. The return value is
-// how many bodies launched — indices [launched, n) never ran, and the
-// caller owns saying so in its per-item results (AnalyzeBatch and
-// serve's /batch record ctx.Err() in the trailing slots).
+// goroutines, not stage workers, so they may themselves submit to the
+// pipeline (Analyze). Cancellation sheds before each launch: once ctx
+// is observed done, no further body starts (not even one already
+// holding a semaphore slot), and Map returns after every launched body
+// has finished. The return value is how many bodies launched — indices
+// [launched, n) never ran, and the caller owns saying so in its
+// per-item results (AnalyzeBatch and serve's /batch record ctx.Err()
+// in the trailing slots).
 func (e *Engine) Map(ctx context.Context, n int, f func(ctx context.Context, i int)) int {
 	sem := make(chan struct{}, e.cfg.Workers)
 	var wg sync.WaitGroup
@@ -449,12 +292,11 @@ func (e *Engine) AnalyzeBatch(ctx context.Context, items []BatchItem, col obs.Co
 	return out
 }
 
-// PoolStats is a point-in-time snapshot of the worker pool and the
-// admission accounting the serving layer reports into it.
+// PoolStats is a point-in-time snapshot of the worker count, the stage
+// panics, and the admission accounting the serving layer reports into
+// it.
 type PoolStats struct {
 	Workers       int   `json:"workers"`
-	Busy          int64 `json:"busy"`
-	Tasks         int64 `json:"tasks"`
 	Panics        int64 `json:"panics"`
 	AdmissionWon  int64 `json:"admission_won"`
 	AdmissionShed int64 `json:"admission_shed"`
@@ -470,15 +312,14 @@ type Stats struct {
 	PipelineShed int64 `json:"pipeline_shed"`
 }
 
-// Stats snapshots the pool, cache, and pipeline counters.
+// Stats snapshots the worker, panic, admission, cache, and pipeline
+// counters.
 func (e *Engine) Stats() Stats {
 	return Stats{
 		Pipeline:     e.PipelineStats(),
 		PipelineShed: e.pipe.shed.Load(),
 		Pool: PoolStats{
 			Workers: e.cfg.Workers,
-			Busy:    e.running.Load(),
-			Tasks:   e.tasksRun.Load(),
 			Panics:  e.taskPanics.Load(),
 
 			AdmissionWon:  e.admitWon.Load(),
@@ -490,8 +331,7 @@ func (e *Engine) Stats() Stats {
 
 // NoteAdmission records one admission-queue outcome: won (a request got
 // an analysis slot) or shed (it timed out of the queue). The serving
-// layer calls this so slot accounting lives with the pool stats it
-// gates.
+// layer calls this so slot accounting lives with the engine stats.
 func (e *Engine) NoteAdmission(won bool) {
 	if won {
 		e.admitWon.Add(1)

@@ -59,7 +59,7 @@ func TestAnalyzeMatchesSequential(t *testing.T) {
 		}
 		prog2, _ := frontend.Parse(src)
 
-		seq, err := comm.AnalyzeOpts(context.Background(), prog1, nil, comm.Opts{})
+		seq, err := comm.Analyze(context.Background(), prog1, nil, comm.Opts{})
 		if err != nil {
 			t.Fatalf("%s: sequential: %v", path, err)
 		}
@@ -121,52 +121,34 @@ func TestArenaReuseAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestPostSolvePanicPropagates: a panic in the PostSolve hook reaches
-// the caller (the serve ladder's stage boundary catches it there) and
-// does not leak arenas or wedge the pool.
-func TestPostSolvePanicPropagates(t *testing.T) {
-	e := New(Config{Workers: 2})
+// TestPostSolvePanicBecomesError: a panic in the PostSolve hook is
+// recovered inside the solve stage and returned as a *PanicError, the
+// panic counter records it, and the engine keeps serving — no leaked
+// arenas, no dead stage worker.
+func TestPostSolvePanicBecomesError(t *testing.T) {
+	e := New(Config{Workers: 1})
 	defer e.Close()
 	prog, err := frontend.Parse(loopSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	func() {
-		defer func() {
-			if r := recover(); r == nil {
-				t.Fatal("PostSolve panic did not propagate")
-			}
-		}()
-		_, _ = e.Analyze(context.Background(), Job{
-			Prog:      prog,
-			PostSolve: func(*comm.Analysis) { panic("chaos") },
-		})
-	}()
-	// the engine still works afterwards
+	res, err := e.Analyze(context.Background(), Job{
+		Prog:      prog,
+		PostSolve: func(*comm.Analysis) { panic("chaos") },
+	})
+	var pe *PanicError
+	if res != nil || !errors.As(err, &pe) || pe.Value != "chaos" {
+		t.Fatalf("want nil result and *PanicError(chaos), got %v, %v", res, err)
+	}
+	if n := e.Stats().Pool.Panics; n != 1 {
+		t.Fatalf("panic counter = %d, want 1", n)
+	}
 	prog2, _ := frontend.Parse(loopSrc)
-	res, err := e.Analyze(context.Background(), Job{Prog: prog2})
+	res, err = e.Analyze(context.Background(), Job{Prog: prog2})
 	if err != nil || !res.Check.Ok() {
 		t.Fatalf("engine wedged after hook panic: %v", err)
 	}
 	res.Release()
-}
-
-// TestPoolPanicBecomesError: a panicking pool task surfaces as a
-// *PanicError, not a process crash, and the panic counter records it.
-func TestPoolPanicBecomesError(t *testing.T) {
-	e := New(Config{Workers: 1})
-	defer e.Close()
-	err := e.run(context.Background(), func() error { panic("boom") })
-	var pe *PanicError
-	if !errors.As(err, &pe) || pe.Value != "boom" {
-		t.Fatalf("want *PanicError(boom), got %v", err)
-	}
-	if e.Stats().Pool.Panics != 1 {
-		t.Fatalf("panic counter = %d, want 1", e.Stats().Pool.Panics)
-	}
-	if err := e.run(context.Background(), func() error { return nil }); err != nil {
-		t.Fatalf("worker died after panic: %v", err)
-	}
 }
 
 // TestAnalyzeBatch analyzes the corpus as one batch and checks every

@@ -1,13 +1,13 @@
-// Stage-pipelined batch path: each program flows through the pipeline's
-// obs-named stages (parse → cfg-build → interval-reduce →
-// section-universe → solve → check → render) as an independent task,
-// stages connected by bounded queues, each stage served by its own
-// worker count. There is NO barrier between stages — program A can be
-// in the solve stage while program B is still in cfg-build — so corpus
-// throughput is set by the slowest stage's service rate, not by the
-// slowest program's end-to-end chain. The READ and WRITE solve halves
-// stay concurrent within a program (the solve stage runs them as two
-// goroutines, exactly like the pool path did).
+// The stage pipeline, the engine's only scheduler: each program flows
+// through the pipeline's obs-named stages (parse → cfg-build →
+// interval-reduce → section-universe → solve → check) as an independent
+// task, stages connected by bounded queues, each stage served by its
+// own worker count. There is NO barrier between stages — program A can
+// be in the solve stage while program B is still in cfg-build — so
+// corpus throughput is set by the slowest stage's service rate, not by
+// the slowest program's end-to-end chain. The READ and WRITE solve
+// halves stay concurrent within a program (the solve stage runs them as
+// two goroutines).
 //
 // Backpressure is the bounded queues themselves: a stage that cannot
 // hand its task downstream blocks on the send (or sheds, if the task's
@@ -30,50 +30,6 @@ import (
 	"givetake/internal/obs"
 )
 
-// StageWorkers fixes the worker count of each pipeline stage. Zero
-// fields default to a split of Config.Workers: the solver and checker
-// stages (the hot ones on real corpora) get the full worker count
-// each, the light front-half and render stages half each, all floored
-// at one — oversubscription is deliberate, since stage workers are
-// goroutines gated by GOMAXPROCS, and a stage blocked on backpressure
-// costs only a goroutine; starving the bottleneck stage, by contrast,
-// caps the whole pipeline's service rate.
-type StageWorkers struct {
-	Parse           int
-	CFGBuild        int
-	IntervalReduce  int
-	SectionUniverse int
-	Solve           int
-	Check           int
-	Render          int
-}
-
-func (w StageWorkers) withDefaults(workers int) StageWorkers {
-	light := workers / 2
-	if light < 1 {
-		light = 1
-	}
-	heavy := workers
-	if heavy < 1 {
-		heavy = 1
-	}
-	def := func(v, d int) int {
-		if v > 0 {
-			return v
-		}
-		return d
-	}
-	return StageWorkers{
-		Parse:           def(w.Parse, light),
-		CFGBuild:        def(w.CFGBuild, light),
-		IntervalReduce:  def(w.IntervalReduce, light),
-		SectionUniverse: def(w.SectionUniverse, light),
-		Solve:           def(w.Solve, heavy),
-		Check:           def(w.Check, heavy),
-		Render:          def(w.Render, light),
-	}
-}
-
 // Stage indices, in flow order.
 const (
 	stageParse = iota
@@ -82,13 +38,31 @@ const (
 	stageUniverse
 	stageSolve
 	stageCheck
-	stageRender
 	numStages
 )
 
+// stageWidths derives each stage's worker count from the engine's
+// Workers: the solve and check stages (the hot ones on real corpora)
+// get the full count each, the light front-half stages half each, all
+// floored at one. Oversubscription is deliberate: stage workers are
+// goroutines gated by GOMAXPROCS, and a stage blocked on backpressure
+// costs only a goroutine; starving the bottleneck stage, by contrast,
+// caps the whole pipeline's service rate.
+func stageWidths(workers int) [numStages]int {
+	light, heavy := max(workers/2, 1), max(workers, 1)
+	return [numStages]int{
+		stageParse:     light,
+		stageCFG:       light,
+		stageIntervals: light,
+		stageUniverse:  light,
+		stageSolve:     heavy,
+		stageCheck:     heavy,
+	}
+}
+
 // pipeTask is one program traveling the pipeline. Exactly one stage
 // owns it at a time (queues hand off ownership), so its fields need no
-// locking; done is closed once — by the render stage, or early by
+// locking; done is closed once — by the check stage, or early by
 // whichever stage failed or shed it.
 type pipeTask struct {
 	ctx  context.Context
@@ -96,6 +70,8 @@ type pipeTask struct {
 	src  string      // parse-stage input (batch path)
 	prog *ir.Program // cfg-stage input (pre-parsed path)
 	opts comm.Opts
+	// postSolve is Job.PostSolve, run by the solve stage.
+	postSolve func(*comm.Analysis)
 
 	res        *Result
 	err        error
@@ -131,26 +107,21 @@ type pipeline struct {
 	delay func(stage string)
 }
 
-func newPipeline(e *Engine, sw StageWorkers, queue int) *pipeline {
+func newPipeline(e *Engine, widths [numStages]int, queue int) *pipeline {
 	p := &pipeline{eng: e}
-	defs := [numStages]struct {
-		name    string
-		counter string
-		workers int
-	}{
-		{obs.SpanParse, obs.CounterPipelineParse, sw.Parse},
-		{obs.SpanCFGBuild, obs.CounterPipelineCFGBuild, sw.CFGBuild},
-		{obs.SpanIntervalReduce, obs.CounterPipelineIntervalReduce, sw.IntervalReduce},
-		{obs.SpanSectionUniverse, obs.CounterPipelineSectionUniverse, sw.SectionUniverse},
-		{"solve", obs.CounterPipelineSolve, sw.Solve},
-		{obs.SpanCheck, obs.CounterPipelineCheck, sw.Check},
-		{"render", obs.CounterPipelineRender, sw.Render},
+	defs := [numStages]struct{ name, counter string }{
+		{obs.SpanParse, obs.CounterPipelineParse},
+		{obs.SpanCFGBuild, obs.CounterPipelineCFGBuild},
+		{obs.SpanIntervalReduce, obs.CounterPipelineIntervalReduce},
+		{obs.SpanSectionUniverse, obs.CounterPipelineSectionUniverse},
+		{"solve", obs.CounterPipelineSolve},
+		{obs.SpanCheck, obs.CounterPipelineCheck},
 	}
 	for i, d := range defs {
 		p.stages[i] = &pstage{
 			name:    d.name,
 			counter: d.counter,
-			workers: d.workers,
+			workers: widths[i],
 			in:      make(chan *pipeTask, queue),
 		}
 	}
@@ -222,7 +193,7 @@ func (p *pipeline) work(idx int, st *pstage) {
 		st.busyNS.Add(time.Since(start).Nanoseconds())
 		st.items.Add(1)
 		obs.Count(p.eng.cfg.Collector, st.counter, 1)
-		if t.err != nil || idx == stageRender {
+		if t.err != nil || idx == numStages-1 {
 			p.complete(t)
 			continue
 		}
@@ -251,8 +222,7 @@ func (p *pipeline) complete(t *pipeTask) {
 }
 
 // recoverTo converts a stage-body panic into a *PanicError on the
-// task, mirroring the pool's isolation boundary: one poisoned program
-// degrades, the stage worker survives.
+// task: one poisoned program degrades, the stage worker survives.
 func (p *pipeline) recoverTo(dst *error) {
 	if r := recover(); r != nil {
 		p.eng.taskPanics.Add(1)
@@ -297,20 +267,15 @@ func (p *pipeline) runStage(idx int, t *pipeTask) {
 		p.runSolve(t)
 	case stageCheck:
 		p.runCheck(t)
-	case stageRender:
-		// Delivery. The engine returns structured results, so there is
-		// no byte rendering to do here; the stage exists so a future
-		// renderer (annotated source, response bodies) has its slot in
-		// the flow, and so completion accounting is a stage like any
-		// other.
 	}
 }
 
 // runSolve leases the task's arenas and runs the READ and WRITE solve
-// halves concurrently — the same decomposition the pool path used,
-// preserved inside one stage so the halves' independence (comm.Build
-// documents it) keeps paying off per program. Error precedence matches
-// the pool path: a READ failure wins over a WRITE failure.
+// halves concurrently, so the halves' independence (comm.Analyze
+// documents it) keeps paying off per program; a READ failure wins over
+// a WRITE failure. Once both join without error the job's PostSolve
+// hook runs here, before the task moves to check; a panic in it is
+// recovered by runStage like any other stage panic.
 func (p *pipeline) runSolve(t *pipeTask) {
 	a := t.res.Analysis
 	t.res.arenas = []*bitset.Arena{
@@ -334,12 +299,18 @@ func (p *pipeline) runSolve(t *pipeTask) {
 		t.err = readErr
 		return
 	}
-	t.err = werr
+	if werr != nil {
+		t.err = werr
+		return
+	}
+	if t.postSolve != nil {
+		t.postSolve(a)
+	}
 }
 
 // runCheck statically verifies each solved problem concurrently and
-// merges the verdicts with the linter's findings — byte-identical to
-// the pool path's verification stage.
+// merges the verdicts with the linter's findings, ordering-identical to
+// the sequential comm.CheckPlacementCtx.
 func (p *pipeline) runCheck(t *pipeTask) {
 	a := t.res.Analysis
 	vend := obs.Begin(t.col, obs.SpanEngineVerify)
@@ -373,7 +344,7 @@ func (p *pipeline) runCheck(t *pipeTask) {
 
 // close begins teardown: no further submissions may race it. The parse
 // queue closes here; each stage's close cascades to the next as its
-// workers drain and exit, and done.Wait returns once the render stage
+// workers drain and exit, and done.Wait returns once the check stage
 // has flushed.
 func (p *pipeline) close() {
 	close(p.stages[stageParse].in)

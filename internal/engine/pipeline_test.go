@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"givetake/internal/comm"
 	"givetake/internal/frontend"
 	"givetake/internal/obs"
 )
@@ -83,11 +82,9 @@ func TestMapCancelStopsLaunching(t *testing.T) {
 // silently missing results.
 func TestAnalyzeBatchCancelSheds(t *testing.T) {
 	col := &gateCollector{gate: make(chan struct{}), started: make(chan struct{})}
-	e := New(Config{
-		Workers:      2,
-		StageWorkers: StageWorkers{Parse: 1},
-		StageQueue:   1,
-	})
+	widths := stageWidths(2)
+	widths[stageParse] = 1
+	e := newEngine(Config{Workers: 2}, widths, 1)
 	defer e.Close()
 
 	items := make([]BatchItem, 8)
@@ -117,8 +114,7 @@ func TestAnalyzeBatchCancelSheds(t *testing.T) {
 }
 
 // TestCanceledAnalyzeRunsNoSolves: a job whose context is already dead
-// sheds before occupying anything — the pipeline path services zero
-// stages and the pool path (PostSolve jobs) enqueues zero pool tasks.
+// sheds before occupying anything — the pipeline services zero stages.
 func TestCanceledAnalyzeRunsNoSolves(t *testing.T) {
 	e := New(Config{Workers: 2})
 	defer e.Close()
@@ -130,20 +126,12 @@ func TestCanceledAnalyzeRunsNoSolves(t *testing.T) {
 	cancel()
 
 	if _, err := e.Analyze(ctx, Job{Prog: prog}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pipeline path: want context.Canceled, got %v", err)
+		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	for _, st := range e.PipelineStats() {
 		if st.Items != 0 {
 			t.Errorf("canceled job serviced %d items in stage %s, want 0", st.Items, st.Stage)
 		}
-	}
-
-	hook := func(*comm.Analysis) {}
-	if _, err := e.Analyze(ctx, Job{Prog: prog, PostSolve: hook}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pool path: want context.Canceled, got %v", err)
-	}
-	if n := e.Stats().Pool.Tasks; n != 0 {
-		t.Fatalf("canceled jobs ran %d pool tasks, want 0", n)
 	}
 }
 
@@ -162,14 +150,7 @@ func TestPipelineThroughputTracksSlowestStage(t *testing.T) {
 		fast = 2 * time.Millisecond
 		slow = 20 * time.Millisecond // 10× the others
 	)
-	e := New(Config{
-		Workers: 4,
-		StageWorkers: StageWorkers{
-			Parse: 1, CFGBuild: 1, IntervalReduce: 1,
-			SectionUniverse: 1, Solve: 1, Check: 1, Render: 1,
-		},
-		StageQueue: 4,
-	})
+	e := newEngine(Config{Workers: 4}, [numStages]int{1, 1, 1, 1, 1, 1}, 4)
 	defer e.Close()
 	e.pipe.delay = func(stage string) {
 		if stage == "solve" {
@@ -210,7 +191,7 @@ func TestPipelineThroughputTracksSlowestStage(t *testing.T) {
 		r.Res.Release()
 	}
 
-	serial := n * (6*fast + slow) // what per-item stage barriers would cost
+	serial := n * (5*fast + slow) // what per-item stage barriers would cost
 	floor := n * slow             // the slow stage alone, serviced serially
 	if wall >= serial*9/10 {
 		t.Errorf("no pipelining: wall %v within 10%% of the barriered cost %v", wall, serial)

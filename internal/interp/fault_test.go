@@ -5,6 +5,7 @@ package interp_test
 // example program under a lossy profile.
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -99,7 +100,7 @@ func corpus(t *testing.T) map[string]*ir.Program {
 // everything it finds).
 func annotations(t *testing.T, name string, p *ir.Program) map[string]*ir.Program {
 	t.Helper()
-	a, err := comm.Analyze(p)
+	a, err := comm.Analyze(context.Background(), p, nil, comm.Opts{})
 	if err != nil {
 		t.Fatalf("%s: analyze: %v", name, err)
 	}

@@ -52,7 +52,7 @@ func merkleRoot(leaves [][32]byte) [32]byte {
 	level := make([][32]byte, len(leaves))
 	copy(level, leaves)
 	for len(level) > 1 {
-		next := level[:0:len(level)/2+1]
+		next := level[: 0 : len(level)/2+1]
 		for i := 0; i < len(level); i += 2 {
 			if i+1 < len(level) {
 				next = append(next, nodeHash(level[i], level[i+1]))
@@ -87,7 +87,7 @@ func Proof(leaves [][32]byte, i int) []ProofStep {
 		if sib := i ^ 1; sib < len(level) {
 			path = append(path, ProofStep{Hash: level[sib], Left: sib < i})
 		}
-		next := level[:0:len(level)/2+1]
+		next := level[: 0 : len(level)/2+1]
 		for k := 0; k < len(level); k += 2 {
 			if k+1 < len(level) {
 				next = append(next, nodeHash(level[k], level[k+1]))

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"context"
 	"testing"
 
 	"givetake/internal/comm"
@@ -45,7 +46,7 @@ func TestFig2MachineComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := comm.Analyze(prog)
+	a, err := comm.Analyze(context.Background(), prog, nil, comm.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestSplitAbsorbsWhatAtomicExposes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := comm.Analyze(prog)
+	a, err := comm.Analyze(context.Background(), prog, nil, comm.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,11 +60,9 @@ const (
 	// CounterCacheEvict counts LRU evictions forced by the cache's byte
 	// bound.
 	CounterCacheEvict = "engine.cache.evict"
-	// CounterPoolTask counts tasks executed by the engine's worker
-	// pool.
-	CounterPoolTask = "engine.pool.task"
-	// CounterPoolPanic counts tasks that panicked and were converted to
-	// structured errors by the pool's isolation boundary.
+	// CounterPoolPanic counts pipeline stage bodies that panicked and
+	// were converted to structured errors by the stage's isolation
+	// boundary.
 	CounterPoolPanic = "engine.pool.panic"
 	// CounterAdmitWon / CounterAdmitShed count admission-queue outcomes
 	// reported by the serving layer: requests that won an analysis slot
@@ -85,7 +83,6 @@ const (
 	CounterPipelineSectionUniverse = "pipeline.stage.section-universe"
 	CounterPipelineSolve           = "pipeline.stage.solve"
 	CounterPipelineCheck           = "pipeline.stage.check"
-	CounterPipelineRender          = "pipeline.stage.render"
 	// CounterPipelineShed counts tasks that left the pipeline without
 	// completing their stages: their request context died while they
 	// were queued (or while they waited for downstream queue space).
@@ -152,10 +149,8 @@ const (
 	// by (stage), bridged from the span vocabulary above.
 	MetricStageDuration = "gnt_stage_duration_seconds"
 
-	// Engine pool and result cache.
-	MetricPoolTasks    = "gnt_engine_pool_tasks_total"
+	// Engine workers, stage panics and result cache.
 	MetricPoolPanics   = "gnt_engine_pool_panics_total"
-	MetricPoolBusy     = "gnt_engine_pool_busy"
 	MetricPoolWorkers  = "gnt_engine_pool_workers"
 	MetricCacheEvents  = "gnt_engine_cache_events_total" // by (event: hit|miss|follow|evict)
 	MetricCacheEntries = "gnt_engine_cache_entries"
@@ -238,13 +233,13 @@ func SpanPrefixes() []string {
 func Counters() []string {
 	return []string{
 		CounterCacheHit, CounterCacheMiss, CounterCacheFollow, CounterCacheEvict,
-		CounterPoolTask, CounterPoolPanic, CounterAdmitWon, CounterAdmitShed,
+		CounterPoolPanic, CounterAdmitWon, CounterAdmitShed,
 		CounterJournalAppend, CounterJournalSealed, CounterJournalSealedRecords,
 		CounterJournalReplayed, CounterJournalCorruptBatch,
 		CounterJournalCorruptRecord, CounterJournalTornTail,
 		CounterPipelineParse, CounterPipelineCFGBuild,
 		CounterPipelineIntervalReduce, CounterPipelineSectionUniverse,
-		CounterPipelineSolve, CounterPipelineCheck, CounterPipelineRender,
+		CounterPipelineSolve, CounterPipelineCheck,
 		CounterPipelineShed,
 	}
 }
@@ -255,7 +250,7 @@ func Metrics() []string {
 		MetricRequestsTotal, MetricRequestDuration, MetricInFlight, MetricReady,
 		MetricAdmissionTotal, MetricAdmissionWait, MetricLadderAttempts,
 		MetricStageDuration,
-		MetricPoolTasks, MetricPoolPanics, MetricPoolBusy, MetricPoolWorkers,
+		MetricPoolPanics, MetricPoolWorkers,
 		MetricCacheEvents, MetricCacheEntries, MetricCacheBytes,
 		MetricJournalAppended, MetricJournalSealedBatches, MetricJournalSealedRecords,
 		MetricJournalReplayed, MetricJournalCorrupt, MetricJournalTornTails,

@@ -88,7 +88,8 @@ func TestListenAndServeDrainsBeforeClosing(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	s := mustNew(t, Config{Addr: addr, AllowChaos: true, DrainGrace: 300 * time.Millisecond})
+	const grace = 300 * time.Millisecond
+	s := mustNew(t, Config{Addr: addr, AllowChaos: true, DrainGrace: grace})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- s.ListenAndServe(ctx) }()
@@ -118,12 +119,25 @@ func TestListenAndServeDrainsBeforeClosing(t *testing.T) {
 	}()
 	time.Sleep(50 * time.Millisecond)
 
+	graceEnd := time.Now().Add(grace)
 	cancel()
-	// inside the grace window the listener still answers, and readyz
-	// reports the drain
-	code, rd := getReadyz(t, url)
-	if code != http.StatusServiceUnavailable || rd.Reason != ReasonDraining {
-		t.Fatalf("readyz during grace = %d %+v, want 503 %q", code, rd, ReasonDraining)
+	// cancel gives no happens-before edge to the BeginDrain call in
+	// ListenAndServe's goroutine, so poll: within the grace window
+	// readyz must turn to the drain, and every probe until then must be
+	// answered (getReadyz fails the test otherwise) — the listener is
+	// still up.
+	for {
+		code, rd := getReadyz(t, url)
+		if code == http.StatusServiceUnavailable && rd.Reason == ReasonDraining {
+			break
+		}
+		if code != http.StatusOK || !rd.Ready {
+			t.Fatalf("readyz during grace = %d %+v, want 200 ready until 503 %q", code, rd, ReasonDraining)
+		}
+		if time.Now().After(graceEnd) {
+			t.Fatalf("readyz still ready %v after cancel, want 503 %q within the grace window", grace, ReasonDraining)
+		}
+		time.Sleep(time.Millisecond)
 	}
 
 	hr := <-inflight

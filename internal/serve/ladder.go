@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"time"
 
 	"givetake/internal/check"
@@ -171,7 +172,10 @@ func summarize(res *check.Result) *CheckSummary {
 
 // attemptOutcome classifies a rung failure.
 func attemptOutcome(err error) string {
+	var pe *engine.PanicError
 	switch {
+	case errors.As(err, &pe):
+		return "panic"
 	case errors.Is(err, core.ErrInvariant):
 		return "invariant"
 	case errors.Is(err, context.DeadlineExceeded):
@@ -183,39 +187,19 @@ func attemptOutcome(err error) string {
 	}
 }
 
-// stage runs f with panic isolation: a panicking rung is converted to
-// an error instead of unwinding through the server. This is the
+// isolate runs a rung behind a recover boundary: a panic that unwinds
+// on this goroutine (an injected chaos panic) becomes an
+// *engine.PanicError instead of unwinding through the server — the same
+// error a panic inside an engine stage already arrives as. This is the
 // boundary that keeps one poisoned request from taking the process (or
 // even its own response) down.
-func stage(f func() (*comm.Analysis, error)) (a *comm.Analysis, err error, panicked bool) {
+func isolate[T any](f func() (T, error)) (v T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			a, err, panicked = nil, fmt.Errorf("recovered panic: %v", r), true
+			err = &engine.PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	a, err = f()
-	return a, err, false
-}
-
-// stageEngine is stage for the engine-scheduled rungs: it isolates
-// panics that unwind on this goroutine (chaos injection, the PostSolve
-// hook re-raised by engine.Analyze), while panics inside pool tasks
-// arrive already converted to *engine.PanicError.
-func stageEngine(f func() (*engine.Result, error)) (res *engine.Result, err error, panicked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err, panicked = nil, fmt.Errorf("recovered panic: %v", r), true
-		}
-	}()
-	res, err = f()
-	return res, err, false
-}
-
-// isPanicErr reports whether err is a pool-task panic surfaced by the
-// engine's isolation boundary.
-func isPanicErr(err error) bool {
-	var pe *engine.PanicError
-	return errors.As(err, &pe)
+	return f()
 }
 
 // ladder runs the degradation ladder for one parsed program and fills
@@ -253,12 +237,12 @@ func (s *Server) ladder(ctx context.Context, prog *ir.Program, req *Request, res
 		}
 		att := Attempt{Rung: r.rung, Name: RungName(r.rung)}
 		start := time.Now()
-		// Rungs 1 and 2 run on the engine: the READ and WRITE halves
-		// solve as concurrent pool tasks, each solved problem verifies
-		// as a concurrent pool task, and the chaos mutation rides the
-		// PostSolve hook — after the solves join, before verification,
-		// exactly where the sequential pipeline applied it.
-		eres, err, panicked := stageEngine(func() (*engine.Result, error) {
+		// Rungs 1 and 2 run on the engine's stage pipeline: the READ and
+		// WRITE halves solve concurrently in the solve stage, the solved
+		// problems verify concurrently in the check stage, and the chaos
+		// mutation rides the PostSolve hook — inside the solve stage
+		// after both solves join, before verification.
+		eres, err := isolate(func() (*engine.Result, error) {
 			if chaos != nil && chaos.PanicRung == att.Name {
 				panic(fmt.Sprintf("chaos: injected panic at rung %q", att.Name))
 			}
@@ -288,9 +272,6 @@ func (s *Server) ladder(ctx context.Context, prog *ir.Program, req *Request, res
 		att.DurationMS = msSince(start)
 		if err != nil {
 			att.Outcome = attemptOutcome(err)
-			if panicked || isPanicErr(err) {
-				att.Outcome = "panic"
-			}
 			att.Detail = err.Error()
 			s.noteAttempt(resp, att)
 			if att.Outcome == "canceled" {
@@ -321,7 +302,7 @@ func (s *Server) ladder(ctx context.Context, prog *ir.Program, req *Request, res
 	// was already handled above.
 	att := Attempt{Rung: RungAtomic, Name: RungName(RungAtomic)}
 	start := time.Now()
-	a, err, panicked := stage(func() (*comm.Analysis, error) {
+	a, err := isolate(func() (*comm.Analysis, error) {
 		if chaos != nil && chaos.PanicRung == att.Name {
 			panic(fmt.Sprintf("chaos: injected panic at rung %q", att.Name))
 		}
@@ -331,9 +312,6 @@ func (s *Server) ladder(ctx context.Context, prog *ir.Program, req *Request, res
 		// only reachable by injected chaos or an unparseable-but-checked
 		// program; still a structured response, never a crash
 		att.Outcome = attemptOutcome(err)
-		if panicked {
-			att.Outcome = "panic"
-		}
 		att.Detail = err.Error()
 		att.DurationMS = msSince(start)
 		s.noteAttempt(resp, att)

@@ -72,7 +72,7 @@ type Config struct {
 	MaxSourceBytes int64
 	// MaxBatch bounds the programs accepted in one /batch request.
 	MaxBatch int
-	// Workers sizes the engine's leaf-task pool; zero means GOMAXPROCS.
+	// Workers sizes the engine's stage pipeline; zero means GOMAXPROCS.
 	Workers int
 	// CacheBytes bounds the engine's result cache; zero means the engine
 	// default, negative disables caching.
@@ -691,7 +691,7 @@ type BatchResponse struct {
 }
 
 // handleBatch analyzes a batch of programs with the fan-out bounded by
-// the engine's worker pool. The whole batch holds ONE admission slot:
+// the engine's worker count (Engine.Map). The whole batch holds ONE admission slot:
 // batch admission competes fairly with single requests instead of a
 // 64-program batch starving 64 slots.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {

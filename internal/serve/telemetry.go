@@ -65,11 +65,8 @@ func (s *Server) registerGauges() {
 			return 0
 		})
 	reg.GaugeFunc(obs.MetricPoolWorkers,
-		"Size of the engine worker pool.",
+		"Engine worker count, which sizes the stage pipeline.",
 		func() float64 { return float64(s.engine.Workers()) })
-	reg.GaugeFunc(obs.MetricPoolBusy,
-		"Engine pool tasks executing right now.",
-		func() float64 { return float64(s.engine.Busy()) })
 	reg.GaugeFunc(obs.MetricCacheEntries,
 		"Resident result-cache entries.",
 		func() float64 { return float64(s.engine.Stats().Cache.Entries) })

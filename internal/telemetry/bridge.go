@@ -33,7 +33,6 @@ var pipelineStageOf = map[string]string{
 	obs.CounterPipelineSectionUniverse: obs.SpanSectionUniverse,
 	obs.CounterPipelineSolve:           "solve",
 	obs.CounterPipelineCheck:           obs.SpanCheck,
-	obs.CounterPipelineRender:          "render",
 }
 
 // NewBridge registers the bridged families on reg and returns the
@@ -54,10 +53,8 @@ func NewBridge(reg *Registry) *Bridge {
 	b.plain = map[string]Counter{
 		obs.CounterPipelineShed: reg.Counter(obs.MetricPipelineShed,
 			"Pipeline tasks shed because their context died in-flight."),
-		obs.CounterPoolTask: reg.Counter(obs.MetricPoolTasks,
-			"Tasks executed by the engine worker pool."),
 		obs.CounterPoolPanic: reg.Counter(obs.MetricPoolPanics,
-			"Pool tasks that panicked and were converted to errors."),
+			"Pipeline stage bodies that panicked and were converted to errors."),
 		obs.CounterJournalAppend: reg.Counter(obs.MetricJournalAppended,
 			"Records enqueued for journal group commit."),
 		obs.CounterJournalSealed: reg.Counter(obs.MetricJournalSealedBatches,

@@ -46,7 +46,7 @@ func TestBridgeCounterRouting(t *testing.T) {
 	br.Count(obs.CounterCacheEvict, 3)
 	br.Count(obs.CounterAdmitWon, 5)
 	br.Count(obs.CounterAdmitShed, 1)
-	br.Count(obs.CounterPoolTask, 4)
+	br.Count(obs.CounterPoolPanic, 4)
 	br.Count(obs.CounterJournalCorruptBatch, 1)
 	br.Count(obs.CounterJournalCorruptRecord, 2)
 	br.Count(obs.CounterCacheHit, 0)  // no-op
@@ -63,7 +63,7 @@ func TestBridgeCounterRouting(t *testing.T) {
 		{obs.MetricCacheEvents, map[string]string{"event": "evict"}, 3},
 		{obs.MetricAdmissionTotal, map[string]string{"outcome": "won"}, 5},
 		{obs.MetricAdmissionTotal, map[string]string{"outcome": "shed"}, 1},
-		{obs.MetricPoolTasks, nil, 4},
+		{obs.MetricPoolPanics, nil, 4},
 		{obs.MetricJournalCorrupt, map[string]string{"kind": "batch"}, 1},
 		{obs.MetricJournalCorrupt, map[string]string{"kind": "record"}, 2},
 	}

@@ -47,8 +47,8 @@ func ParseExposition(r io.Reader) (Families, error) {
 	var cur *Family
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	seen := map[string]bool{}       // series dedup: name + sorted labels
-	declared := map[string]bool{}   // family blocks already closed
+	seen := map[string]bool{}     // series dedup: name + sorted labels
+	declared := map[string]bool{} // family blocks already closed
 	lineno := 0
 	for sc.Scan() {
 		lineno++

@@ -1,6 +1,7 @@
 package givetake_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -71,7 +72,7 @@ func TestKernelCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse: %v", err)
 			}
-			a, err := comm.Analyze(prog)
+			a, err := comm.Analyze(context.Background(), prog, nil, comm.Opts{})
 			if err != nil {
 				t.Fatalf("analyze: %v", err)
 			}

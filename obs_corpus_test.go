@@ -1,6 +1,7 @@
 package givetake_test
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -43,7 +44,7 @@ func TestCorpusOnePassInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a, err := gt.GenerateCommObs(prog, nil)
+			a, err := gt.GenerateCommCtx(context.Background(), prog, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,7 +83,7 @@ func TestCorpusRecorderTrace(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := gt.NewRecorder(gt.ObsConfig{})
-			if _, err := gt.GenerateCommObs(prog, rec); err != nil {
+			if _, err := gt.GenerateCommCtx(context.Background(), prog, rec); err != nil {
 				t.Fatal(err)
 			}
 			phases := rec.Phases()

@@ -7,10 +7,12 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"givetake/internal/comm"
 	"givetake/internal/frontend"
+	"givetake/internal/obs"
 )
 
 const loopSrc = `distributed x(1000)
@@ -121,12 +123,11 @@ func TestArenaReuseAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestPostSolvePanicBecomesError: a panic in the PostSolve hook is
-// recovered inside the solve stage and returned as a *PanicError, the
-// panic counter records it, and the engine keeps serving — no leaked
-// arenas, no dead stage worker.
-func TestPostSolvePanicBecomesError(t *testing.T) {
-	e := New(Config{Workers: 1})
+// TestPostSolvePanicPropagates: a panic in the PostSolve hook reaches
+// the caller as a *PanicError with no result (the solve stage recovers
+// it), and does not leak arenas or wedge the engine.
+func TestPostSolvePanicPropagates(t *testing.T) {
+	e := New(Config{Workers: 2})
 	defer e.Close()
 	prog, err := frontend.Parse(loopSrc)
 	if err != nil {
@@ -143,10 +144,44 @@ func TestPostSolvePanicBecomesError(t *testing.T) {
 	if n := e.Stats().Pool.Panics; n != 1 {
 		t.Fatalf("panic counter = %d, want 1", n)
 	}
+	// the engine still works afterwards
 	prog2, _ := frontend.Parse(loopSrc)
 	res, err = e.Analyze(context.Background(), Job{Prog: prog2})
 	if err != nil || !res.Check.Ok() {
 		t.Fatalf("engine wedged after hook panic: %v", err)
+	}
+	res.Release()
+}
+
+// TestPoolPanicBecomesError: a panicking stage body surfaces as a
+// *PanicError, not a process crash, the panic counter records it, and
+// the stage's only worker survives to run the next job.
+func TestPoolPanicBecomesError(t *testing.T) {
+	e := newEngine(Config{Workers: 1}, [numStages]int{1, 1, 1, 1, 1, 1}, 1)
+	defer e.Close()
+	var armed atomic.Bool
+	armed.Store(true)
+	e.pipe.delay = func(stage string) {
+		if stage == obs.SpanIntervalReduce && armed.CompareAndSwap(true, false) {
+			panic("boom")
+		}
+	}
+	prog, err := frontend.Parse(loopSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Analyze(context.Background(), Job{Prog: prog})
+	var pe *PanicError
+	if res != nil || !errors.As(err, &pe) || pe.Value != "boom" {
+		t.Fatalf("want nil result and *PanicError(boom), got %v, %v", res, err)
+	}
+	if n := e.Stats().Pool.Panics; n != 1 {
+		t.Fatalf("panic counter = %d, want 1", n)
+	}
+	prog2, _ := frontend.Parse(loopSrc)
+	res, err = e.Analyze(context.Background(), Job{Prog: prog2})
+	if err != nil || !res.Check.Ok() {
+		t.Fatalf("stage worker died after panic: %v", err)
 	}
 	res.Release()
 }

@@ -488,7 +488,6 @@ func runStats(prog *ir.Program, cfgRun interp.Config, rec *obs.Recorder, col obs
 	}
 	if rec != nil {
 		report.Phases = rec.Phases()
-		report.Counters = rec.Counters()
 	}
 	if jsonOut {
 		b, err := report.JSON()

@@ -113,10 +113,10 @@ type pipelineBench struct {
 }
 
 // obsBench is the telemetry block of the artifact. The parallel
-// sweeps' engine reports through a telemetry.Bridge, a background
-// scraper renders and strictly parses the exposition while the sweeps
-// run (a malformed document fails the bench), and the final scrape is
-// summarized here.
+// sweeps' engine registers its /metrics families and reports its spans
+// through a telemetry.Bridge, a background scraper renders and strictly
+// parses the exposition while the sweeps run (a malformed document
+// fails the bench), and the final scrape is summarized here.
 type obsBench struct {
 	// Scrapes counts the strict mid-sweep parses, final scrape included.
 	Scrapes int `json:"scrapes"`
@@ -363,24 +363,16 @@ func bench(ctx context.Context, file string) (*obs.Report, error) {
 // sweep — the serial pass already proved the corpus analyzes, so a
 // parallel-only failure is an engine bug, not a corpus problem.
 //
-// The engine runs with the same telemetry bridge gnt -mode serve uses,
-// and a background scraper renders and strictly parses the exposition
-// throughout both sweeps; the final scrape becomes the artifact's obs
-// block.
+// The engine registers the same /metrics families and feeds the same
+// span bridge gnt -mode serve uses, and a background scraper renders
+// and strictly parses the exposition throughout both sweeps; the final
+// scrape becomes the artifact's obs block.
 func benchParallel(files []string, workers int, timeout time.Duration, serialWall time.Duration) (*timing, *engine.CacheStats, *obsBench, error) {
 	reg := telemetry.NewRegistry()
 	bridge := telemetry.NewBridge(reg)
-	e := engine.New(engine.Config{Workers: workers, Collector: bridge})
+	e := engine.New(engine.Config{Workers: workers})
 	defer e.Close()
-	reg.GaugeFunc(obs.MetricPoolWorkers,
-		"Engine worker count, which sizes the stage pipeline.",
-		func() float64 { return float64(e.Workers()) })
-	reg.GaugeFunc(obs.MetricCacheEntries,
-		"Resident result-cache entries.",
-		func() float64 { return float64(e.Stats().Cache.Entries) })
-	reg.GaugeFunc(obs.MetricCacheBytes,
-		"Resident result-cache bytes.",
-		func() float64 { return float64(e.Stats().Cache.Bytes) })
+	e.RegisterMetrics(reg)
 	ctx, cancel := context.WithTimeout(context.Background(), timeout*time.Duration(len(files)))
 	defer cancel()
 
@@ -629,37 +621,10 @@ func benchJournal(files []string, workers int, timeout time.Duration) (*journalB
 	return jb, nil
 }
 
-// registerPipelineGauges installs the same scrape-time pipeline gauges
-// gnt -mode serve exposes, reading the engine's live per-stage stats.
-func registerPipelineGauges(reg *telemetry.Registry, e *engine.Engine) {
-	sample := func(field func(engine.StageStats) float64) func() []telemetry.GaugeSample {
-		return func() []telemetry.GaugeSample {
-			stats := e.PipelineStats()
-			out := make([]telemetry.GaugeSample, 0, len(stats))
-			for _, st := range stats {
-				out = append(out, telemetry.GaugeSample{
-					LabelVals: []string{st.Stage},
-					Value:     field(st),
-				})
-			}
-			return out
-		}
-	}
-	reg.GaugeSeriesFunc(obs.MetricPipelineQueueDepth,
-		"Tasks waiting in each pipeline stage's bounded input queue.",
-		[]string{"stage"}, sample(func(st engine.StageStats) float64 { return float64(st.QueueDepth) }))
-	reg.GaugeSeriesFunc(obs.MetricPipelineOccupancy,
-		"Pipeline stage workers executing a task right now.",
-		[]string{"stage"}, sample(func(st engine.StageStats) float64 { return float64(st.Busy) }))
-	reg.GaugeSeriesFunc(obs.MetricPipelineWorkers,
-		"Configured worker count of each pipeline stage.",
-		[]string{"stage"}, sample(func(st engine.StageStats) float64 { return float64(st.Workers) }))
-}
-
 // benchPipeline streams the corpus (repeated to amortize pipeline
 // ramp-up) through the engine's stage pipeline as one barrier-free
 // batch and measures corpus throughput against the slowest stage's
-// service rate. The telemetry bridge and the pipeline gauges are
+// service rate. The span bridge and the engine's /metrics families are
 // attached and strictly scraped throughout, and the sweep fails if any
 // gnt_pipeline_* family is missing from the final exposition or the
 // per-stage item counters disagree with the batch size.
@@ -681,9 +646,9 @@ func benchPipeline(files []string, workers int, timeout time.Duration) (*pipelin
 
 	reg := telemetry.NewRegistry()
 	bridge := telemetry.NewBridge(reg)
-	e := engine.New(engine.Config{Workers: workers, Collector: bridge})
+	e := engine.New(engine.Config{Workers: workers})
 	defer e.Close()
-	registerPipelineGauges(reg, e)
+	e.RegisterMetrics(reg)
 
 	ctx, cancel := context.WithTimeout(context.Background(), timeout*time.Duration(len(files)))
 	defer cancel()

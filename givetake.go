@@ -236,17 +236,18 @@ var DefaultFaultConfig = netsim.Default
 
 // Observability ---------------------------------------------------------
 
-// Collector receives phase spans and counters from the pipeline. All
-// instrumented entry points accept a nil Collector, which records
-// nothing and costs nothing.
+// Collector receives phase spans from the pipeline. All instrumented
+// entry points accept a nil Collector, which records nothing and costs
+// nothing. Work counts come back as values instead (SolverCounters,
+// EngineStats).
 type Collector = obs.Collector
 
 // ObsConfig selects what a Recorder captures (e.g. allocation deltas).
 type ObsConfig = obs.Config
 
-// Recorder is the standard Collector: it accumulates spans and
-// counters and renders them as a Chrome trace-event JSON profile
-// (WriteTrace, Perfetto-loadable) or as Report sections.
+// Recorder is the standard Collector: it accumulates spans and renders
+// them as a Chrome trace-event JSON profile (WriteTrace,
+// Perfetto-loadable) or as the Report's phase rows.
 type Recorder = obs.Recorder
 
 // Report is the aggregated observability output of one pipeline run:
@@ -297,8 +298,7 @@ func AtomicFallbackComm(p *Program, col Collector) (*CommGen, error) {
 type Engine = engine.Engine
 
 // EngineConfig parameterizes an Engine: worker count (which sizes the
-// stage pipeline), cache byte budget, an optional counter collector,
-// and an optional journal.
+// stage pipeline), cache byte budget, and an optional journal.
 type EngineConfig = engine.Config
 
 // EngineStats is an Engine's observable state: worker count, stage

@@ -13,7 +13,6 @@ import (
 
 	"givetake/internal/comm"
 	"givetake/internal/journal"
-	"givetake/internal/obs"
 )
 
 // Cached is one content-addressed result: the rendered response bytes
@@ -98,8 +97,9 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// cache is a byte-bounded LRU over Cached values. A nil cache (caching
-// disabled) tolerates every method and stores nothing.
+// cache is a byte-bounded LRU over Cached values. A zero-capacity
+// cache (caching disabled) stores nothing but still counts hits,
+// misses and followers.
 type cache struct {
 	mu    sync.Mutex
 	max   int64
@@ -116,16 +116,10 @@ type cacheEntry struct {
 }
 
 func newCache(maxBytes int64) *cache {
-	if maxBytes <= 0 {
-		return nil
-	}
-	return &cache{max: maxBytes, ll: list.New(), idx: map[string]*list.Element{}}
+	return &cache{max: max(maxBytes, 0), ll: list.New(), idx: map[string]*list.Element{}}
 }
 
 func (c *cache) get(key string) (Cached, bool) {
-	if c == nil {
-		return Cached{}, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.idx[key]
@@ -142,60 +136,47 @@ func (c *cache) get(key string) (Cached, bool) {
 // The store and its miss count used to be two separate critical
 // sections, which let a /healthz snapshot land between them and report
 // more resident entries than counted misses (hits < misses-adjusted
-// totals, transiently). Returns how many entries were evicted.
-func (c *cache) storeMiss(key string, val Cached, storable bool) (evicted int64) {
-	if c == nil {
-		return 0
-	}
+// totals, transiently).
+func (c *cache) storeMiss(key string, val Cached, storable bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.misses++
 	if storable {
-		_, evicted = c.putLocked(key, val)
+		c.putLocked(key, val)
 	}
-	return evicted
 }
 
 // noteFollower counts one single-flight follower.
 func (c *cache) noteFollower() {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	c.followers++
 	c.mu.Unlock()
 }
 
 // putReplay stores one journal-replayed entry, counting it as replayed
-// rather than missed (no analysis ran). Returns evictions.
-func (c *cache) putReplay(key string, val Cached) (evicted int64) {
-	if c == nil {
-		return 0
-	}
+// rather than missed (no analysis ran).
+func (c *cache) putReplay(key string, val Cached) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var stored bool
-	stored, evicted = c.putLocked(key, val)
-	if stored {
+	if c.putLocked(key, val) {
 		c.replayed++
 	}
-	return evicted
 }
 
 // putLocked stores val unless it alone exceeds the byte bound (or the
 // key is already resident), evicting from the LRU tail until the bound
 // holds again. Caller holds c.mu. Reports whether a new entry was
-// stored and how many entries were evicted to make room.
-func (c *cache) putLocked(key string, val Cached) (stored bool, evicted int64) {
+// stored.
+func (c *cache) putLocked(key string, val Cached) bool {
 	sz := val.size(key)
 	if sz > c.max {
-		return false, 0
+		return false
 	}
 	if el, ok := c.idx[key]; ok {
 		// a racing leader already stored it; refresh recency only (the
 		// bytes are equivalent by key construction)
 		c.ll.MoveToFront(el)
-		return false, 0
+		return false
 	}
 	c.idx[key] = c.ll.PushFront(&cacheEntry{key: key, val: val})
 	c.bytes += sz
@@ -209,15 +190,11 @@ func (c *cache) putLocked(key string, val Cached) (stored bool, evicted int64) {
 		delete(c.idx, ent.key)
 		c.bytes -= ent.val.size(ent.key)
 		c.evictions++
-		evicted++
 	}
-	return true, evicted
+	return true
 }
 
 func (c *cache) snapshot() CacheStats {
-	if c == nil {
-		return CacheStats{}
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
@@ -252,7 +229,6 @@ type flight struct {
 func (e *Engine) Do(ctx context.Context, key string, compute func(context.Context) (Cached, bool, error)) (Cached, CacheSource, error) {
 	for {
 		if val, ok := e.cache.get(key); ok {
-			obs.Count(e.cfg.Collector, obs.CounterCacheHit, 1)
 			return val, CacheHit, nil
 		}
 		e.mu.Lock()
@@ -267,7 +243,6 @@ func (e *Engine) Do(ctx context.Context, key string, compute func(context.Contex
 				continue // leader was canceled, not us: take over
 			}
 			e.cache.noteFollower()
-			obs.Count(e.cfg.Collector, obs.CounterCacheFollow, 1)
 			return fl.val, CacheFollow, fl.err
 		}
 		fl := &flight{done: make(chan struct{})}
@@ -286,13 +261,10 @@ func (e *Engine) Do(ctx context.Context, key string, compute func(context.Contex
 		// the miss and its store commit under one cache lock, so a
 		// concurrent stats snapshot can never see the entry without
 		// its miss (the old two-step update could)
-		if n := e.cache.storeMiss(key, val, storable); n > 0 {
-			obs.Count(e.cfg.Collector, obs.CounterCacheEvict, n)
-		}
+		e.cache.storeMiss(key, val, storable)
 		if storable {
 			e.cfg.Journal.Append(journal.Record{Key: key, Status: val.Status, Body: val.Body})
 		}
-		obs.Count(e.cfg.Collector, obs.CounterCacheMiss, 1)
 		return val, CacheMiss, err
 	}
 }
@@ -311,17 +283,13 @@ func (e *Engine) WarmFromJournal(ctx context.Context) (journal.ReplayStats, erro
 		return journal.ReplayStats{}, nil
 	}
 	start := time.Now()
-	var evicted int64
 	rs, err := j.Replay(func(r journal.Record) {
 		if ctx.Err() != nil {
 			return
 		}
-		evicted += e.cache.putReplay(r.Key, Cached{Status: r.Status, Body: r.Body})
+		e.cache.putReplay(r.Key, Cached{Status: r.Status, Body: r.Body})
 	})
 	rs.DurationMS = float64(time.Since(start).Microseconds()) / 1000
-	if n := evicted; n > 0 {
-		obs.Count(e.cfg.Collector, obs.CounterCacheEvict, n)
-	}
 	if err == nil && ctx.Err() != nil {
 		err = ctx.Err()
 	}

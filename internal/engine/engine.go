@@ -42,6 +42,7 @@ import (
 	"givetake/internal/ir"
 	"givetake/internal/journal"
 	"givetake/internal/obs"
+	"givetake/internal/telemetry"
 )
 
 // DefaultCacheBytes bounds the result cache when Config.CacheBytes is
@@ -56,11 +57,10 @@ type Config struct {
 	// tasks — and bounds the fan-out of Map; zero means GOMAXPROCS.
 	Workers int
 	// CacheBytes bounds the result cache; zero means DefaultCacheBytes,
-	// negative disables caching (single-flight still dedups).
+	// negative disables caching: the cache has zero capacity, stores
+	// nothing, and still counts hits, misses and followers
+	// (single-flight still dedups).
 	CacheBytes int64
-	// Collector receives engine-level counters (cache hit/miss/evict,
-	// stage items and panics); nil records nothing.
-	Collector obs.Collector
 	// Journal, when non-nil, makes cache fills durable: every storable
 	// result Do computes is appended for group commit, and
 	// WarmFromJournal replays the verified records into the cache at
@@ -335,9 +335,72 @@ func (e *Engine) Stats() Stats {
 func (e *Engine) NoteAdmission(won bool) {
 	if won {
 		e.admitWon.Add(1)
-		obs.Count(e.cfg.Collector, obs.CounterAdmitWon, 1)
 	} else {
 		e.admitShed.Add(1)
-		obs.Count(e.cfg.Collector, obs.CounterAdmitShed, 1)
 	}
+}
+
+// RegisterMetrics installs the engine's /metrics families on reg. Each
+// reads Stats or PipelineStats at scrape time, so /metrics reports the
+// same counts /healthz does and no event is counted twice: the worker,
+// cache-entry and cache-byte gauges, the per-stage queue-depth,
+// occupancy and worker gauges, and the admission, cache-event,
+// stage-panic, pipeline-item and pipeline-shed counters.
+func (e *Engine) RegisterMetrics(reg *telemetry.Registry) {
+	reg.GaugeFunc(obs.MetricPoolWorkers,
+		"Engine worker count, which sizes the stage pipeline.",
+		func() float64 { return float64(e.cfg.Workers) })
+	reg.GaugeFunc(obs.MetricCacheEntries,
+		"Resident result-cache entries.",
+		func() float64 { return float64(e.cache.snapshot().Entries) })
+	reg.GaugeFunc(obs.MetricCacheBytes,
+		"Resident result-cache bytes.",
+		func() float64 { return float64(e.cache.snapshot().Bytes) })
+	reg.CounterSeriesFunc(obs.MetricAdmissionTotal,
+		"Admission-queue outcomes.", []string{"outcome"},
+		func() []telemetry.SeriesSample {
+			return []telemetry.SeriesSample{
+				{LabelVals: []string{"won"}, Value: float64(e.admitWon.Load())},
+				{LabelVals: []string{"shed"}, Value: float64(e.admitShed.Load())},
+			}
+		})
+	reg.CounterSeriesFunc(obs.MetricCacheEvents,
+		"Result-cache events.", []string{"event"},
+		func() []telemetry.SeriesSample {
+			cs := e.cache.snapshot()
+			return []telemetry.SeriesSample{
+				{LabelVals: []string{"hit"}, Value: float64(cs.Hits)},
+				{LabelVals: []string{"miss"}, Value: float64(cs.Misses)},
+				{LabelVals: []string{"follow"}, Value: float64(cs.Followers)},
+				{LabelVals: []string{"evict"}, Value: float64(cs.Evictions)},
+			}
+		})
+	reg.CounterFunc(obs.MetricPoolPanics,
+		"Pipeline stage bodies that panicked and were converted to errors.",
+		func() float64 { return float64(e.taskPanics.Load()) })
+	reg.CounterFunc(obs.MetricPipelineShed,
+		"Pipeline tasks shed because their context died in-flight.",
+		func() float64 { return float64(e.pipe.shed.Load()) })
+	perStage := func(field func(StageStats) int64) func() []telemetry.SeriesSample {
+		return func() []telemetry.SeriesSample {
+			stats := e.PipelineStats()
+			out := make([]telemetry.SeriesSample, len(stats))
+			for i, st := range stats {
+				out[i] = telemetry.SeriesSample{LabelVals: []string{st.Stage}, Value: float64(field(st))}
+			}
+			return out
+		}
+	}
+	reg.CounterSeriesFunc(obs.MetricPipelineItems,
+		"Programs serviced per pipeline stage.", []string{"stage"},
+		perStage(func(st StageStats) int64 { return st.Items }))
+	reg.GaugeSeriesFunc(obs.MetricPipelineQueueDepth,
+		"Tasks waiting in each pipeline stage's bounded input queue.", []string{"stage"},
+		perStage(func(st StageStats) int64 { return int64(st.QueueDepth) }))
+	reg.GaugeSeriesFunc(obs.MetricPipelineOccupancy,
+		"Pipeline stage workers executing a task right now.", []string{"stage"},
+		perStage(func(st StageStats) int64 { return st.Busy }))
+	reg.GaugeSeriesFunc(obs.MetricPipelineWorkers,
+		"Configured worker count of each pipeline stage.", []string{"stage"},
+		perStage(func(st StageStats) int64 { return int64(st.Workers) }))
 }

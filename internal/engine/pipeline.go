@@ -83,8 +83,7 @@ type pipeTask struct {
 // occupancy/throughput accounting (sampled by PipelineStats and the
 // gnt_pipeline_* gauges).
 type pstage struct {
-	name    string // stats/gauge label
-	counter string // declared obs counter, bumped once per item serviced
+	name    string // stats/metrics label
 	workers int
 	in      chan *pipeTask
 
@@ -109,18 +108,13 @@ type pipeline struct {
 
 func newPipeline(e *Engine, widths [numStages]int, queue int) *pipeline {
 	p := &pipeline{eng: e}
-	defs := [numStages]struct{ name, counter string }{
-		{obs.SpanParse, obs.CounterPipelineParse},
-		{obs.SpanCFGBuild, obs.CounterPipelineCFGBuild},
-		{obs.SpanIntervalReduce, obs.CounterPipelineIntervalReduce},
-		{obs.SpanSectionUniverse, obs.CounterPipelineSectionUniverse},
-		{"solve", obs.CounterPipelineSolve},
-		{obs.SpanCheck, obs.CounterPipelineCheck},
+	names := [numStages]string{
+		obs.SpanParse, obs.SpanCFGBuild, obs.SpanIntervalReduce,
+		obs.SpanSectionUniverse, "solve", obs.SpanCheck,
 	}
-	for i, d := range defs {
+	for i, name := range names {
 		p.stages[i] = &pstage{
-			name:    d.name,
-			counter: d.counter,
+			name:    name,
 			workers: widths[i],
 			in:      make(chan *pipeTask, queue),
 		}
@@ -162,13 +156,6 @@ func (p *pipeline) submit(idx int, t *pipeTask) bool {
 	}
 }
 
-// noteShed accounts one task leaving the pipeline because its context
-// died while it was queued or waiting on a downstream queue.
-func (p *pipeline) noteShed() {
-	p.shed.Add(1)
-	obs.Count(p.eng.cfg.Collector, obs.CounterPipelineShed, 1)
-}
-
 // work is one stage worker: drain the stage's queue until it closes.
 // Every received task is polled for cancellation before any work runs,
 // so a dead request sheds here instead of occupying the stage; live
@@ -179,7 +166,7 @@ func (p *pipeline) work(idx int, st *pstage) {
 		if t.err == nil {
 			if err := t.ctx.Err(); err != nil {
 				t.err = err
-				p.noteShed()
+				p.shed.Add(1)
 			}
 		}
 		if t.err != nil {
@@ -192,7 +179,6 @@ func (p *pipeline) work(idx int, st *pstage) {
 		st.busy.Add(-1)
 		st.busyNS.Add(time.Since(start).Nanoseconds())
 		st.items.Add(1)
-		obs.Count(p.eng.cfg.Collector, st.counter, 1)
 		if t.err != nil || idx == numStages-1 {
 			p.complete(t)
 			continue
@@ -201,7 +187,7 @@ func (p *pipeline) work(idx int, st *pstage) {
 		case p.stages[idx+1].in <- t:
 		case <-t.ctx.Done():
 			t.err = t.ctx.Err()
-			p.noteShed()
+			p.shed.Add(1)
 			p.complete(t)
 		}
 	}
@@ -226,7 +212,6 @@ func (p *pipeline) complete(t *pipeTask) {
 func (p *pipeline) recoverTo(dst *error) {
 	if r := recover(); r != nil {
 		p.eng.taskPanics.Add(1)
-		obs.Count(p.eng.cfg.Collector, obs.CounterPoolPanic, 1)
 		*dst = &PanicError{Value: r, Stack: debug.Stack()}
 	}
 }

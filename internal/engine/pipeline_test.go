@@ -34,8 +34,6 @@ func (c *gateCollector) BeginSpan(name string, kv ...any) obs.EndFunc {
 	return func(kv ...any) {}
 }
 
-func (c *gateCollector) Count(string, int64) {}
-
 func (c *gateCollector) parseCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

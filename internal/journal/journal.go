@@ -84,8 +84,8 @@ type Config struct {
 	MaxWait time.Duration
 	// MaxSegmentBytes rotates to a fresh segment beyond this size.
 	MaxSegmentBytes int64
-	// Collector receives journal spans and counters; nil records
-	// nothing.
+	// Collector receives the journal.flush and journal.replay spans;
+	// nil records nothing. Counts live in Stats and ReplayStats.
 	Collector obs.Collector
 }
 
@@ -190,7 +190,6 @@ func (j *Journal) Append(rec Record) {
 	j.stats.Appended++
 	full := len(j.pending) >= j.cfg.MaxBatch || j.pendingBytes >= j.cfg.MaxBatchBytes
 	j.mu.Unlock()
-	obs.Count(j.cfg.Collector, obs.CounterJournalAppend, 1)
 	if full {
 		select {
 		case j.kick <- struct{}{}:
@@ -262,8 +261,6 @@ func (j *Journal) Flush() error {
 		return err
 	}
 	end()
-	obs.Count(j.cfg.Collector, obs.CounterJournalSealed, 1)
-	obs.Count(j.cfg.Collector, obs.CounterJournalSealedRecords, int64(len(batch)))
 	return nil
 }
 
@@ -319,10 +316,6 @@ func (j *Journal) Replay(fn func(Record)) (ReplayStats, error) {
 	end := obs.Begin(j.cfg.Collector, obs.SpanJournalReplay, "segments", len(j.replayNames))
 	rs, err := Replay(j.cfg.Backend, j.replayNames, fn)
 	end("records", rs.Records, "corrupt_batches", rs.CorruptBatches, "torn_tails", rs.TornTails)
-	obs.Count(j.cfg.Collector, obs.CounterJournalReplayed, rs.Records)
-	obs.Count(j.cfg.Collector, obs.CounterJournalCorruptBatch, rs.CorruptBatches)
-	obs.Count(j.cfg.Collector, obs.CounterJournalCorruptRecord, rs.CorruptRecords)
-	obs.Count(j.cfg.Collector, obs.CounterJournalTornTail, rs.TornTails)
 	return rs, err
 }
 

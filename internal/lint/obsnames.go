@@ -12,7 +12,7 @@ import (
 // analyzer enforces.
 const obsPath = "givetake/internal/obs"
 
-// ObsNames flags span and counter names that are not declared in
+// ObsNames flags span names that are not declared in
 // internal/obs/names.go. The telemetry registry, the trace consumers,
 // and the per-stage latency histograms all key on exactly that
 // vocabulary, so an ad-hoc name at an emission site is silently
@@ -23,8 +23,8 @@ const obsPath = "givetake/internal/obs"
 // instead of pattern-matched.
 var ObsNames = &Analyzer{
 	Name: "obsnames",
-	Doc: "span/counter names passed to obs.Begin, obs.Count, or a " +
-		"Collector must be declared in internal/obs/names.go",
+	Doc: "span names passed to obs.Begin or a Collector's BeginSpan " +
+		"must be declared in internal/obs/names.go",
 	Run: runObsNames,
 }
 
@@ -45,17 +45,11 @@ func runObsNames(p *Pass) {
 				return true
 			}
 			var nameArg ast.Expr
-			var known func(string) bool
-			var kind string
 			switch {
 			case isPkgFunc(fn, obsPath, "Begin") && len(call.Args) >= 2:
-				nameArg, known, kind = call.Args[1], obs.KnownSpan, "span"
-			case isPkgFunc(fn, obsPath, "Count") && len(call.Args) >= 2:
-				nameArg, known, kind = call.Args[1], obs.KnownCounter, "counter"
+				nameArg = call.Args[1]
 			case fn.Name() == "BeginSpan" && p.implementsCollector(fn) && len(call.Args) >= 1:
-				nameArg, known, kind = call.Args[0], obs.KnownSpan, "span"
-			case fn.Name() == "Count" && p.implementsCollector(fn) && len(call.Args) >= 1:
-				nameArg, known, kind = call.Args[0], obs.KnownCounter, "counter"
+				nameArg = call.Args[0]
 			default:
 				return true
 			}
@@ -63,16 +57,16 @@ func runObsNames(p *Pass) {
 			if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
 				// dynamic names ("execute:"+variant) must still start
 				// with a declared prefix when their head is constant
-				if lit, pre := constantPrefix(p.Info, nameArg); lit && !known(pre) {
+				if lit, pre := constantPrefix(p.Info, nameArg); lit && !obs.KnownSpan(pre) {
 					p.Reportf(nameArg.Pos(),
-						"dynamic %s name built from prefix %q, which is not declared in internal/obs/names.go", kind, pre)
+						"dynamic span name built from prefix %q, which is not declared in internal/obs/names.go", pre)
 				}
 				return true
 			}
 			name := constant.StringVal(tv.Value)
-			if !known(name) {
+			if !obs.KnownSpan(name) {
 				p.Reportf(nameArg.Pos(),
-					"%s name %q is not declared in internal/obs/names.go", kind, name)
+					"span name %q is not declared in internal/obs/names.go", name)
 			}
 			return true
 		})

@@ -34,7 +34,7 @@ const (
 	SpanPrefixExecute   = "execute:"
 )
 
-// Canonical span and counter names of the concurrent analysis engine
+// Canonical span names of the concurrent analysis engine
 // (internal/engine). They live here, next to the pipeline's own span
 // names, so every consumer of a Report or trace matches on one
 // vocabulary instead of scattered string literals.
@@ -46,51 +46,10 @@ const (
 	// SpanEngineVerify wraps the parallel static-verification stage of
 	// one engine-scheduled analysis.
 	SpanEngineVerify = "engine.verify"
-
-	// CounterCacheHit counts result-cache hits (a stored byte-identical
-	// response was returned without any analysis work).
-	CounterCacheHit = "engine.cache.hit"
-	// CounterCacheMiss counts result-cache misses (the request led its
-	// single-flight group and computed the result).
-	CounterCacheMiss = "engine.cache.miss"
-	// CounterCacheFollow counts single-flight followers (the request
-	// waited on an identical in-flight computation and shared its
-	// bytes).
-	CounterCacheFollow = "engine.cache.follow"
-	// CounterCacheEvict counts LRU evictions forced by the cache's byte
-	// bound.
-	CounterCacheEvict = "engine.cache.evict"
-	// CounterPoolPanic counts pipeline stage bodies that panicked and
-	// were converted to structured errors by the stage's isolation
-	// boundary.
-	CounterPoolPanic = "engine.pool.panic"
-	// CounterAdmitWon / CounterAdmitShed count admission-queue outcomes
-	// reported by the serving layer: requests that won an analysis slot
-	// versus requests shed on queue timeout.
-	CounterAdmitWon  = "engine.admission.won"
-	CounterAdmitShed = "engine.admission.shed"
 )
 
-// Canonical counter names of the stage-pipelined batch path
-// (internal/engine/pipeline.go). One counter per stage, bumped once per
-// program the stage services, so corpus progress is observable stage by
-// stage; the telemetry bridge folds them into the
-// gnt_pipeline_items_total family under a stage label.
-const (
-	CounterPipelineParse           = "pipeline.stage.parse"
-	CounterPipelineCFGBuild        = "pipeline.stage.cfg-build"
-	CounterPipelineIntervalReduce  = "pipeline.stage.interval-reduce"
-	CounterPipelineSectionUniverse = "pipeline.stage.section-universe"
-	CounterPipelineSolve           = "pipeline.stage.solve"
-	CounterPipelineCheck           = "pipeline.stage.check"
-	// CounterPipelineShed counts tasks that left the pipeline without
-	// completing their stages: their request context died while they
-	// were queued (or while they waited for downstream queue space).
-	CounterPipelineShed = "pipeline.shed"
-)
-
-// Canonical span and counter names of the durable result journal
-// (internal/journal) and its replay path.
+// Canonical span names of the durable result journal (internal/journal)
+// and its replay path.
 const (
 	// SpanJournalFlush wraps one group commit: encode the pending
 	// batch, append it to the current segment, fsync (seal).
@@ -98,25 +57,6 @@ const (
 	// SpanJournalReplay wraps one startup replay pass over the
 	// journal's segments.
 	SpanJournalReplay = "journal.replay"
-
-	// CounterJournalAppend counts records enqueued for group commit.
-	CounterJournalAppend = "journal.append"
-	// CounterJournalSealed counts batches sealed (Merkle root written,
-	// fsync'd); CounterJournalSealedRecords counts the records inside
-	// them.
-	CounterJournalSealed        = "journal.sealed"
-	CounterJournalSealedRecords = "journal.sealed.records"
-	// CounterJournalReplayed counts records verified and delivered by
-	// replay.
-	CounterJournalReplayed = "journal.replayed"
-	// CounterJournalCorruptBatch / CounterJournalCorruptRecord count
-	// batches dropped whole at replay (header corruption, record CRC
-	// failure, Merkle root mismatch) and the records lost inside them.
-	CounterJournalCorruptBatch  = "journal.corrupt.batch"
-	CounterJournalCorruptRecord = "journal.corrupt.record"
-	// CounterJournalTornTail counts segments that ended mid-batch — the
-	// expected shape of a crash between a write and its fsync.
-	CounterJournalTornTail = "journal.torn_tail"
 )
 
 // Canonical time-series metric names exported on /metrics by
@@ -177,10 +117,6 @@ const (
 	MetricPipelineOccupancy  = "gnt_pipeline_occupancy"
 	MetricPipelineWorkers    = "gnt_pipeline_stage_workers"
 
-	// MetricObsCounter is the catch-all family for declared obs
-	// counters with no dedicated metric mapping, labeled by (name).
-	MetricObsCounter = "gnt_obs_counter_total"
-
 	// Cluster router (internal/cluster). The router fronts N serve
 	// nodes; its families account for every forwarded attempt, every
 	// failover down a key's replica set, and every hedged request, so
@@ -229,21 +165,6 @@ func SpanPrefixes() []string {
 	return []string{SpanPrefixPlacement, SpanPrefixExecute}
 }
 
-// Counters returns the declared counter names.
-func Counters() []string {
-	return []string{
-		CounterCacheHit, CounterCacheMiss, CounterCacheFollow, CounterCacheEvict,
-		CounterPoolPanic, CounterAdmitWon, CounterAdmitShed,
-		CounterJournalAppend, CounterJournalSealed, CounterJournalSealedRecords,
-		CounterJournalReplayed, CounterJournalCorruptBatch,
-		CounterJournalCorruptRecord, CounterJournalTornTail,
-		CounterPipelineParse, CounterPipelineCFGBuild,
-		CounterPipelineIntervalReduce, CounterPipelineSectionUniverse,
-		CounterPipelineSolve, CounterPipelineCheck,
-		CounterPipelineShed,
-	}
-}
-
 // Metrics returns the declared /metrics family names.
 func Metrics() []string {
 	return []string{
@@ -257,7 +178,6 @@ func Metrics() []string {
 		MetricJournalPending,
 		MetricPipelineItems, MetricPipelineShed, MetricPipelineQueueDepth,
 		MetricPipelineOccupancy, MetricPipelineWorkers,
-		MetricObsCounter,
 		MetricRouteRequests, MetricRouteDuration, MetricRouteAttempts,
 		MetricRouteFailovers, MetricRouteHedges, MetricRouteProbes,
 		MetricRouteNodeState, MetricRouteHedgeDelay,
@@ -274,16 +194,6 @@ func KnownSpan(name string) bool {
 	}
 	for _, p := range SpanPrefixes() {
 		if len(name) >= len(p) && name[:len(p)] == p {
-			return true
-		}
-	}
-	return false
-}
-
-// KnownCounter reports whether name is a declared counter name.
-func KnownCounter(name string) bool {
-	for _, c := range Counters() {
-		if name == c {
 			return true
 		}
 	}

@@ -10,9 +10,9 @@ import (
 )
 
 // TestNoUndeclaredSpanOrCounterNames runs the obsnames analyzer over
-// the whole repository and asserts it comes back clean: every span or
-// counter name reaching obs.Begin, obs.Count, or a Collector method is
-// declared in names.go. This used to be a hand-rolled AST walk over
+// the whole repository and asserts it comes back clean: every span
+// name reaching obs.Begin or a Collector's BeginSpan is declared in
+// names.go. This used to be a hand-rolled AST walk over
 // string literals; the type-aware analyzer it delegates to now also
 // resolves aliased imports, named constants, and dynamic
 // prefix+variant names, so an ad-hoc name cannot hide behind any of
@@ -38,7 +38,7 @@ func TestNoUndeclaredSpanOrCounterNames(t *testing.T) {
 }
 
 // TestDeclaredNamesSelfConsistent pins the vocabulary's own shape:
-// no duplicates across spans, prefixes, and counters, and every
+// no duplicates across spans, prefixes, and metrics, and every
 // declared name is non-empty.
 func TestDeclaredNamesSelfConsistent(t *testing.T) {
 	seen := map[string]string{}
@@ -55,7 +55,6 @@ func TestDeclaredNamesSelfConsistent(t *testing.T) {
 	}
 	note("spans", obs.Spans())
 	note("span-prefixes", obs.SpanPrefixes())
-	note("counters", obs.Counters())
 	note("metrics", obs.Metrics())
 
 	for _, s := range obs.Spans() {
@@ -63,12 +62,7 @@ func TestDeclaredNamesSelfConsistent(t *testing.T) {
 			t.Errorf("declared span %q not known", s)
 		}
 	}
-	for _, c := range obs.Counters() {
-		if !obs.KnownCounter(c) {
-			t.Errorf("declared counter %q not known", c)
-		}
-	}
-	if obs.KnownSpan("never-declared") || obs.KnownCounter("never-declared") || obs.KnownMetric("never-declared") {
+	if obs.KnownSpan("never-declared") || obs.KnownMetric("never-declared") {
 		t.Error("unknown name reported as known")
 	}
 	if !obs.KnownSpan(obs.SpanPrefixExecute + "variant") {

@@ -7,12 +7,11 @@ import (
 )
 
 // A nil collector must be safe to drive: Begin returns a callable
-// no-op and Count does nothing, so instrumented code needs no guards.
+// no-op, so instrumented code needs no guards.
 func TestNilCollector(t *testing.T) {
 	end := Begin(nil, "phase", "k", 1)
 	end("done", true)
 	end() // double end on the no-op too
-	Count(nil, "counter", 5)
 }
 
 func TestRecorderSpans(t *testing.T) {
@@ -60,22 +59,10 @@ func TestRecorderDoubleEndIsNoOp(t *testing.T) {
 	}
 }
 
-func TestRecorderCounters(t *testing.T) {
-	r := NewRecorder(Config{})
-	Count(r, "msgs", 3)
-	Count(r, "msgs", 2)
-	Count(r, "vol", 10)
-	c := r.Counters()
-	if c["msgs"] != 5 || c["vol"] != 10 {
-		t.Errorf("counters = %v", c)
-	}
-}
-
 func TestWriteTrace(t *testing.T) {
 	r := NewRecorder(Config{})
 	end := Begin(r, "solve", "nodes", 17)
 	end()
-	Count(r, "eq-evals", 340)
 	open := Begin(r, "never-closed")
 	_ = open
 
@@ -95,7 +82,7 @@ func TestWriteTrace(t *testing.T) {
 	if err := json.Unmarshal([]byte(sb.String()), &tf); err != nil {
 		t.Fatalf("invalid trace JSON: %v\n%s", err, sb.String())
 	}
-	var haveSolve, haveCounter bool
+	var haveSolve bool
 	for _, ev := range tf.TraceEvents {
 		switch {
 		case ev.Name == "solve" && ev.Ph == "X":
@@ -106,17 +93,12 @@ func TestWriteTrace(t *testing.T) {
 			if ev.Args["nodes"] != float64(17) {
 				t.Errorf("solve args = %v", ev.Args)
 			}
-		case ev.Name == "eq-evals" && ev.Ph == "C":
-			haveCounter = true
-			if ev.Args["value"] != float64(340) {
-				t.Errorf("counter args = %v", ev.Args)
-			}
 		case ev.Name == "never-closed":
 			t.Error("open spans must not be emitted")
 		}
 	}
-	if !haveSolve || !haveCounter {
-		t.Errorf("trace missing events (solve=%v counter=%v):\n%s", haveSolve, haveCounter, sb.String())
+	if !haveSolve {
+		t.Errorf("trace missing the solve event:\n%s", sb.String())
 	}
 }
 
@@ -169,14 +151,13 @@ func TestReportWriteText(t *testing.T) {
 			SplitPairs: 1, OverlapTotal: 515, OverlapMin: 515, OverlapMax: 515,
 			Cost: map[string]CostStats{"high-latency": {Total: 1770}},
 		}},
-		Counters: map[string]int64{"x": 1},
 	}
 	var sb strings.Builder
 	if err := rep.WriteText(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"fig1.f", "parse", "1.5µs", "READ", "340", "gnt-split", "515", "high-latency", "x = 1"} {
+	for _, want := range []string{"fig1.f", "parse", "1.5µs", "READ", "340", "gnt-split", "515", "high-latency"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("text report missing %q:\n%s", want, out)
 		}

@@ -40,23 +40,21 @@ type Span struct {
 	AllocObjects int64
 }
 
-// Recorder is the standard Collector: it accumulates spans and
-// counters in memory and renders them as a Chrome trace-event JSON
-// profile (WriteTrace) or as Report sections (Phases, Counters).
+// Recorder is the standard Collector: it accumulates spans in memory
+// and renders them as a Chrome trace-event JSON profile (WriteTrace)
+// or as the Report's Phases section.
 type Recorder struct {
 	cfg   Config
 	epoch time.Time
 
-	mu       sync.Mutex
-	spans    []Span // in open order
-	open     []int  // stack of indices into spans
-	counters map[string]int64
-	order    []string // counter names in first-touch order
+	mu    sync.Mutex
+	spans []Span // in open order
+	open  []int  // stack of indices into spans
 }
 
 // NewRecorder returns an empty recorder whose epoch is now.
 func NewRecorder(cfg Config) *Recorder {
-	return &Recorder{cfg: cfg, epoch: time.Now(), counters: map[string]int64{}}
+	return &Recorder{cfg: cfg, epoch: time.Now()}
 }
 
 // BeginSpan implements Collector.
@@ -99,16 +97,6 @@ func (r *Recorder) BeginSpan(name string, kv ...any) EndFunc {
 	}
 }
 
-// Count implements Collector.
-func (r *Recorder) Count(name string, delta int64) {
-	r.mu.Lock()
-	if _, ok := r.counters[name]; !ok {
-		r.order = append(r.order, name)
-	}
-	r.counters[name] += delta
-	r.mu.Unlock()
-}
-
 // kvArgs folds alternating key/value pairs into Args; a trailing key
 // without a value gets nil.
 func kvArgs(kv []any) []Arg {
@@ -140,17 +128,6 @@ func (r *Recorder) Spans() []Span {
 	return out
 }
 
-// Counters returns the accumulated counters (a copy).
-func (r *Recorder) Counters() map[string]int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]int64, len(r.counters))
-	for k, v := range r.counters {
-		out[k] = v
-	}
-	return out
-}
-
 // Phases flattens the recorded spans into Report rows, preserving open
 // order and nesting depth. Still-open spans are reported with zero
 // wall time.
@@ -174,8 +151,7 @@ func (r *Recorder) Phases() []PhaseStats {
 
 // Chrome trace-event JSON (the "JSON Array Format" both Perfetto and
 // chrome://tracing load): one complete event ("ph":"X") per closed
-// span, one counter event ("ph":"C") per counter at the end of the
-// trace, plus process/thread name metadata.
+// span, plus process/thread name metadata.
 type traceEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
@@ -197,11 +173,6 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 	r.mu.Lock()
 	spans := make([]Span, len(r.spans))
 	copy(spans, r.spans)
-	counters := make(map[string]int64, len(r.counters))
-	order := append([]string(nil), r.order...)
-	for k, v := range r.counters {
-		counters[k] = v
-	}
 	r.mu.Unlock()
 
 	tf := traceFile{DisplayTimeUnit: "ms"}
@@ -210,7 +181,6 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 			Args: map[string]any{"name": "gnt"}},
 		traceEvent{Name: "thread_name", Ph: "M", Pid: 1, Tid: 1,
 			Args: map[string]any{"name": "pipeline"}})
-	end := time.Duration(0)
 	for _, sp := range spans {
 		if sp.Dur < 0 {
 			continue // open span: not representable as a complete event
@@ -235,16 +205,6 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 			}
 		}
 		tf.TraceEvents = append(tf.TraceEvents, ev)
-		if e := sp.Start + sp.Dur; e > end {
-			end = e
-		}
-	}
-	ts := float64(end.Nanoseconds()) / 1e3
-	for _, name := range order {
-		tf.TraceEvents = append(tf.TraceEvents, traceEvent{
-			Name: name, Cat: "counter", Ph: "C", Ts: ts, Pid: 1, Tid: 1,
-			Args: map[string]any{"value": counters[name]},
-		})
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")

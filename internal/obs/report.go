@@ -167,12 +167,11 @@ func (h *Histogram) String() string {
 // from JSON when empty, so partial reports (analysis without
 // execution) stay compact.
 type Report struct {
-	Program  string                     `json:"program,omitempty"`
-	Phases   []PhaseStats               `json:"phases,omitempty"`
-	Solver   []SolverCounters           `json:"solver,omitempty"`
-	Runtime  []RuntimeStats             `json:"runtime,omitempty"`
-	Counters map[string]int64           `json:"counters,omitempty"`
-	Extra    map[string]json.RawMessage `json:"extra,omitempty"`
+	Program string                     `json:"program,omitempty"`
+	Phases  []PhaseStats               `json:"phases,omitempty"`
+	Solver  []SolverCounters           `json:"solver,omitempty"`
+	Runtime []RuntimeStats             `json:"runtime,omitempty"`
+	Extra   map[string]json.RawMessage `json:"extra,omitempty"`
 }
 
 // JSON renders the report as indented JSON.
@@ -259,17 +258,6 @@ func (r *Report) WriteText(w io.Writer) error {
 			if rt.OverlapHist != nil && rt.OverlapHist.Total() > 0 {
 				fmt.Fprintf(w, "\noverlap histogram (%s): %s\n", rt.Name, rt.OverlapHist)
 			}
-		}
-	}
-	if len(r.Counters) > 0 {
-		fmt.Fprintln(w, "\ncounters:")
-		names := make([]string, 0, len(r.Counters))
-		for k := range r.Counters {
-			names = append(names, k)
-		}
-		sort.Strings(names)
-		for _, k := range names {
-			fmt.Fprintf(w, "  %s = %d\n", k, r.Counters[k])
 		}
 	}
 	if len(r.Extra) > 0 {

@@ -156,7 +156,7 @@ func TestHTTPAdmissionControl(t *testing.T) {
 	if hr.StatusCode != http.StatusOK || !resp.OK {
 		t.Fatalf("post-overload request failed: status=%d %+v", hr.StatusCode, resp)
 	}
-	if srv.shed.Load() == 0 {
+	if srv.Engine().Stats().Pool.AdmissionShed == 0 {
 		t.Fatal("shed counter should have recorded the 429")
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"sync"
 	"time"
 
-	"givetake/internal/engine"
+	"givetake/internal/journal"
 	"givetake/internal/obs"
 	"givetake/internal/telemetry"
 )
@@ -48,10 +48,13 @@ func newInstruments(reg *telemetry.Registry, traces *telemetry.TraceRing, access
 	}
 }
 
-// registerGauges installs the scrape-time occupancy gauges. Called
-// after the engine and journal exist; every value is read live at each
-// scrape, so gauges can never lag the state they report.
-func (s *Server) registerGauges() {
+// registerMetrics installs the families read at scrape time, called
+// once the engine and journal exist: the server's in-flight and
+// readiness gauges, the engine's families (Engine.RegisterMetrics),
+// and the journal's, read from journal.Stats and from the replay stats
+// warm stored. Every value is read live at each scrape, so no metric
+// can lag the state it reports, and no event is counted twice.
+func (s *Server) registerMetrics() {
 	reg := s.inst.registry
 	reg.GaugeFunc(obs.MetricInFlight,
 		"Requests currently holding an analysis slot.",
@@ -64,50 +67,44 @@ func (s *Server) registerGauges() {
 			}
 			return 0
 		})
-	reg.GaugeFunc(obs.MetricPoolWorkers,
-		"Engine worker count, which sizes the stage pipeline.",
-		func() float64 { return float64(s.engine.Workers()) })
-	reg.GaugeFunc(obs.MetricCacheEntries,
-		"Resident result-cache entries.",
-		func() float64 { return float64(s.engine.Stats().Cache.Entries) })
-	reg.GaugeFunc(obs.MetricCacheBytes,
-		"Resident result-cache bytes.",
-		func() float64 { return float64(s.engine.Stats().Cache.Bytes) })
-	reg.GaugeSeriesFunc(obs.MetricPipelineQueueDepth,
-		"Tasks waiting in each pipeline stage's bounded input queue.",
-		[]string{"stage"}, s.pipelineSamples(func(st engine.StageStats) float64 {
-			return float64(st.QueueDepth)
-		}))
-	reg.GaugeSeriesFunc(obs.MetricPipelineOccupancy,
-		"Pipeline stage workers executing a task right now.",
-		[]string{"stage"}, s.pipelineSamples(func(st engine.StageStats) float64 {
-			return float64(st.Busy)
-		}))
-	reg.GaugeSeriesFunc(obs.MetricPipelineWorkers,
-		"Configured worker count of each pipeline stage.",
-		[]string{"stage"}, s.pipelineSamples(func(st engine.StageStats) float64 {
-			return float64(st.Workers)
-		}))
+	s.engine.RegisterMetrics(reg)
+
+	journalCount := func(field func(journal.Stats) int64) func() float64 {
+		return func() float64 { return float64(field(s.journal.Stats())) }
+	}
+	reg.CounterFunc(obs.MetricJournalAppended,
+		"Records enqueued for journal group commit.",
+		journalCount(func(st journal.Stats) int64 { return st.Appended }))
+	reg.CounterFunc(obs.MetricJournalSealedBatches,
+		"Journal batches sealed (Merkle root written, fsynced).",
+		journalCount(func(st journal.Stats) int64 { return st.SealedBatches }))
+	reg.CounterFunc(obs.MetricJournalSealedRecords,
+		"Records inside sealed journal batches.",
+		journalCount(func(st journal.Stats) int64 { return st.SealedRecords }))
+	replay := func() journal.ReplayStats {
+		s.replayMu.Lock()
+		defer s.replayMu.Unlock()
+		return s.replay
+	}
+	reg.CounterFunc(obs.MetricJournalReplayed,
+		"Records verified and delivered by journal replay.",
+		func() float64 { return float64(replay().Records) })
+	reg.CounterSeriesFunc(obs.MetricJournalCorrupt,
+		"Journal corruption dropped at replay.", []string{"kind"},
+		func() []telemetry.SeriesSample {
+			rs := replay()
+			return []telemetry.SeriesSample{
+				{LabelVals: []string{"batch"}, Value: float64(rs.CorruptBatches)},
+				{LabelVals: []string{"record"}, Value: float64(rs.CorruptRecords)},
+			}
+		})
+	reg.CounterFunc(obs.MetricJournalTornTails,
+		"Journal segments that ended mid-batch (crash shape).",
+		func() float64 { return float64(replay().TornTails) })
 	if s.journal != nil {
 		reg.GaugeFunc(obs.MetricJournalPending,
 			"Appended records not yet sealed by a group commit.",
 			func() float64 { return float64(s.journal.Stats().PendingRecords) })
-	}
-}
-
-// pipelineSamples adapts one field of the engine's per-stage pipeline
-// stats into the scrape-time series callback shape the registry wants.
-func (s *Server) pipelineSamples(field func(engine.StageStats) float64) func() []telemetry.GaugeSample {
-	return func() []telemetry.GaugeSample {
-		stats := s.engine.PipelineStats()
-		out := make([]telemetry.GaugeSample, 0, len(stats))
-		for _, st := range stats {
-			out = append(out, telemetry.GaugeSample{
-				LabelVals: []string{st.Stage},
-				Value:     field(st),
-			})
-		}
-		return out
 	}
 }
 

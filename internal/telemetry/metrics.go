@@ -52,9 +52,9 @@ type family struct {
 	help     string
 	typ      string // "counter" | "gauge" | "histogram"
 	labels   []string
-	buckets  []float64            // histograms only
-	fn       func() float64       // gauge-func families only (unlabeled)
-	seriesFn func() []GaugeSample // gauge-series-func families only (labeled)
+	buckets  []float64             // histograms only
+	fn       func() float64        // func families only (unlabeled)
+	seriesFn func() []SeriesSample // series-func families only (labeled)
 
 	mu     sync.Mutex
 	series map[string]*series
@@ -193,18 +193,25 @@ func (g Gauge) Add(delta float64, labelVals ...string) {
 
 // GaugeFunc registers an unlabeled gauge evaluated at scrape time —
 // the right shape for "current occupancy" values that already live in
-// an atomic somewhere (in-flight requests, cache bytes, pool busy).
+// an atomic somewhere (in-flight requests, cache bytes, queue depth).
 // Re-registering replaces the callback.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	f := r.register(name, help, "gauge", nil, nil)
-	f.mu.Lock()
-	f.fn = fn
-	f.mu.Unlock()
+	r.funcFamily(name, help, "gauge", nil, fn, nil)
 }
 
-// GaugeSample is one labeled sample produced by a GaugeSeriesFunc
-// callback: the label values (in registration order) and the value.
-type GaugeSample struct {
+// CounterFunc registers an unlabeled counter evaluated at scrape time:
+// the counter-typed sibling of GaugeFunc, for a monotone count the
+// owning component already keeps (engine stats, journal stats), so
+// /metrics reads the one count instead of keeping a second copy. fn
+// must never decrease. Re-registering replaces the callback.
+func (r *Registry) CounterFunc(name, help string, fn func() float64) {
+	r.funcFamily(name, help, "counter", nil, fn, nil)
+}
+
+// SeriesSample is one labeled sample produced by a GaugeSeriesFunc or
+// CounterSeriesFunc callback: the label values (in registration order)
+// and the value.
+type SeriesSample struct {
 	LabelVals []string
 	Value     float64
 }
@@ -216,10 +223,25 @@ type GaugeSample struct {
 // values; a sample whose label count disagrees with the registration
 // panics at scrape, same as a mismatched seriesFor call would.
 // Re-registering replaces the callback.
-func (r *Registry) GaugeSeriesFunc(name, help string, labels []string, fn func() []GaugeSample) {
-	f := r.register(name, help, "gauge", nil, labels)
+func (r *Registry) GaugeSeriesFunc(name, help string, labels []string, fn func() []SeriesSample) {
+	r.funcFamily(name, help, "gauge", labels, nil, fn)
+}
+
+// CounterSeriesFunc registers a labeled counter family whose series
+// set is produced by fn at scrape time, the counter-typed sibling of
+// GaugeSeriesFunc. A sample whose value is 0 is not rendered, so a
+// labeled series appears at its first event, exactly as a pushed
+// Counter's series does. Each sample's value must never decrease.
+func (r *Registry) CounterSeriesFunc(name, help string, labels []string, fn func() []SeriesSample) {
+	r.funcFamily(name, help, "counter", labels, nil, fn)
+}
+
+// funcFamily registers a family whose value (unlabeled, fn) or series
+// set (labeled, seriesFn) is read at scrape time.
+func (r *Registry) funcFamily(name, help, typ string, labels []string, fn func() float64, seriesFn func() []SeriesSample) {
+	f := r.register(name, help, typ, nil, labels)
 	f.mu.Lock()
-	f.seriesFn = fn
+	f.fn, f.seriesFn = fn, seriesFn
 	f.mu.Unlock()
 }
 
@@ -294,6 +316,9 @@ func (f *family) expose(b *strings.Builder) {
 			if len(s.LabelVals) != len(f.labels) {
 				panic(fmt.Sprintf("telemetry: metric %q sample has %d label values, want %d",
 					f.name, len(s.LabelVals), len(f.labels)))
+			}
+			if f.typ == "counter" && s.Value == 0 {
+				continue // a labeled counter series appears at its first event
 			}
 			fmt.Fprintf(b, "%s%s %s\n", f.name,
 				labelString(f.labels, s.LabelVals, "", ""), formatValue(s.Value))

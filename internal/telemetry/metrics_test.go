@@ -120,8 +120,8 @@ func TestGaugeFuncEvaluatedAtScrape(t *testing.T) {
 
 func TestLabelEscaping(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter(obs.MetricObsCounter, "Catch-all.", "name")
-	c.Add(1, `we"ird\name`+"\n")
+	c := reg.Counter(obs.MetricLadderAttempts, "Attempts.", "rung", "outcome")
+	c.Add(1, `we"ird\name`+"\n", "ok")
 	var b strings.Builder
 	if err := reg.Expose(&b); err != nil {
 		t.Fatal(err)
@@ -130,8 +130,61 @@ func TestLabelEscaping(t *testing.T) {
 	if err != nil {
 		t.Fatalf("escaped label did not round-trip: %v\n%s", err, b.String())
 	}
-	if v, ok := fams.Value(obs.MetricObsCounter, map[string]string{"name": `we"ird\name` + "\n"}); !ok || v != 1 {
+	if v, ok := fams.Value(obs.MetricLadderAttempts, map[string]string{"rung": `we"ird\name` + "\n", "outcome": "ok"}); !ok || v != 1 {
 		t.Errorf("escaped label lookup = %v, %v; want 1", v, ok)
+	}
+}
+
+// TestCounterFuncsReadAtScrape pins the scrape-time counter families:
+// TYPE counter, an unlabeled counter rendered from its first scrape
+// (zero included), a labeled series omitted while its value is zero,
+// and the exposition round-tripping through the strict parser.
+func TestCounterFuncsReadAtScrape(t *testing.T) {
+	reg := NewRegistry()
+	var panics, hits, misses float64
+	reg.CounterFunc(obs.MetricPoolPanics, "Panics.", func() float64 { return panics })
+	reg.CounterSeriesFunc(obs.MetricCacheEvents, "Cache events.", []string{"event"}, func() []SeriesSample {
+		return []SeriesSample{
+			{LabelVals: []string{"hit"}, Value: hits},
+			{LabelVals: []string{"miss"}, Value: misses},
+		}
+	})
+	read := func() (Families, string) {
+		t.Helper()
+		var b strings.Builder
+		if err := reg.Expose(&b); err != nil {
+			t.Fatal(err)
+		}
+		fams, err := ParseExposition(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatalf("counter funcs do not round-trip: %v\n%s", err, b.String())
+		}
+		return fams, b.String()
+	}
+
+	fams, text := read()
+	for _, name := range []string{obs.MetricPoolPanics, obs.MetricCacheEvents} {
+		if f := fams[name]; f == nil || f.Type != "counter" {
+			t.Fatalf("%s: family %+v, want TYPE counter\n%s", name, f, text)
+		}
+	}
+	if v, ok := fams.Value(obs.MetricPoolPanics, nil); !ok || v != 0 {
+		t.Errorf("unlabeled counter = %v, %v; want 0 from the first scrape", v, ok)
+	}
+	if n := len(fams[obs.MetricCacheEvents].Samples); n != 0 {
+		t.Errorf("labeled counter rendered %d zero samples, want none\n%s", n, text)
+	}
+
+	panics, misses = 2, 3
+	fams, text = read()
+	if v, ok := fams.Value(obs.MetricPoolPanics, nil); !ok || v != 2 {
+		t.Errorf("unlabeled counter = %v, %v; want 2", v, ok)
+	}
+	if v, ok := fams.Value(obs.MetricCacheEvents, map[string]string{"event": "miss"}); !ok || v != 3 {
+		t.Errorf("miss = %v, %v; want 3", v, ok)
+	}
+	if _, ok := fams.Value(obs.MetricCacheEvents, map[string]string{"event": "hit"}); ok {
+		t.Errorf("zero hit series rendered\n%s", text)
 	}
 }
 

@@ -9,9 +9,12 @@
 // counters) for a single report or Chrome trace, while telemetry
 // aggregates *across requests* into scrapeable time series. Bridge
 // connects the two — it implements obs.Collector and folds every span
-// into a per-stage latency histogram and every counter into its
-// declared gnt_* metric family, so the pipeline's existing
-// instrumentation points feed /metrics without a second set of hooks.
+// into a per-stage latency histogram, so the pipeline's existing spans
+// feed /metrics without a second set of hooks. Event counts are not
+// pushed anywhere: a component that already counts an event (the
+// engine's cache and pipeline stats, the journal's stats) registers a
+// CounterFunc or CounterSeriesFunc that reads its count at scrape
+// time, so each event is counted once.
 //
 // Three rules keep the layer production-safe:
 //
@@ -20,10 +23,11 @@
 //     dashboards and alerts can rely on the scrape schema not drifting
 //     silently.
 //
-//  2. Counters are monotone. Counter.Add rejects negative deltas, and
-//     histograms only accumulate, so "no metric goes backwards across
-//     scrapes" is an enforced invariant (the chaos harness asserts it
-//     under fire), gauges excepted by definition.
+//  2. Counters are monotone. Counter.Add rejects negative deltas, the
+//     counts a CounterFunc reads only grow, and histograms only
+//     accumulate, so "no metric goes backwards across scrapes" is an
+//     invariant the chaos harness asserts under fire, gauges excepted
+//     by definition.
 //
 //  3. Exposition is strict. The text format written by Registry.Expose
 //     round-trips through ParseExposition, the same strict parser the

@@ -5,7 +5,9 @@
 # /metrics, and validates the exposition with promcheck's strict
 # parser: the document must parse under the strict grammar, the core
 # gnt_* families must be present with their declared types, and the
-# counters must account for the traffic just sent. Also asserts the
+# counters must account for the traffic just sent: the engine's cache,
+# admission and pipeline counters, which /metrics reads from the
+# engine's own stats at scrape time, included. Also asserts the
 # trace plumbing end to end: the response echoes the request's
 # X-Gnt-Trace ID and /debug/requests can return that trace by ID.
 #
@@ -64,11 +66,15 @@ curl -sf "${URL}/metrics" -o "${WORK}/metrics.txt"
   -require gnt_stage_duration_seconds=histogram \
   -require gnt_admission_total=counter \
   -require gnt_engine_cache_events_total=counter \
+  -require gnt_pipeline_items_total=counter \
   -require gnt_engine_pool_workers=gauge \
   -require gnt_ready=gauge \
   -min gnt_http_requests_total=2 \
   -min gnt_http_request_duration_seconds=2 \
   -min gnt_ladder_attempts_total=1 \
+  -min gnt_engine_cache_events_total=2 \
+  -min gnt_admission_total=2 \
+  -min gnt_pipeline_items_total=5 \
   -min gnt_ready=1
 say "exposition strictly valid, required families present, traffic accounted"
 say "PASS"

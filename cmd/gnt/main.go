@@ -136,7 +136,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	var rec *obs.Recorder
 	var col obs.Collector
 	if *tracePath != "" || *mode == "stats" {
-		rec = obs.NewRecorder(obs.Config{Mem: true})
+		rec = obs.NewRecorder()
 		col = rec
 	}
 

@@ -15,13 +15,15 @@
 // whole corpus, and the run exits nonzero so CI still notices.
 //
 // With -parallel N the corpus additionally runs through the concurrent
-// analysis engine on N workers, twice — a cold pass (every program
-// misses the result cache and computes) and a warm pass (every program
-// hits) — and the artifact grows a "timing" block comparing serial and
-// parallel wall time plus the engine's cache counters. -assert-speedup
-// X fails the run when serial/parallel falls below X; CI uses it (with
-// tolerance below 1.0) to catch the parallel path regressing to slower
-// than serial.
+// analysis engine on N workers, and the artifact grows a "timing" block
+// comparing serial and parallel wall time plus the engine's cache
+// counters. The speedup is the median, over 5 interleaved pairs, of
+// serial sweep over cold parallel sweep (every program misses a fresh
+// engine's result cache and computes); a further cold and warm pass
+// (every program hits) on one engine feed the cache counters and the
+// telemetry block. -assert-speedup X fails the run when the median
+// speedup falls below X; CI uses it (with tolerance below 1.0) to catch
+// the parallel path regressing to slower than serial.
 package main
 
 import (
@@ -67,7 +69,13 @@ import (
 // stage pipeline as one barrier-free batch, and the artifact records
 // per-stage throughput plus the ratio of achieved corpus throughput to
 // the slowest stage's service rate, present when -parallel is given.
-const Schema = "gnt-bench/v7"
+// v8 made spans start-and-duration only: phases carry start_ns and
+// wall_ns, with no depth, alloc_bytes or alloc_objects (the
+// stop-the-world allocation reads inflated the serial sweep they
+// measured). The timing block's speedup became the median of
+// interleaved serial/parallel cold-sweep pairs, listed in
+// speedup_pairs.
+const Schema = "gnt-bench/v8"
 
 // DefaultTimeout is the per-program wall-clock budget.
 const DefaultTimeout = 30 * time.Second
@@ -75,9 +83,8 @@ const DefaultTimeout = 30 * time.Second
 type artifact struct {
 	Schema string  `json:"schema"`
 	Corpus []entry `json:"corpus"`
-	// Timing compares one serial corpus sweep against the engine's
-	// parallel sweep (cold: all cache misses) and a repeat sweep (warm:
-	// all cache hits). Speedup is serial over parallel cold wall time.
+	// Timing compares serial corpus sweeps against the engine's
+	// parallel ones, cold (all cache misses) and warm (all hits).
 	Timing *timing `json:"timing,omitempty"`
 	// Cache is the engine's cache counter snapshot after both sweeps;
 	// with a single cold+warm cycle the hit rate lands at 0.5.
@@ -154,13 +161,25 @@ type journalBench struct {
 	RestartSpeedup    float64 `json:"restart_speedup"`
 }
 
+// timing is the speedup block of the artifact. SerialWallMS and
+// ParallelWallMS are the medians of the speedupPairs cold sweeps of
+// each kind; Speedup is the median of the pairs' serial/parallel
+// ratios, listed in SpeedupPairs in run order.
 type timing struct {
-	Parallel       int     `json:"parallel"`
-	SerialWallMS   float64 `json:"serial_wall_ms"`
-	ParallelWallMS float64 `json:"parallel_wall_ms"`
-	WarmWallMS     float64 `json:"warm_wall_ms"`
-	Speedup        float64 `json:"speedup"`
+	Parallel       int       `json:"parallel"`
+	SerialWallMS   float64   `json:"serial_wall_ms"`
+	ParallelWallMS float64   `json:"parallel_wall_ms"`
+	WarmWallMS     float64   `json:"warm_wall_ms"`
+	Speedup        float64   `json:"speedup"`
+	SpeedupPairs   []float64 `json:"speedup_pairs"`
 }
+
+// speedupPairs is how many interleaved serial/parallel cold-sweep
+// pairs the speedup is the median of. One pair is a few milliseconds
+// of work, and one such measurement on a small shared machine can land
+// anywhere; alternating the two kinds exposes both to the same drift.
+// Odd, so the median is one of the pairs.
+const speedupPairs = 5
 
 type entry struct {
 	File   string      `json:"file"`
@@ -199,30 +218,30 @@ func run(dirs []string, out string, timeout time.Duration, parallel int, assertS
 		timeout = DefaultTimeout
 	}
 	art := artifact{Schema: Schema}
+	var serialWall time.Duration
+	art.Corpus, serialWall = sweepSerial(files, timeout)
 	failed := 0
-	serialStart := time.Now()
-	for _, file := range files {
-		rep, err := benchGuarded(file, timeout)
-		e := entry{File: filepath.ToSlash(file), Report: rep}
-		if err != nil {
-			e.Error = err.Error()
-			e.Report = nil
+	for _, e := range art.Corpus {
+		if e.Error != "" {
 			failed++
-			fmt.Fprintf(os.Stderr, "gntbench: %s: %v\n", file, err)
+			fmt.Fprintf(os.Stderr, "gntbench: %s: %s\n", e.File, e.Error)
 		}
-		art.Corpus = append(art.Corpus, e)
 	}
-	serialWall := time.Since(serialStart)
 
 	if parallel > 0 {
-		tm, cs, ob, err := benchParallel(files, parallel, timeout, serialWall)
+		tm, err := benchSpeedup(files, parallel, timeout, serialWall)
 		if err != nil {
 			return err
 		}
+		warmWall, cs, ob, err := benchParallel(files, parallel, timeout)
+		if err != nil {
+			return err
+		}
+		tm.WarmWallMS = float64(warmWall.Microseconds()) / 1000
 		art.Timing, art.Cache, art.Obs = tm, cs, ob
 		if assertSpeedup > 0 && tm.Speedup < assertSpeedup {
-			return fmt.Errorf("parallel sweep too slow: speedup %.2f < required %.2f (serial %.1fms, parallel %.1fms)",
-				tm.Speedup, assertSpeedup, tm.SerialWallMS, tm.ParallelWallMS)
+			return fmt.Errorf("parallel sweep too slow: median speedup %.2f < required %.2f (pairs %.2f; median serial %.1fms, parallel %.1fms)",
+				tm.Speedup, assertSpeedup, tm.SpeedupPairs, tm.SerialWallMS, tm.ParallelWallMS)
 		}
 		jb, err := benchJournal(files, parallel, timeout)
 		if err != nil {
@@ -256,6 +275,22 @@ func run(dirs []string, out string, timeout time.Duration, parallel int, assertS
 			failed, len(files))
 	}
 	return nil
+}
+
+// sweepSerial runs the corpus through bench once, program after
+// program, and returns the entries and the sweep's wall time.
+func sweepSerial(files []string, timeout time.Duration) ([]entry, time.Duration) {
+	corpus := make([]entry, 0, len(files))
+	start := time.Now()
+	for _, file := range files {
+		rep, err := benchGuarded(file, timeout)
+		e := entry{File: filepath.ToSlash(file), Report: rep}
+		if err != nil {
+			e.Error, e.Report = err.Error(), nil
+		}
+		corpus = append(corpus, e)
+	}
+	return corpus, time.Since(start)
 }
 
 // benchGuarded runs one program under a wall-clock budget. The pipeline
@@ -321,7 +356,7 @@ func bench(ctx context.Context, file string) (*obs.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := obs.NewRecorder(obs.Config{Mem: true})
+	rec := obs.NewRecorder()
 	a, err := comm.Analyze(ctx, prog, rec, comm.Opts{})
 	if err != nil {
 		return nil, err
@@ -355,19 +390,20 @@ func bench(ctx context.Context, file string) (*obs.Report, error) {
 	return rep, nil
 }
 
-// benchParallel sweeps the corpus through the concurrent engine twice:
-// a cold pass where every program misses the result cache and runs the
+// benchParallel sweeps the corpus through one engine twice, with its
+// /metrics families registered and the process span bridge attached: a
+// cold pass where every program misses the result cache and runs the
 // task-parallel pipeline (READ and WRITE halves solving concurrently,
 // fan-out bounded by the worker count), then a warm pass where every
 // program is served stored bytes. Any per-program failure fails the
 // sweep — the serial pass already proved the corpus analyzes, so a
 // parallel-only failure is an engine bug, not a corpus problem.
 //
-// The engine registers the same /metrics families and feeds the same
-// span bridge gnt -mode serve uses, and a background scraper renders
-// and strictly parses the exposition throughout both sweeps; the final
-// scrape becomes the artifact's obs block.
-func benchParallel(files []string, workers int, timeout time.Duration, serialWall time.Duration) (*timing, *engine.CacheStats, *obsBench, error) {
+// A background scraper renders and strictly parses the exposition
+// throughout both sweeps; the final scrape becomes the artifact's obs
+// block, and the warm sweep's wall time is returned. The speedup is
+// measured separately, by benchSpeedup, with no scraper running.
+func benchParallel(files []string, workers int, timeout time.Duration) (time.Duration, *engine.CacheStats, *obsBench, error) {
 	reg := telemetry.NewRegistry()
 	bridge := telemetry.NewBridge(reg)
 	e := engine.New(engine.Config{Workers: workers})
@@ -378,74 +414,88 @@ func benchParallel(files []string, workers int, timeout time.Duration, serialWal
 
 	sources, err := readSources(files)
 	if err != nil {
-		return nil, nil, nil, err
+		return 0, nil, nil, err
 	}
 
-	stop := make(chan struct{})
-	type scraperReport struct {
-		scrapes int
-		err     error
-	}
-	scraperDone := make(chan scraperReport, 1)
-	go func() {
-		rep := scraperReport{}
-		tick := time.NewTicker(2 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			if _, err := scrapeRegistry(reg); err != nil {
-				rep.err = err
-				scraperDone <- rep
-				return
-			}
-			rep.scrapes++
-			select {
-			case <-stop:
-				scraperDone <- rep
-				return
-			case <-tick.C:
-			}
-		}
-	}()
-
-	coldWall, err := sweepEngine(ctx, e, files, sources, bridge)
-	if err != nil {
-		close(stop)
-		return nil, nil, nil, fmt.Errorf("parallel cold sweep: %w", err)
+	stopScrape := scrapeLoop(reg)
+	if _, err := sweepEngine(ctx, e, files, sources, bridge); err != nil {
+		stopScrape()
+		return 0, nil, nil, fmt.Errorf("parallel cold sweep: %w", err)
 	}
 	warmWall, err := sweepEngine(ctx, e, files, sources, bridge)
-	close(stop)
+	scrapes, scrapeErr := stopScrape()
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("parallel warm sweep: %w", err)
+		return 0, nil, nil, fmt.Errorf("parallel warm sweep: %w", err)
 	}
-	srep := <-scraperDone
-	if srep.err != nil {
-		return nil, nil, nil, fmt.Errorf("mid-sweep telemetry scrape: %w", srep.err)
+	if scrapeErr != nil {
+		return 0, nil, nil, fmt.Errorf("mid-sweep telemetry scrape: %w", scrapeErr)
 	}
 	fams, err := scrapeRegistry(reg)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("final telemetry scrape: %w", err)
+		return 0, nil, nil, fmt.Errorf("final telemetry scrape: %w", err)
 	}
-	ob := buildObsBench(fams, srep.scrapes+1)
+	ob := buildObsBench(fams, scrapes+1)
 
 	cs := e.Stats().Cache
-	tm := &timing{
-		Parallel:       e.Workers(),
-		SerialWallMS:   float64(serialWall.Microseconds()) / 1000,
-		ParallelWallMS: float64(coldWall.Microseconds()) / 1000,
-		WarmWallMS:     float64(warmWall.Microseconds()) / 1000,
-	}
-	if coldWall > 0 {
-		tm.Speedup = float64(serialWall) / float64(coldWall)
-	}
 	if cs.Hits != int64(len(files)) || cs.Misses != int64(len(files)) {
-		return nil, nil, nil, fmt.Errorf("cache counters off: %d hits %d misses, want %d each (single-flight or keying bug)",
+		return 0, nil, nil, fmt.Errorf("cache counters off: %d hits %d misses, want %d each (single-flight or keying bug)",
 			cs.Hits, cs.Misses, len(files))
 	}
 	if hits := fams.Sum(obs.MetricCacheEvents, map[string]string{"event": "hit"}); hits != float64(cs.Hits) {
-		return nil, nil, nil, fmt.Errorf("telemetry cache-hit counter %v disagrees with engine stats %d",
+		return 0, nil, nil, fmt.Errorf("telemetry cache-hit counter %v disagrees with engine stats %d",
 			hits, cs.Hits)
 	}
-	return tm, &cs, ob, nil
+	return warmWall, &cs, ob, nil
+}
+
+// benchSpeedup measures serial over parallel cold-sweep wall time as
+// the median of speedupPairs interleaved pairs. A pair is one serial
+// sweep (the report sweep run already timed serves as the first) and
+// then one sweep of the corpus through a fresh engine on workers, so
+// every parallel program misses the cache and computes.
+func benchSpeedup(files []string, workers int, timeout time.Duration, firstSerial time.Duration) (*timing, error) {
+	sources, err := readSources(files)
+	if err != nil {
+		return nil, err
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), timeout*time.Duration(len(files)*speedupPairs))
+	defer cancel()
+
+	tm := &timing{}
+	var serialMS, parallelMS []float64
+	for k := 0; k < speedupPairs; k++ {
+		serialWall := firstSerial
+		if k > 0 {
+			var corpus []entry
+			corpus, serialWall = sweepSerial(files, timeout)
+			for _, e := range corpus {
+				if e.Error != "" {
+					return nil, fmt.Errorf("serial sweep %d: %s: %s", k+1, e.File, e.Error)
+				}
+			}
+		}
+		e := engine.New(engine.Config{Workers: workers})
+		tm.Parallel = e.Workers()
+		parallelWall, err := sweepEngine(ctx, e, files, sources, nil)
+		e.Close()
+		if err != nil {
+			return nil, fmt.Errorf("parallel cold sweep %d: %w", k+1, err)
+		}
+		serialMS = append(serialMS, float64(serialWall.Microseconds())/1000)
+		parallelMS = append(parallelMS, float64(parallelWall.Microseconds())/1000)
+		tm.SpeedupPairs = append(tm.SpeedupPairs, float64(serialWall)/float64(parallelWall))
+	}
+	tm.SerialWallMS, tm.ParallelWallMS = median(serialMS), median(parallelMS)
+	tm.Speedup = median(tm.SpeedupPairs)
+	return tm, nil
+}
+
+// median returns the middle value of xs (the upper one of the two for
+// an even count), leaving xs unsorted.
+func median(xs []float64) float64 {
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	return sorted[len(sorted)/2]
 }
 
 // scrapeRegistry renders the registry's exposition and runs it through
@@ -457,6 +507,41 @@ func scrapeRegistry(reg *telemetry.Registry) (telemetry.Families, error) {
 		return nil, err
 	}
 	return telemetry.ParseExposition(&buf)
+}
+
+// scrapeLoop scrapes reg every 2ms, from now until the returned stop
+// is called; stop reports how many scrapes ran and the first error,
+// which ends the loop early.
+func scrapeLoop(reg *telemetry.Registry) (stop func() (int, error)) {
+	quit := make(chan struct{})
+	type report struct {
+		scrapes int
+		err     error
+	}
+	done := make(chan report, 1)
+	go func() {
+		var rep report
+		tick := time.NewTicker(2 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			if _, rep.err = scrapeRegistry(reg); rep.err != nil {
+				done <- rep
+				return
+			}
+			rep.scrapes++
+			select {
+			case <-quit:
+				done <- rep
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	return func() (int, error) {
+		close(quit)
+		rep := <-done
+		return rep.scrapes, rep.err
+	}
 }
 
 // buildObsBench condenses one parsed exposition into the artifact's
@@ -653,36 +738,11 @@ func benchPipeline(files []string, workers int, timeout time.Duration) (*pipelin
 	ctx, cancel := context.WithTimeout(context.Background(), timeout*time.Duration(len(files)))
 	defer cancel()
 
-	stop := make(chan struct{})
-	type scraperReport struct {
-		scrapes int
-		err     error
-	}
-	scraperDone := make(chan scraperReport, 1)
-	go func() {
-		rep := scraperReport{}
-		tick := time.NewTicker(2 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			if _, err := scrapeRegistry(reg); err != nil {
-				rep.err = err
-				scraperDone <- rep
-				return
-			}
-			rep.scrapes++
-			select {
-			case <-stop:
-				scraperDone <- rep
-				return
-			case <-tick.C:
-			}
-		}
-	}()
-
+	stopScrape := scrapeLoop(reg)
 	start := time.Now()
 	out := e.AnalyzeBatch(ctx, items, bridge)
 	wall := time.Since(start)
-	close(stop)
+	_, scrapeErr := stopScrape()
 	for i, r := range out {
 		if r.Err != nil {
 			return nil, fmt.Errorf("pipeline sweep item %d (%s): %w", i, files[i%len(files)], r.Err)
@@ -693,9 +753,8 @@ func benchPipeline(files []string, workers int, timeout time.Duration) (*pipelin
 		}
 		r.Res.Release()
 	}
-	srep := <-scraperDone
-	if srep.err != nil {
-		return nil, fmt.Errorf("mid-sweep telemetry scrape: %w", srep.err)
+	if scrapeErr != nil {
+		return nil, fmt.Errorf("mid-sweep telemetry scrape: %w", scrapeErr)
 	}
 	fams, err := scrapeRegistry(reg)
 	if err != nil {

@@ -26,6 +26,12 @@ func TestBenchArtifact(t *testing.T) {
 	if art.Schema != Schema {
 		t.Errorf("schema = %q, want %q", art.Schema, Schema)
 	}
+	// v8: a phase is a start offset and a wall time, nothing more.
+	for _, gone := range []string{`"depth"`, `"alloc_bytes"`, `"alloc_objects"`} {
+		if strings.Contains(string(b), gone) {
+			t.Errorf("artifact still carries %s", gone)
+		}
+	}
 	if len(art.Corpus) < 5 {
 		t.Fatalf("corpus has %d entries, want the full testdata set", len(art.Corpus))
 	}
@@ -75,8 +81,9 @@ func TestBenchArtifact(t *testing.T) {
 	}
 }
 
-// TestBenchParallelSweep: -parallel adds the v4 timing block with the
-// cache counters proving the warm pass was served entirely from cache.
+// TestBenchParallelSweep: -parallel adds the timing block, whose speedup
+// is the median of its interleaved pairs, with the cache counters
+// proving the warm pass was served entirely from cache.
 func TestBenchParallelSweep(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "bench.json")
 	if err := run([]string{"../../testdata"}, out, DefaultTimeout, 4, 0, 0); err != nil {
@@ -95,6 +102,9 @@ func TestBenchParallelSweep(t *testing.T) {
 	}
 	if art.Timing.Parallel != 4 || art.Timing.ParallelWallMS <= 0 || art.Timing.SerialWallMS <= 0 {
 		t.Fatalf("timing block incomplete: %+v", art.Timing)
+	}
+	if len(art.Timing.SpeedupPairs) != speedupPairs || art.Timing.Speedup != median(art.Timing.SpeedupPairs) {
+		t.Fatalf("speedup %v is not the median of %d pairs %v", art.Timing.Speedup, speedupPairs, art.Timing.SpeedupPairs)
 	}
 	n := int64(len(art.Corpus))
 	if art.Cache.Misses != n || art.Cache.Hits != n {

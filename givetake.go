@@ -242,10 +242,8 @@ var DefaultFaultConfig = netsim.Default
 // EngineStats).
 type Collector = obs.Collector
 
-// ObsConfig selects what a Recorder captures (e.g. allocation deltas).
-type ObsConfig = obs.Config
-
-// Recorder is the standard Collector: it accumulates spans and renders
+// Recorder is the standard Collector: it accumulates spans (a start
+// offset and a duration each; safe for concurrent use) and renders
 // them as a Chrome trace-event JSON profile (WriteTrace,
 // Perfetto-loadable) or as the Report's phase rows.
 type Recorder = obs.Recorder
@@ -259,7 +257,7 @@ type Report = obs.Report
 type SolverCounters = obs.SolverCounters
 
 // NewRecorder returns an empty recorder whose epoch is now.
-func NewRecorder(cfg ObsConfig) *Recorder { return obs.NewRecorder(cfg) }
+func NewRecorder() *Recorder { return obs.NewRecorder() }
 
 // GenerateCommCtx is GenerateComm with observability and cooperative
 // cancellation: pipeline stages report spans to col (nil records

@@ -142,8 +142,9 @@ type Job struct {
 	// Opts tunes the placement analysis (rung 2 of the serve ladder
 	// sets SuppressHoist).
 	Opts comm.Opts
-	// Collector receives the pipeline's stage spans; nil records
-	// nothing. Concurrent stages may interleave their spans.
+	// Collector receives the job's stage spans; nil records nothing.
+	// It must be safe for concurrent use: the READ and WRITE solve
+	// spans come from two goroutines and can overlap in time.
 	Collector obs.Collector
 	// PostSolve, when non-nil, runs in the solve stage after both
 	// solves join without error and before verification — the hook the

@@ -40,8 +40,9 @@ const (
 // vocabulary instead of scattered string literals.
 const (
 	// SpanEngineAnalyze wraps one engine-scheduled analysis: build →
-	// {solve-read ∥ solve-write} → {check ∥ check} → merge. The comm
-	// stage spans (cfg-build, solve-read, ...) nest inside it.
+	// {solve-read ∥ solve-write} → {check ∥ check} → merge. Its interval
+	// contains the comm stage spans (cfg-build, solve-read, ...), and
+	// the concurrent READ and WRITE solve spans can overlap each other.
 	SpanEngineAnalyze = "engine.analyze"
 	// SpanEngineVerify wraps the parallel static-verification stage of
 	// one engine-scheduled analysis.

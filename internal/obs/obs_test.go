@@ -15,38 +15,97 @@ func TestNilCollector(t *testing.T) {
 }
 
 func TestRecorderSpans(t *testing.T) {
-	r := NewRecorder(Config{})
+	r := NewRecorder()
 	outer := Begin(r, "outer", "size", 3)
 	inner := Begin(r, "inner")
 	inner("items", 7)
 	outer()
 
 	spans := r.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans, want 2", len(spans))
-	}
-	if spans[0].Name != "outer" || spans[0].Depth != 0 {
-		t.Errorf("outer span: %+v", spans[0])
-	}
-	if spans[1].Name != "inner" || spans[1].Depth != 1 {
-		t.Errorf("inner span should nest at depth 1: %+v", spans[1])
+	if len(spans) != 2 || spans[0].Name != "outer" || spans[1].Name != "inner" {
+		t.Fatalf("spans = %+v, want outer then inner", spans)
 	}
 	for _, sp := range spans {
 		if sp.Dur < 0 {
 			t.Errorf("span %s still open", sp.Name)
 		}
 	}
-	// begin args and end args are both kept, in order
-	if len(spans[0].Args) != 1 || spans[0].Args[0].Key != "size" {
-		t.Errorf("outer args: %+v", spans[0].Args)
+	// Enclosure is read off the intervals: inner lies inside outer.
+	o, i := spans[0], spans[1]
+	if i.Start < o.Start || i.Start+i.Dur > o.Start+o.Dur {
+		t.Errorf("inner [%v,+%v) not inside outer [%v,+%v)", i.Start, i.Dur, o.Start, o.Dur)
 	}
-	if len(spans[1].Args) != 1 || spans[1].Args[0].Key != "items" {
-		t.Errorf("inner args: %+v", spans[1].Args)
+	// begin args and end args are both kept, in order
+	if len(o.Args) != 1 || o.Args[0].Key != "size" {
+		t.Errorf("outer args: %+v", o.Args)
+	}
+	if len(i.Args) != 1 || i.Args[0].Key != "items" {
+		t.Errorf("inner args: %+v", i.Args)
+	}
+}
+
+// TestRecorderOverlappingSpans drives the shape the engine's READ ∥
+// WRITE solve produces: two goroutines interleave begin A, begin B,
+// end A, end B on one recorder. Both spans come back in start order,
+// each with its own duration and end args, as two overlapping
+// intervals: B starts inside A and ends after it, so it is not A's
+// child and reports no nesting.
+func TestRecorderOverlappingSpans(t *testing.T) {
+	r := NewRecorder()
+	beganA, beganB, endedA := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	done := make(chan struct{}, 2)
+	go func() {
+		end := Begin(r, "A")
+		close(beganA)
+		<-beganB
+		end("who", "A")
+		close(endedA)
+		done <- struct{}{}
+	}()
+	go func() {
+		<-beganA
+		end := Begin(r, "B")
+		close(beganB)
+		<-endedA
+		end("who", "B")
+		done <- struct{}{}
+	}()
+	<-done
+	<-done
+
+	spans := r.Spans()
+	if len(spans) != 2 || spans[0].Name != "A" || spans[1].Name != "B" {
+		t.Fatalf("spans = %+v, want A then B", spans)
+	}
+	a, b := spans[0], spans[1]
+	for _, sp := range spans {
+		if sp.Dur < 0 {
+			t.Fatalf("span %s still open", sp.Name)
+		}
+		if len(sp.Args) != 1 || sp.Args[0].Value != sp.Name {
+			t.Errorf("span %s carries end args %+v, want its own", sp.Name, sp.Args)
+		}
+	}
+	aEnd, bEnd := a.Start+a.Dur, b.Start+b.Dur
+	if !(a.Start <= b.Start && b.Start <= aEnd && aEnd <= bEnd) {
+		t.Errorf("want overlapping intervals A [%v,%v) and B [%v,%v) with B starting inside A and ending after it",
+			a.Start, aEnd, b.Start, bEnd)
+	}
+
+	phases := r.Phases()
+	if len(phases) != 2 {
+		t.Fatalf("phases = %+v, want 2", phases)
+	}
+	for k, sp := range spans {
+		want := PhaseStats{Name: sp.Name, StartNS: sp.Start.Nanoseconds(), WallNS: sp.Dur.Nanoseconds()}
+		if phases[k] != want {
+			t.Errorf("phase %d = %+v, want %+v", k, phases[k], want)
+		}
 	}
 }
 
 func TestRecorderDoubleEndIsNoOp(t *testing.T) {
-	r := NewRecorder(Config{})
+	r := NewRecorder()
 	end := Begin(r, "phase")
 	end("first", 1)
 	end("second", 2)
@@ -60,7 +119,7 @@ func TestRecorderDoubleEndIsNoOp(t *testing.T) {
 }
 
 func TestWriteTrace(t *testing.T) {
-	r := NewRecorder(Config{})
+	r := NewRecorder()
 	end := Begin(r, "solve", "nodes", 17)
 	end()
 	open := Begin(r, "never-closed")
@@ -99,6 +158,9 @@ func TestWriteTrace(t *testing.T) {
 	}
 	if !haveSolve {
 		t.Errorf("trace missing the solve event:\n%s", sb.String())
+	}
+	if ph := r.Phases(); len(ph) != 1 || ph[0].Name != "solve" {
+		t.Errorf("phases = %+v, want only the closed solve span", ph)
 	}
 }
 
@@ -140,7 +202,7 @@ func TestOnePass(t *testing.T) {
 func TestReportWriteText(t *testing.T) {
 	rep := &Report{
 		Program: "fig1.f",
-		Phases:  []PhaseStats{{Name: "parse", WallNS: 1500}},
+		Phases:  []PhaseStats{{Name: "parse", StartNS: 2500, WallNS: 1500}},
 		Solver: []SolverCounters{{
 			Problem: "READ", Nodes: 17, Universe: 1, Words: 1, MaxLevel: 2,
 			EquationEvals: 340, EvalsPerEqMin: 1, EvalsPerEqMax: 1,
@@ -157,7 +219,7 @@ func TestReportWriteText(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"fig1.f", "parse", "1.5µs", "READ", "340", "gnt-split", "515", "high-latency"} {
+	for _, want := range []string{"fig1.f", "parse", "+2.5µs", "1.5µs", "READ", "340", "gnt-split", "515", "high-latency"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("text report missing %q:\n%s", want, out)
 		}

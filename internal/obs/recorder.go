@@ -4,19 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"time"
 )
-
-// Config selects what a Recorder captures.
-type Config struct {
-	// Mem captures allocation deltas (runtime.MemStats TotalAlloc and
-	// Mallocs) at span boundaries. ReadMemStats costs microseconds per
-	// call, which is negligible at phase granularity but worth an
-	// explicit opt-in.
-	Mem bool
-}
 
 // Arg is one span annotation, kept in attachment order so text output
 // is stable.
@@ -26,51 +16,35 @@ type Arg struct {
 }
 
 // Span is one recorded phase: a named [start, start+dur) interval with
-// nesting depth, annotations, and (optionally) allocation deltas.
+// its annotations. Spans carry no nesting: concurrent stages (the
+// engine's READ ∥ WRITE solve) overlap freely, and an enclosing span is
+// simply one whose interval contains the others.
 type Span struct {
 	Name  string
-	Depth int           // nesting depth at open time (0 = top level)
 	Start time.Duration // offset from the recorder's epoch
 	Dur   time.Duration // -1 while still open
 	Args  []Arg
-
-	// Allocation deltas across the span (nested spans included);
-	// captured only when Config.Mem is set.
-	AllocBytes   int64
-	AllocObjects int64
 }
 
 // Recorder is the standard Collector: it accumulates spans in memory
 // and renders them as a Chrome trace-event JSON profile (WriteTrace)
-// or as the Report's Phases section.
+// or as the Report's Phases section. It is safe for concurrent use.
 type Recorder struct {
-	cfg   Config
 	epoch time.Time
-
 	mu    sync.Mutex
-	spans []Span // in open order
-	open  []int  // stack of indices into spans
+	spans []Span // in open order, hence in start order
 }
 
 // NewRecorder returns an empty recorder whose epoch is now.
-func NewRecorder(cfg Config) *Recorder {
-	return &Recorder{cfg: cfg, epoch: time.Now()}
+func NewRecorder() *Recorder {
+	return &Recorder{epoch: time.Now()}
 }
 
 // BeginSpan implements Collector.
 func (r *Recorder) BeginSpan(name string, kv ...any) EndFunc {
 	r.mu.Lock()
 	idx := len(r.spans)
-	sp := Span{Name: name, Depth: len(r.open), Start: time.Since(r.epoch), Dur: -1, Args: kvArgs(kv)}
-	if r.cfg.Mem {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		// stash the baseline in the delta fields; End subtracts
-		sp.AllocBytes = int64(ms.TotalAlloc)
-		sp.AllocObjects = int64(ms.Mallocs)
-	}
-	r.spans = append(r.spans, sp)
-	r.open = append(r.open, idx)
+	r.spans = append(r.spans, Span{Name: name, Start: time.Since(r.epoch), Dur: -1, Args: kvArgs(kv)})
 	r.mu.Unlock()
 	return func(kv ...any) {
 		r.mu.Lock()
@@ -81,19 +55,6 @@ func (r *Recorder) BeginSpan(name string, kv ...any) EndFunc {
 		}
 		sp.Dur = time.Since(r.epoch) - sp.Start
 		sp.Args = append(sp.Args, kvArgs(kv)...)
-		if r.cfg.Mem {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			sp.AllocBytes = int64(ms.TotalAlloc) - sp.AllocBytes
-			sp.AllocObjects = int64(ms.Mallocs) - sp.AllocObjects
-		}
-		// pop the innermost matching open entry
-		for i := len(r.open) - 1; i >= 0; i-- {
-			if r.open[i] == idx {
-				r.open = append(r.open[:i], r.open[i+1:]...)
-				break
-			}
-		}
 	}
 }
 
@@ -128,23 +89,16 @@ func (r *Recorder) Spans() []Span {
 	return out
 }
 
-// Phases flattens the recorded spans into Report rows, preserving open
-// order and nesting depth. Still-open spans are reported with zero
-// wall time.
+// Phases flattens the closed spans into Report rows in start order.
+// Still-open spans are omitted: they have no duration yet.
 func (r *Recorder) Phases() []PhaseStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]PhaseStats, 0, len(r.spans))
 	for _, sp := range r.spans {
-		p := PhaseStats{Name: sp.Name, Depth: sp.Depth}
 		if sp.Dur >= 0 {
-			p.WallNS = sp.Dur.Nanoseconds()
-			if r.cfg.Mem {
-				p.AllocBytes = sp.AllocBytes
-				p.AllocObjects = sp.AllocObjects
-			}
+			out = append(out, PhaseStats{Name: sp.Name, StartNS: sp.Start.Nanoseconds(), WallNS: sp.Dur.Nanoseconds()})
 		}
-		out = append(out, p)
 	}
 	return out
 }
@@ -194,14 +148,10 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 		if ev.Dur <= 0 {
 			ev.Dur = 0.001 // zero-duration X events confuse viewers
 		}
-		if len(sp.Args) > 0 || sp.AllocBytes != 0 || sp.AllocObjects != 0 {
+		if len(sp.Args) > 0 {
 			ev.Args = map[string]any{}
 			for _, a := range sp.Args {
 				ev.Args[a.Key] = a.Value
-			}
-			if r.cfg.Mem {
-				ev.Args["alloc_bytes"] = sp.AllocBytes
-				ev.Args["alloc_objects"] = sp.AllocObjects
 			}
 		}
 		tf.TraceEvents = append(tf.TraceEvents, ev)

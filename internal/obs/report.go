@@ -10,14 +10,14 @@ import (
 	"text/tabwriter"
 )
 
-// PhaseStats is one pipeline phase in a Report: wall time plus
-// allocation deltas when the recorder captured them.
+// PhaseStats is one closed span in a Report: its start offset from the
+// recorder's epoch and its wall time. The same record is a /analyze
+// response's phases, a `gnt -mode stats` row and a /debug/requests
+// trace span.
 type PhaseStats struct {
-	Name         string `json:"name"`
-	Depth        int    `json:"depth,omitempty"`
-	WallNS       int64  `json:"wall_ns"`
-	AllocBytes   int64  `json:"alloc_bytes,omitempty"`
-	AllocObjects int64  `json:"alloc_objects,omitempty"`
+	Name    string `json:"name"`
+	StartNS int64  `json:"start_ns"`
+	WallNS  int64  `json:"wall_ns"`
 }
 
 // SolverCounters is the work profile of one GIVE-N-TAKE solve,
@@ -187,11 +187,9 @@ func (r *Report) WriteText(w io.Writer) error {
 	if len(r.Phases) > 0 {
 		fmt.Fprintln(w, "\nphases:")
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "  phase\twall\tallocs\tbytes")
+		fmt.Fprintln(tw, "  phase\tstart\twall")
 		for _, p := range r.Phases {
-			indent := strings.Repeat("  ", p.Depth)
-			fmt.Fprintf(tw, "  %s%s\t%s\t%d\t%d\n",
-				indent, p.Name, fmtNS(p.WallNS), p.AllocObjects, p.AllocBytes)
+			fmt.Fprintf(tw, "  %s\t+%s\t%s\n", p.Name, fmtNS(p.StartNS), fmtNS(p.WallNS))
 		}
 		if err := tw.Flush(); err != nil {
 			return err

@@ -207,14 +207,16 @@ func isolate[T any](f func() (T, error)) (v T, err error) {
 // the client aborts everything, while deadline exhaustion falls through
 // to the detached atomic floor.
 func (s *Server) ladder(ctx context.Context, prog *ir.Program, req *Request, resp *Response) {
-	// One recorder per request, teed with the process-wide telemetry
-	// bridge: the same span feeds this response's phase report and the
-	// gnt_stage_duration_seconds histogram on /metrics.
-	rec := obs.NewRecorder(obs.Config{})
-	col := obs.Tee(rec, s.inst.bridge)
+	// One recorder per request is the only collector the engine sees.
+	// When the request ends its closed spans become, from one snapshot,
+	// this response's phases, the trace ring's spans and one observation
+	// each in the gnt_stage_duration_seconds histogram on /metrics.
+	rec := obs.NewRecorder()
 	defer func() {
-		resp.Phases = rec.Phases()
-		carrierFrom(ctx).setSpans(rec.Spans())
+		phases := rec.Phases()
+		resp.Phases = phases
+		s.inst.bridge.ObservePhases(phases)
+		carrierFrom(ctx).setSpans(phases)
 	}()
 
 	chaos := req.Chaos
@@ -266,7 +268,7 @@ func (s *Server) ladder(ctx context.Context, prog *ir.Program, req *Request, res
 				}
 			}
 			return s.engine.Analyze(ctx, engine.Job{
-				Prog: prog, Opts: r.opts, Collector: col, PostSolve: post,
+				Prog: prog, Opts: r.opts, Collector: rec, PostSolve: post,
 			})
 		})
 		att.DurationMS = msSince(start)
@@ -291,7 +293,7 @@ func (s *Server) ladder(ctx context.Context, prog *ir.Program, req *Request, res
 		}
 		att.Outcome = "ok"
 		s.noteAttempt(resp, att)
-		s.finish(ctx, a, comm.DefaultOptions, r.rung, req, resp, res, col)
+		s.finish(ctx, a, comm.DefaultOptions, r.rung, req, resp, res, rec)
 		eres.Release()
 		return
 	}
@@ -306,7 +308,7 @@ func (s *Server) ladder(ctx context.Context, prog *ir.Program, req *Request, res
 		if chaos != nil && chaos.PanicRung == att.Name {
 			panic(fmt.Sprintf("chaos: injected panic at rung %q", att.Name))
 		}
-		return comm.AtomicFallback(prog, col)
+		return comm.AtomicFallback(prog, rec)
 	})
 	if err != nil {
 		// only reachable by injected chaos or an unparseable-but-checked
@@ -318,13 +320,13 @@ func (s *Server) ladder(ctx context.Context, prog *ir.Program, req *Request, res
 		resp.Error, resp.Code = err.Error(), "ladder-exhausted"
 		return
 	}
-	res, err := a.CheckPlacementCtx(context.Background(), col)
+	res, err := a.CheckPlacementCtx(context.Background(), rec)
 	att.DurationMS = msSince(start)
 	if err == nil && res.Ok() {
 		att.Outcome = "ok"
 		att.CheckErrs, att.CheckWarns = len(res.Errors()), len(res.Warnings())
 		s.noteAttempt(resp, att)
-		s.finish(ctx, a, comm.Options{Reads: true, Writes: true}, RungAtomic, req, resp, res, col)
+		s.finish(ctx, a, comm.Options{Reads: true, Writes: true}, RungAtomic, req, resp, res, rec)
 		return
 	}
 	att.Outcome = "check-failed"

@@ -116,7 +116,7 @@ type traceCarrier struct {
 	rung     string
 	code     string
 	attempts []telemetry.TraceAttempt
-	spans    []telemetry.TraceSpan
+	spans    []obs.PhaseStats
 }
 
 type carrierKey struct{}
@@ -126,25 +126,14 @@ func carrierFrom(ctx context.Context) *traceCarrier {
 	return c
 }
 
-// setSpans records the per-stage spans of the analysis that computed
-// this request (cache hits have none: no stage ran). Nil-safe.
-func (c *traceCarrier) setSpans(spans []obs.Span) {
+// setSpans records the closed stage spans of the analysis that
+// computed this request (cache hits have none: no stage ran). Nil-safe.
+func (c *traceCarrier) setSpans(spans []obs.PhaseStats) {
 	if c == nil {
 		return
 	}
-	out := make([]telemetry.TraceSpan, 0, len(spans))
-	for _, sp := range spans {
-		if sp.Dur < 0 {
-			continue // span never closed; don't report a bogus duration
-		}
-		out = append(out, telemetry.TraceSpan{
-			Name:   sp.Name,
-			Depth:  sp.Depth,
-			WallMS: float64(sp.Dur.Microseconds()) / 1000,
-		})
-	}
 	c.mu.Lock()
-	c.spans = out
+	c.spans = spans
 	c.mu.Unlock()
 }
 
@@ -159,7 +148,7 @@ func (c *traceCarrier) setMeta(rung, code string, attempts []telemetry.TraceAtte
 	c.mu.Unlock()
 }
 
-func (c *traceCarrier) snapshot() (rung, code string, attempts []telemetry.TraceAttempt, spans []telemetry.TraceSpan) {
+func (c *traceCarrier) snapshot() (rung, code string, attempts []telemetry.TraceAttempt, spans []obs.PhaseStats) {
 	if c == nil {
 		return "", "", nil, nil
 	}

@@ -140,6 +140,20 @@ func TestMetricsAndHealthzServedWhileWarming(t *testing.T) {
 // findTrace polls /debug/requests until the trace with the given ID is
 // retained (the middleware records after the response is written, so
 // the client can win that race).
+// stageCounts maps each stage label of the stage-latency histogram to
+// its observation count.
+func stageCounts(fams telemetry.Families) map[string]float64 {
+	out := map[string]float64{}
+	if f := fams[obs.MetricStageDuration]; f != nil {
+		for _, smp := range f.Samples {
+			if strings.HasSuffix(smp.Name, "_count") {
+				out[smp.Labels["stage"]] += smp.Value
+			}
+		}
+	}
+	return out
+}
+
 func findTrace(t *testing.T, url, id string) telemetry.RequestTrace {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -265,10 +279,26 @@ func TestEndToEndTraceReconstruction(t *testing.T) {
 	if attDelta != 1 {
 		t.Errorf("ladder_attempts{full,ok} delta = %v, want 1", attDelta)
 	}
-	stageDelta := after.Sum(obs.MetricStageDuration+"_count", map[string]string{"stage": obs.SpanCFGBuild}) -
-		before.Sum(obs.MetricStageDuration+"_count", map[string]string{"stage": obs.SpanCFGBuild})
-	if stageDelta < 1 {
-		t.Errorf("stage_duration{cfg-build} count delta = %v, want >= 1", stageDelta)
+	// Each of the request's spans is observed exactly once: per stage,
+	// the histogram's count moved by the number of that stage's spans
+	// in the request's trace, and no other stage moved.
+	inTrace := map[string]float64{}
+	for k, sp := range tr.Spans {
+		inTrace[sp.Name]++
+		if k > 0 && sp.StartNS < tr.Spans[k-1].StartNS {
+			t.Errorf("trace spans out of start order: %+v", tr.Spans)
+		}
+	}
+	beforeCounts, afterCounts := stageCounts(before), stageCounts(after)
+	for stage := range afterCounts {
+		if _, ok := inTrace[stage]; !ok {
+			inTrace[stage] = 0
+		}
+	}
+	for stage, want := range inTrace {
+		if d := afterCounts[stage] - beforeCounts[stage]; d != want {
+			t.Errorf("stage_duration{%s} count delta = %v, want %v (its spans in the trace)", stage, d, want)
+		}
 	}
 	if v := after.Sum(obs.MetricCacheEvents, map[string]string{"event": "miss"}); v < 1 {
 		t.Errorf("cache miss counter = %v, want >= 1", v)

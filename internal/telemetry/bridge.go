@@ -6,14 +6,12 @@ import (
 	"givetake/internal/obs"
 )
 
-// Bridge folds the pipeline's obs spans into the metrics registry: it
-// implements obs.Collector, turning every span into an observation on
-// the per-stage latency histogram
-// (gnt_stage_duration_seconds{stage=<span name>}). One Bridge serves
-// the whole process; hand it to the engine's jobs and the journal
-// directly, and Tee it with each request's private recorder so
-// per-request reports and process-wide time series come from the same
-// spans.
+// Bridge feeds the per-stage latency histogram
+// (gnt_stage_duration_seconds{stage=<span name>}), one observation per
+// closed span. Span sources with no per-request recorder (the journal,
+// gntbench's sweeps) use it as their obs.Collector; the serving layer
+// records each request's spans in that request's obs.Recorder and
+// hands the finished rows to ObservePhases instead.
 type Bridge struct {
 	stages Histogram // by (stage)
 }
@@ -31,5 +29,13 @@ func (b *Bridge) BeginSpan(name string, kv ...any) obs.EndFunc {
 	start := time.Now()
 	return func(kv ...any) {
 		b.stages.Observe(time.Since(start).Seconds(), name)
+	}
+}
+
+// ObservePhases lands each closed span of a finished recording in the
+// stage histogram.
+func (b *Bridge) ObservePhases(phases []obs.PhaseStats) {
+	for _, p := range phases {
+		b.stages.Observe(time.Duration(p.WallNS).Seconds(), p.Name)
 	}
 }

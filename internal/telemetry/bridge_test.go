@@ -37,27 +37,27 @@ func TestBridgeSpansLandInStageHistogram(t *testing.T) {
 	}
 }
 
-func TestTeeFansOutToBridgeAndRecorder(t *testing.T) {
+// TestObservePhasesCountsEachSpanOnce: a finished recording handed to
+// ObservePhases lands one histogram observation per closed span, under
+// the span's name; a still-open span is not observed.
+func TestObservePhasesCountsEachSpanOnce(t *testing.T) {
 	reg := NewRegistry()
 	br := NewBridge(reg)
-	rec := obs.NewRecorder(obs.Config{})
-	col := obs.Tee(rec, br)
+	rec := obs.NewRecorder()
 
-	obs.Begin(col, obs.SpanSolveRead)()
+	obs.Begin(rec, obs.SpanSolveRead)()
+	obs.Begin(rec, obs.SpanSolveRead)()
+	obs.Begin(rec, obs.SpanCheck)()
+	obs.Begin(rec, obs.SpanCFGBuild) // never closed
+	br.ObservePhases(rec.Phases())
 
-	// Recorder branch saw the span.
-	found := false
-	for _, s := range rec.Spans() {
-		if s.Name == obs.SpanSolveRead {
-			found = true
+	fams := scrape(t, reg)
+	for stage, want := range map[string]float64{obs.SpanSolveRead: 2, obs.SpanCheck: 1} {
+		if v, ok := fams.Value(obs.MetricStageDuration+"_count", map[string]string{"stage": stage}); !ok || v != want {
+			t.Errorf("stage %q count = %v, %v; want %v", stage, v, ok, want)
 		}
 	}
-	if !found {
-		t.Error("recorder branch of Tee missed the span")
-	}
-	// Bridge branch fed the histogram.
-	fams := scrape(t, reg)
-	if v, ok := fams.Value(obs.MetricStageDuration+"_count", map[string]string{"stage": obs.SpanSolveRead}); !ok || v != 1 {
-		t.Errorf("bridge branch stage count = %v, %v; want 1", v, ok)
+	if v := fams.Sum(obs.MetricStageDuration+"_count", map[string]string{"stage": obs.SpanCFGBuild}); v != 0 {
+		t.Errorf("open span observed: cfg-build count = %v", v)
 	}
 }

@@ -8,9 +8,14 @@
 // records what happened *inside one request* (phase spans, solver
 // counters) for a single report or Chrome trace, while telemetry
 // aggregates *across requests* into scrapeable time series. Bridge
-// connects the two — it implements obs.Collector and folds every span
-// into a per-stage latency histogram, so the pipeline's existing spans
-// feed /metrics without a second set of hooks. Event counts are not
+// connects the two: it folds each closed span into a per-stage latency
+// histogram, so the pipeline's existing spans feed /metrics without a
+// second set of hooks. A served request's spans are recorded once, in
+// that request's obs.Recorder, whose phase rows become the /analyze
+// response's phases, the /debug/requests trace spans and, through
+// Bridge.ObservePhases, the histogram. Span sources with no request
+// (the journal, gntbench's sweeps) use the Bridge directly as their
+// obs.Collector. Event counts are not
 // pushed anywhere: a component that already counts an event (the
 // engine's cache and pipeline stats, the journal's stats) registers a
 // CounterFunc or CounterSeriesFunc that reads its count at scrape

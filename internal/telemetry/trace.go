@@ -12,6 +12,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"givetake/internal/obs"
 )
 
 // TraceHeader is the HTTP header carrying one request's trace ID. A
@@ -67,13 +69,6 @@ type TraceAttempt struct {
 	DurationMS float64 `json:"duration_ms"`
 }
 
-// TraceSpan is one pipeline-stage span inside a request trace.
-type TraceSpan struct {
-	Name   string  `json:"name"`
-	Depth  int     `json:"depth"`
-	WallMS float64 `json:"wall_ms"`
-}
-
 // RequestTrace is one complete served request, as kept in the trace
 // ring and rendered at /debug/requests.
 type RequestTrace struct {
@@ -87,7 +82,10 @@ type RequestTrace struct {
 	Rung       string         `json:"rung,omitempty"`
 	Code       string         `json:"code,omitempty"`
 	Attempts   []TraceAttempt `json:"attempts,omitempty"`
-	Spans      []TraceSpan    `json:"spans,omitempty"`
+	// Spans are the closed stage spans of the analysis that computed
+	// the response, in start order; the same rows as the /analyze
+	// response's phases.
+	Spans []obs.PhaseStats `json:"spans,omitempty"`
 }
 
 // DefaultTraceRing is the ring capacity when a TraceRing is created
@@ -226,7 +224,7 @@ func writeTraceText(w io.Writer, t RequestTrace) {
 		fmt.Fprintln(w)
 	}
 	for _, s := range t.Spans {
-		fmt.Fprintf(w, "  span %*s%-20s %.3fms\n", s.Depth*2, "", s.Name, s.WallMS)
+		fmt.Fprintf(w, "  span %-20s +%.3fms %.3fms\n", s.Name, float64(s.StartNS)/1e6, float64(s.WallNS)/1e6)
 	}
 	fmt.Fprintln(w)
 }

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"givetake/internal/obs"
 )
 
 func TestTraceIDGenerationAndValidation(t *testing.T) {
@@ -64,7 +66,7 @@ func TestTraceRingHandlerFormats(t *testing.T) {
 		ID: "abc123", Route: "/analyze", Method: "POST", Start: time.Now(),
 		DurationMS: 1.5, Status: 200, Cache: "miss", Rung: "full",
 		Attempts: []TraceAttempt{{Rung: "full", Outcome: "ok", DurationMS: 1.2}},
-		Spans:    []TraceSpan{{Name: "cfg-build", WallMS: 0.3}},
+		Spans:    []obs.PhaseStats{{Name: "cfg-build", StartNS: 100000, WallNS: 300000}},
 	})
 	r.Add(RequestTrace{ID: "zzz", Route: "/analyze", Method: "POST", Status: 499})
 	srv := httptest.NewServer(r.Handler())
@@ -81,7 +83,7 @@ func TestTraceRingHandlerFormats(t *testing.T) {
 	buf.ReadFrom(resp.Body)
 	resp.Body.Close()
 	text := buf.String()
-	for _, want := range []string{"trace=abc123", "rung=full", "attempt full", "span cfg-build"} {
+	for _, want := range []string{"trace=abc123", "rung=full", "attempt full", "span cfg-build", "+0.100ms 0.300ms"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("text output missing %q:\n%s", want, text)
 		}
@@ -107,6 +109,9 @@ func TestTraceRingHandlerFormats(t *testing.T) {
 	}
 	if len(out.Traces[0].Attempts) != 1 || out.Traces[0].Attempts[0].Outcome != "ok" {
 		t.Errorf("attempts did not survive JSON: %+v", out.Traces[0].Attempts)
+	}
+	if sp := out.Traces[0].Spans; len(sp) != 1 || sp[0] != (obs.PhaseStats{Name: "cfg-build", StartNS: 100000, WallNS: 300000}) {
+		t.Errorf("spans did not survive JSON: %+v", sp)
 	}
 }
 

@@ -82,7 +82,7 @@ func TestCorpusRecorderTrace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec := gt.NewRecorder(gt.ObsConfig{})
+			rec := gt.NewRecorder()
 			if _, err := gt.GenerateCommCtx(context.Background(), prog, rec); err != nil {
 				t.Fatal(err)
 			}

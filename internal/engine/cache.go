@@ -245,6 +245,12 @@ func (e *Engine) Do(ctx context.Context, key string, compute func(context.Contex
 			e.cache.noteFollower()
 			return fl.val, CacheFollow, fl.err
 		}
+		// a leader may have stored and retired its flight since the
+		// lookup above; it stores before it retires, so look again
+		if val, ok := e.cache.get(key); ok {
+			e.mu.Unlock()
+			return val, CacheHit, nil
+		}
 		fl := &flight{done: make(chan struct{})}
 		e.flights[key] = fl
 		e.mu.Unlock()
@@ -252,16 +258,17 @@ func (e *Engine) Do(ctx context.Context, key string, compute func(context.Contex
 		val, cacheable, err := compute(ctx)
 		fl.val, fl.err = val, err
 
+		storable := err == nil && cacheable
+		// the miss and its store commit under one cache lock, so a
+		// concurrent stats snapshot can never see the entry without
+		// its miss (the old two-step update could); the store lands
+		// before the flight is retired, so an arrival that finds no
+		// flight finds the entry instead of computing again
+		e.cache.storeMiss(key, val, storable)
 		e.mu.Lock()
 		delete(e.flights, key)
 		e.mu.Unlock()
 		close(fl.done)
-
-		storable := err == nil && cacheable
-		// the miss and its store commit under one cache lock, so a
-		// concurrent stats snapshot can never see the entry without
-		// its miss (the old two-step update could)
-		e.cache.storeMiss(key, val, storable)
 		if storable {
 			e.cfg.Journal.Append(journal.Record{Key: key, Status: val.Status, Body: val.Body})
 		}

@@ -21,9 +21,12 @@
 // serial sweep over cold parallel sweep (every program misses a fresh
 // engine's result cache and computes); a further cold and warm pass
 // (every program hits) on one engine feed the cache counters and the
-// telemetry block. -assert-speedup X fails the run when the median
-// speedup falls below X; CI uses it (with tolerance below 1.0) to catch
-// the parallel path regressing to slower than serial.
+// telemetry block. The cold pass must leave every gnt_pipeline_*
+// family in the strictly parsed exposition and every pipeline stage's
+// item count equal to the number of programs. -assert-speedup X fails
+// the run when the median speedup falls below X; CI uses it (with
+// tolerance below 1.0) to catch the parallel path regressing to slower
+// than serial.
 package main
 
 import (
@@ -75,7 +78,12 @@ import (
 // measured). The timing block's speedup became the median of
 // interleaved serial/parallel cold-sweep pairs, listed in
 // speedup_pairs.
-const Schema = "gnt-bench/v8"
+// v9 removed the pipeline block and the ratio gate on it: its
+// busiest-stage ratio counted the check stage's goroutine waits as
+// work, so it could not judge the pipeline's design. The parallel cold
+// sweep checks the pipeline's /metrics families and per-stage item
+// counts instead.
+const Schema = "gnt-bench/v9"
 
 // DefaultTimeout is the per-program wall-clock budget.
 const DefaultTimeout = 30 * time.Second
@@ -97,26 +105,6 @@ type artifact struct {
 	// snapshots and per-stage latency summaries from the same metrics
 	// registry gnt -mode serve exposes at /metrics.
 	Obs *obsBench `json:"obs,omitempty"`
-	// Pipeline is the stage-pipeline sweep: the corpus as one
-	// barrier-free batch, measured against the slowest stage's service
-	// rate.
-	Pipeline *pipelineBench `json:"pipeline,omitempty"`
-}
-
-// pipelineBench is the stage-pipeline block of the artifact. The sweep
-// streams Items programs through AnalyzeBatch; IdealWallMS is the
-// bottleneck bound — the largest per-stage busy-time-per-worker, i.e.
-// how long the slowest stage alone needs to service the batch — and
-// Ratio is IdealWallMS over the measured wall: 1.0 means throughput
-// exactly tracks the slowest stage's service rate, lower means barrier
-// or handoff overhead the pipeline design is supposed to avoid.
-type pipelineBench struct {
-	Items       int                 `json:"items"`
-	WallMS      float64             `json:"wall_ms"`
-	IdealWallMS float64             `json:"ideal_wall_ms"`
-	Ratio       float64             `json:"ratio"`
-	Shed        int64               `json:"shed"`
-	Stages      []engine.StageStats `json:"stages"`
 }
 
 // obsBench is the telemetry block of the artifact. The parallel
@@ -194,19 +182,18 @@ func main() {
 	timeout := flag.Duration("timeout", DefaultTimeout, "per-program wall-clock budget")
 	parallel := flag.Int("parallel", 0, "also sweep the corpus through the engine on N workers (0 = serial only)")
 	assertSpeedup := flag.Float64("assert-speedup", 0, "fail unless serial/parallel wall time >= this (0 = no assertion)")
-	assertPipeline := flag.Float64("assert-pipeline", 0, "fail unless pipeline throughput / slowest-stage service rate >= this (0 = no assertion)")
 	flag.Parse()
 	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "gntbench: no corpus directories given")
 		os.Exit(2)
 	}
-	if err := run(flag.Args(), *out, *timeout, *parallel, *assertSpeedup, *assertPipeline); err != nil {
+	if err := run(flag.Args(), *out, *timeout, *parallel, *assertSpeedup); err != nil {
 		fmt.Fprintln(os.Stderr, "gntbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(dirs []string, out string, timeout time.Duration, parallel int, assertSpeedup, assertPipeline float64) error {
+func run(dirs []string, out string, timeout time.Duration, parallel int, assertSpeedup float64) error {
 	files, err := collect(dirs)
 	if err != nil {
 		return err
@@ -248,15 +235,6 @@ func run(dirs []string, out string, timeout time.Duration, parallel int, assertS
 			return err
 		}
 		art.Journal = jb
-		pb, err := benchPipeline(files, parallel, timeout)
-		if err != nil {
-			return err
-		}
-		art.Pipeline = pb
-		if assertPipeline > 0 && pb.Ratio < assertPipeline {
-			return fmt.Errorf("pipeline sweep off the bottleneck bound: ratio %.2f < required %.2f (wall %.1fms, ideal %.1fms)",
-				pb.Ratio, assertPipeline, pb.WallMS, pb.IdealWallMS)
-		}
 	}
 	b, err := json.MarshalIndent(art, "", "  ")
 	if err != nil {
@@ -397,7 +375,10 @@ func bench(ctx context.Context, file string) (*obs.Report, error) {
 // fan-out bounded by the worker count), then a warm pass where every
 // program is served stored bytes. Any per-program failure fails the
 // sweep — the serial pass already proved the corpus analyzes, so a
-// parallel-only failure is an engine bug, not a corpus problem.
+// parallel-only failure is an engine bug, not a corpus problem. So does
+// a pipeline that lost count: only the cold pass enters the stage
+// pipeline, so each stage must have serviced exactly one item per
+// program, and every gnt_pipeline_* family must be on /metrics.
 //
 // A background scraper renders and strictly parses the exposition
 // throughout both sweeps; the final scrape becomes the artifact's obs
@@ -435,6 +416,9 @@ func benchParallel(files []string, workers int, timeout time.Duration) (time.Dur
 		return 0, nil, nil, fmt.Errorf("final telemetry scrape: %w", err)
 	}
 	ob := buildObsBench(fams, scrapes+1)
+	if err := checkPipeline(e, fams, len(files)); err != nil {
+		return 0, nil, nil, err
+	}
 
 	cs := e.Stats().Cache
 	if cs.Hits != int64(len(files)) || cs.Misses != int64(len(files)) {
@@ -446,6 +430,22 @@ func benchParallel(files []string, workers int, timeout time.Duration) (time.Dur
 			hits, cs.Hits)
 	}
 	return warmWall, &cs, ob, nil
+}
+
+// checkPipeline verifies e's stage pipeline serviced n programs in
+// every stage and that fams carries every gnt_pipeline_* family.
+func checkPipeline(e *engine.Engine, fams telemetry.Families, n int) error {
+	for _, name := range obs.Metrics() {
+		if strings.HasPrefix(name, "gnt_pipeline_") && fams[name] == nil {
+			return fmt.Errorf("pipeline family %s missing from exposition", name)
+		}
+	}
+	for _, st := range e.PipelineStats() {
+		if st.Items != int64(n) {
+			return fmt.Errorf("stage %s serviced %d items, want %d", st.Stage, st.Items, n)
+		}
+	}
+	return nil
 }
 
 // benchSpeedup measures serial over parallel cold-sweep wall time as
@@ -704,93 +704,4 @@ func benchJournal(files []string, workers int, timeout time.Duration) (*journalB
 		jb.RestartSpeedup = float64(coldWall) / float64(warmWall)
 	}
 	return jb, nil
-}
-
-// benchPipeline streams the corpus (repeated to amortize pipeline
-// ramp-up) through the engine's stage pipeline as one barrier-free
-// batch and measures corpus throughput against the slowest stage's
-// service rate. The span bridge and the engine's /metrics families are
-// attached and strictly scraped throughout, and the sweep fails if any
-// gnt_pipeline_* family is missing from the final exposition or the
-// per-stage item counters disagree with the batch size.
-func benchPipeline(files []string, workers int, timeout time.Duration) (*pipelineBench, error) {
-	sources, err := readSources(files)
-	if err != nil {
-		return nil, err
-	}
-	rounds := 216 / len(files)
-	if rounds < 1 {
-		rounds = 1
-	}
-	items := make([]engine.BatchItem, 0, rounds*len(files))
-	for r := 0; r < rounds; r++ {
-		for _, src := range sources {
-			items = append(items, engine.BatchItem{Source: src})
-		}
-	}
-
-	reg := telemetry.NewRegistry()
-	bridge := telemetry.NewBridge(reg)
-	e := engine.New(engine.Config{Workers: workers})
-	defer e.Close()
-	e.RegisterMetrics(reg)
-
-	ctx, cancel := context.WithTimeout(context.Background(), timeout*time.Duration(len(files)))
-	defer cancel()
-
-	stopScrape := scrapeLoop(reg)
-	start := time.Now()
-	out := e.AnalyzeBatch(ctx, items, bridge)
-	wall := time.Since(start)
-	_, scrapeErr := stopScrape()
-	for i, r := range out {
-		if r.Err != nil {
-			return nil, fmt.Errorf("pipeline sweep item %d (%s): %w", i, files[i%len(files)], r.Err)
-		}
-		if !r.Res.Check.Ok() {
-			r.Res.Release()
-			return nil, fmt.Errorf("pipeline sweep item %d (%s): verification failed", i, files[i%len(files)])
-		}
-		r.Res.Release()
-	}
-	if scrapeErr != nil {
-		return nil, fmt.Errorf("mid-sweep telemetry scrape: %w", scrapeErr)
-	}
-	fams, err := scrapeRegistry(reg)
-	if err != nil {
-		return nil, fmt.Errorf("final telemetry scrape: %w", err)
-	}
-	for _, name := range []string{
-		obs.MetricPipelineItems, obs.MetricPipelineShed,
-		obs.MetricPipelineQueueDepth, obs.MetricPipelineOccupancy,
-		obs.MetricPipelineWorkers,
-	} {
-		if fams[name] == nil {
-			return nil, fmt.Errorf("pipeline family %s missing from exposition", name)
-		}
-	}
-
-	stages := e.PipelineStats()
-	if got, want := fams.Sum(obs.MetricPipelineItems, nil), float64(len(items)*len(stages)); got != want {
-		return nil, fmt.Errorf("%s sums to %v, want %v (items x stages)",
-			obs.MetricPipelineItems, got, want)
-	}
-	pb := &pipelineBench{
-		Items:  len(items),
-		WallMS: float64(wall.Microseconds()) / 1000,
-		Shed:   e.PipelineShed(),
-		Stages: stages,
-	}
-	for _, st := range stages {
-		if st.Items != int64(len(items)) {
-			return nil, fmt.Errorf("stage %s serviced %d items, want %d", st.Stage, st.Items, len(items))
-		}
-		if per := st.BusyMS / float64(st.Workers); per > pb.IdealWallMS {
-			pb.IdealWallMS = per
-		}
-	}
-	if pb.WallMS > 0 {
-		pb.Ratio = pb.IdealWallMS / pb.WallMS
-	}
-	return pb, nil
 }

@@ -8,11 +8,14 @@ import (
 	"testing"
 
 	"givetake/internal/check"
+	"givetake/internal/engine"
+	"givetake/internal/obs"
+	"givetake/internal/telemetry"
 )
 
 func TestBenchArtifact(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "bench.json")
-	if err := run([]string{"../../testdata"}, out, DefaultTimeout, 0, 0, 0); err != nil {
+	if err := run([]string{"../../testdata"}, out, DefaultTimeout, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(out)
@@ -86,7 +89,7 @@ func TestBenchArtifact(t *testing.T) {
 // proving the warm pass was served entirely from cache.
 func TestBenchParallelSweep(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "bench.json")
-	if err := run([]string{"../../testdata"}, out, DefaultTimeout, 4, 0, 0); err != nil {
+	if err := run([]string{"../../testdata"}, out, DefaultTimeout, 4, 0); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(out)
@@ -113,27 +116,43 @@ func TestBenchParallelSweep(t *testing.T) {
 	if got := art.Cache.HitRate(); got != 0.5 {
 		t.Fatalf("hit rate = %v, want 0.5 after one cold and one warm sweep", got)
 	}
-	if art.Pipeline == nil {
-		t.Fatal("parallel run must emit the pipeline section")
-	}
-	if art.Pipeline.Items < len(art.Corpus) || art.Pipeline.WallMS <= 0 ||
-		art.Pipeline.IdealWallMS <= 0 || art.Pipeline.Ratio <= 0 || art.Pipeline.Ratio > 1.001 {
-		t.Fatalf("pipeline block incomplete: %+v", art.Pipeline)
-	}
-	if len(art.Pipeline.Stages) != 6 {
-		t.Fatalf("pipeline block has %d stages, want 6", len(art.Pipeline.Stages))
+	// v9: the pipeline block is gone; the cold sweep checks the
+	// pipeline's families and item counts instead
+	if strings.Contains(string(b), `"pipeline"`) {
+		t.Error("artifact still carries the pipeline block")
 	}
 	// an impossible bar must fail the run
-	if err := run([]string{"../../testdata"}, out, DefaultTimeout, 4, 1e9, 0); err == nil {
+	if err := run([]string{"../../testdata"}, out, DefaultTimeout, 4, 1e9); err == nil {
 		t.Fatal("-assert-speedup 1e9 should fail")
 	}
-	if err := run([]string{"../../testdata"}, out, DefaultTimeout, 4, 0, 1.01); err == nil {
-		t.Fatal("-assert-pipeline above 1 should fail")
+}
+
+// TestCheckPipeline: the cold sweep's pipeline check fails on a stage
+// item count that is not the program count, and on an exposition
+// missing a gnt_pipeline_* family.
+func TestCheckPipeline(t *testing.T) {
+	e := engine.New(engine.Config{Workers: 1})
+	defer e.Close()
+	reg := telemetry.NewRegistry()
+	e.RegisterMetrics(reg)
+	fams, err := scrapeRegistry(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkPipeline(e, fams, 0); err != nil {
+		t.Fatalf("idle engine, zero programs: %v", err)
+	}
+	if err := checkPipeline(e, fams, 1); err == nil {
+		t.Error("stages that serviced 0 of 1 programs should fail")
+	}
+	delete(fams, obs.MetricPipelineOccupancy)
+	if err := checkPipeline(e, fams, 0); err == nil {
+		t.Error("a missing gnt_pipeline_* family should fail")
 	}
 }
 
 func TestBenchNoCorpus(t *testing.T) {
-	if err := run([]string{t.TempDir()}, filepath.Join(t.TempDir(), "x.json"), DefaultTimeout, 0, 0, 0); err == nil {
+	if err := run([]string{t.TempDir()}, filepath.Join(t.TempDir(), "x.json"), DefaultTimeout, 0, 0); err == nil {
 		t.Fatal("empty corpus should error")
 	}
 }
@@ -149,7 +168,7 @@ func TestBenchTimeoutRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := filepath.Join(t.TempDir(), "bench.json")
-	err := run([]string{dir}, out, 1, 0, 0, 0)
+	err := run([]string{dir}, out, 1, 0, 0)
 	if err == nil {
 		t.Fatal("timed-out corpus should make run return an error")
 	}

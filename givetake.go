@@ -292,7 +292,7 @@ func AtomicFallbackComm(p *Program, col Collector) (*CommGen, error) {
 // independent READ and WRITE halves of each request solve in parallel
 // on arena-backed bit-vector slabs, repeated requests are served from a
 // content-addressed LRU result cache with single-flight deduplication,
-// and batches stream through the pipeline stage-wise.
+// and concurrent analyses overlap stage-wise.
 type Engine = engine.Engine
 
 // EngineConfig parameterizes an Engine: worker count (which sizes the
@@ -310,13 +310,6 @@ type EngineJob = engine.Job
 // EngineResult is one completed engine analysis; its solutions alias
 // leased arena memory — call Release after rendering.
 type EngineResult = engine.Result
-
-// BatchItem and BatchResult are the inputs and ordered outcomes of
-// Engine.AnalyzeBatch.
-type (
-	BatchItem   = engine.BatchItem
-	BatchResult = engine.BatchResult
-)
 
 // NewEngine builds an engine and starts its stage pipeline.
 func NewEngine(cfg EngineConfig) *Engine { return engine.New(cfg) }

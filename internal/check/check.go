@@ -299,9 +299,10 @@ func VerifyAll(problems ...*Problem) *Result {
 }
 
 // VerifyAllCtx verifies several problems under one context and merges
-// their results; the first cancellation aborts the remainder.
+// their results into one sorted Result; the first cancellation aborts
+// the remainder.
 func VerifyAllCtx(ctx context.Context, problems ...*Problem) (*Result, error) {
-	results := make([]*Result, 0, len(problems))
+	out := &Result{Stats: map[string]Stats{}}
 	for _, p := range problems {
 		if p == nil {
 			continue
@@ -310,25 +311,11 @@ func VerifyAllCtx(ctx context.Context, problems ...*Problem) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		results = append(results, r)
-	}
-	return Merge(results...), nil
-}
-
-// Merge combines per-problem results into one sorted Result. It is the
-// join point for callers that verified the problems as independent
-// concurrent tasks.
-func Merge(results ...*Result) *Result {
-	out := &Result{Stats: map[string]Stats{}}
-	for _, r := range results {
-		if r == nil {
-			continue
-		}
 		out.Diagnostics = append(out.Diagnostics, r.Diagnostics...)
 		for k, s := range r.Stats {
 			out.Stats[k] = s
 		}
 	}
 	out.Sort()
-	return out
+	return out, nil
 }

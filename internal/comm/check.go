@@ -58,7 +58,7 @@ func (a *Analysis) CheckPlacementCtx(ctx context.Context, col obs.Collector) (*c
 		end()
 		return nil, err
 	}
-	res.Diagnostics = append(res.Diagnostics, a.Lints(probs)...)
+	res.Diagnostics = append(res.Diagnostics, a.lints(probs)...)
 	res.Sort()
 	contexts, iterations := 0, 0
 	for _, s := range res.Stats {
@@ -70,11 +70,9 @@ func (a *Analysis) CheckPlacementCtx(ctx context.Context, col obs.Collector) (*c
 	return res, nil
 }
 
-// Lints runs the communication linter over the solved problems plus
-// the whole-program lints, without the static verify itself — callers
-// that schedule the per-problem verifications as concurrent tasks
-// (internal/engine) merge those results first and append these.
-func (a *Analysis) Lints(probs []*check.Problem) []check.Diagnostic {
+// lints runs the communication linter over the solved problems plus
+// the whole-program lints, without the static verify itself.
+func (a *Analysis) lints(probs []*check.Problem) []check.Diagnostic {
 	var out []check.Diagnostic
 	for _, p := range probs {
 		out = append(out, check.Lint(p)...)

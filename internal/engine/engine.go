@@ -1,15 +1,15 @@
 // Package engine is the concurrent analysis engine behind the serving
-// and batch paths. Every program travels one stage pipeline
-// (pipeline.go), whose stages follow the data dependences of the
-// analysis:
+// path. Every program travels one stage pipeline (pipeline.go), whose
+// stages follow the data dependences of the analysis:
 //
-//	parse → cfg-build → interval-reduce → section-universe ─┬─ solve READ  ─┬─ check
-//	                                                        └─ solve WRITE ─┘
+//	cfg-build → interval-reduce → section-universe ─┬─ solve READ  ─┬─ check
+//	                                                └─ solve WRITE ─┘
 //
 // READ runs on the forward graph and WRITE on the reversed one; the two
 // share no mutable state (comm.Analyze documents why), so the solve
-// stage runs them concurrently, and the check stage verifies the two
-// solved problems concurrently. Three mechanisms make the engine
+// stage runs them concurrently. The check stage runs the static
+// verifier once per program through comm.CheckPlacementCtx, the same
+// call every sequential caller makes. Three mechanisms make the engine
 // production-shaped:
 //
 //   - bounded stages with panic isolation: each stage has its own
@@ -23,10 +23,10 @@
 //     in bytes with LRU eviction, with single-flight deduplication so a
 //     thundering herd of identical requests costs one analysis;
 //
-//   - a batch path: AnalyzeBatch streams independent programs through
-//     the pipeline and Map fans bodies out with bounded concurrency, so
-//     corpus throughput scales with cores instead of being pinned to
-//     one sequential pipeline.
+//   - bounded fan-out: Map runs request bodies (serve's /batch items)
+//     with bounded concurrency, and concurrent Analyze calls overlap
+//     stage-wise, so corpus throughput scales with cores instead of
+//     being pinned to one sequential pipeline.
 package engine
 
 import (
@@ -52,7 +52,7 @@ const DefaultCacheBytes int64 = 32 << 20
 // Config parameterizes an Engine.
 type Config struct {
 	// Workers sizes the stage pipeline — the solve and check stages get
-	// Workers workers each, the four front-half stages Workers/2 (at
+	// Workers workers each, the three front-half stages Workers/2 (at
 	// least one), and every inter-stage queue holds max(4, 2*Workers)
 	// tasks — and bounds the fan-out of Map; zero means GOMAXPROCS.
 	Workers int
@@ -182,11 +182,9 @@ func (r *Result) Release() {
 }
 
 // Analyze runs one program through the stage pipeline and returns its
-// solved placements with their merged static verification. The merged
-// Check result is ordering-identical to the sequential
-// comm.CheckPlacementCtx (check.Merge sorts). The job enters at
-// cfg-build since the program is already parsed; concurrent Analyze
-// calls overlap stage-wise.
+// solved placements with their static verification, which the check
+// stage computes with comm.CheckPlacementCtx. Concurrent Analyze calls
+// overlap stage-wise.
 func (e *Engine) Analyze(ctx context.Context, job Job) (*Result, error) {
 	t := &pipeTask{
 		ctx:       ctx,
@@ -213,8 +211,8 @@ func (e *Engine) Analyze(ctx context.Context, job Job) (*Result, error) {
 // holding a semaphore slot), and Map returns after every launched body
 // has finished. The return value is how many bodies launched — indices
 // [launched, n) never ran, and the caller owns saying so in its
-// per-item results (AnalyzeBatch and serve's /batch record ctx.Err()
-// in the trailing slots).
+// per-item results (serve's /batch records ctx.Err() in the trailing
+// slots).
 func (e *Engine) Map(ctx context.Context, n int, f func(ctx context.Context, i int)) int {
 	sem := make(chan struct{}, e.cfg.Workers)
 	var wg sync.WaitGroup
@@ -237,60 +235,6 @@ func (e *Engine) Map(ctx context.Context, n int, f func(ctx context.Context, i i
 	}
 	wg.Wait()
 	return launched
-}
-
-// BatchItem is one program of a batch.
-type BatchItem struct {
-	Source string
-	Opts   comm.Opts
-}
-
-// BatchResult pairs one batch item with its outcome. Res carries leased
-// arenas; the caller must Release each non-nil Res.
-type BatchResult struct {
-	Res *Result
-	Err error
-}
-
-// AnalyzeBatch streams the items through the stage pipeline and
-// returns outcomes in item order. Items enter at the parse stage and
-// flow stage-wise with no barrier — item A can be solving while item B
-// is still in cfg-build — so corpus throughput tracks the slowest
-// stage's service rate instead of the slowest item's end-to-end chain.
-// Each item still gets the full analysis including static
-// verification; per-item failures land in their slot instead of
-// failing the batch. Cancellation sheds: items not yet submitted when
-// ctx dies never enter the pipeline (no parse runs for them) and their
-// slots carry ctx.Err(); items already in flight shed at their next
-// stage boundary with the same error.
-func (e *Engine) AnalyzeBatch(ctx context.Context, items []BatchItem, col obs.Collector) []BatchResult {
-	out := make([]BatchResult, len(items))
-	tasks := make([]*pipeTask, len(items))
-	submitted := 0
-	for i := range items {
-		t := &pipeTask{
-			ctx:  ctx,
-			col:  col,
-			src:  items[i].Source,
-			opts: items[i].Opts,
-			done: make(chan struct{}),
-		}
-		t.endAnalyze = obs.Begin(col, obs.SpanEngineAnalyze)
-		if !e.pipe.submit(stageParse, t) {
-			t.endAnalyze()
-			break
-		}
-		tasks[i] = t
-		submitted++
-	}
-	for i := 0; i < submitted; i++ {
-		<-tasks[i].done
-		out[i] = BatchResult{Res: tasks[i].res, Err: tasks[i].err}
-	}
-	for i := submitted; i < len(items); i++ {
-		out[i] = BatchResult{Err: ctx.Err()}
-	}
-	return out
 }
 
 // PoolStats is a point-in-time snapshot of the worker count, the stage

@@ -157,7 +157,7 @@ func TestPostSolvePanicPropagates(t *testing.T) {
 // *PanicError, not a process crash, the panic counter records it, and
 // the stage's only worker survives to run the next job.
 func TestPoolPanicBecomesError(t *testing.T) {
-	e := newEngine(Config{Workers: 1}, [numStages]int{1, 1, 1, 1, 1, 1}, 1)
+	e := newEngine(Config{Workers: 1}, [numStages]int{1, 1, 1, 1, 1}, 1)
 	defer e.Close()
 	var armed atomic.Bool
 	armed.Store(true)
@@ -186,37 +186,6 @@ func TestPoolPanicBecomesError(t *testing.T) {
 	res.Release()
 }
 
-// TestAnalyzeBatch analyzes the corpus as one batch and checks every
-// program verified, plus per-item error isolation for a bad program.
-func TestAnalyzeBatch(t *testing.T) {
-	e := New(Config{Workers: 4})
-	defer e.Close()
-	var items []BatchItem
-	for _, src := range corpusSources(t) {
-		items = append(items, BatchItem{Source: src})
-	}
-	bad := len(items)
-	items = append(items, BatchItem{Source: "do i = oops"})
-
-	out := e.AnalyzeBatch(context.Background(), items, nil)
-	for i, r := range out {
-		if i == bad {
-			if r.Err == nil {
-				t.Error("malformed batch item should carry its parse error")
-			}
-			continue
-		}
-		if r.Err != nil {
-			t.Errorf("item %d: %v", i, r.Err)
-			continue
-		}
-		if !r.Res.Check.Ok() {
-			t.Errorf("item %d failed verification: %v", i, r.Res.Check.Errors())
-		}
-		r.Res.Release()
-	}
-}
-
 // TestMapBoundsFanOut: Map never runs more than Workers bodies at once.
 func TestMapBoundsFanOut(t *testing.T) {
 	e := New(Config{Workers: 3})
@@ -236,21 +205,5 @@ func TestMapBoundsFanOut(t *testing.T) {
 	})
 	if peak > 3 {
 		t.Fatalf("fan-out peak %d exceeds worker bound 3", peak)
-	}
-}
-
-// TestAnalyzeCancellation: a canceled context aborts the scheduled
-// solves with the context error.
-func TestAnalyzeCancellation(t *testing.T) {
-	e := New(Config{Workers: 2})
-	defer e.Close()
-	prog, err := frontend.Parse(loopSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := e.Analyze(ctx, Job{Prog: prog}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }

@@ -103,7 +103,7 @@ func parseLoop(t *testing.T) *ir.Program {
 // in a stage queue. The serve counter golden covers the same families
 // end to end but cannot time a follower or a stage panic.
 func TestRegisterMetrics(t *testing.T) {
-	e := newEngine(Config{Workers: 1, CacheBytes: 200}, [numStages]int{1, 1, 1, 1, 1, 1}, 1)
+	e := newEngine(Config{Workers: 1, CacheBytes: 200}, [numStages]int{1, 1, 1, 1, 1}, 1)
 	defer e.Close()
 	reg := telemetry.NewRegistry()
 	e.RegisterMetrics(reg)
@@ -201,13 +201,10 @@ func TestRegisterMetrics(t *testing.T) {
 		{obs.MetricPoolWorkers, nil, 1},
 		{obs.MetricCacheEntries, nil, 1},
 		{obs.MetricCacheBytes, nil, 165},
-		{obs.MetricPipelineWorkers, stage(obs.SpanParse), 1},
-		{obs.MetricPipelineQueueDepth, stage(obs.SpanParse), 0},
+		{obs.MetricPipelineWorkers, stage(obs.SpanCFGBuild), 1},
+		{obs.MetricPipelineQueueDepth, stage(obs.SpanCFGBuild), 0},
 		{obs.MetricPipelineOccupancy, stage(obs.SpanCheck), 0},
 	})
-	if _, ok := fams.Value(obs.MetricPipelineItems, stage(obs.SpanParse)); ok {
-		t.Error("parse stage serviced nothing but its zero series was rendered")
-	}
 }
 
 // TestDisabledCacheStillCounts: with caching disabled the cache has

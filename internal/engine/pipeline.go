@@ -1,13 +1,14 @@
 // The stage pipeline, the engine's only scheduler: each program flows
-// through the pipeline's obs-named stages (parse → cfg-build →
-// interval-reduce → section-universe → solve → check) as an independent
-// task, stages connected by bounded queues, each stage served by its
-// own worker count. There is NO barrier between stages — program A can
-// be in the solve stage while program B is still in cfg-build — so
-// corpus throughput is set by the slowest stage's service rate, not by
-// the slowest program's end-to-end chain. The READ and WRITE solve
+// through the pipeline's obs-named stages (cfg-build → interval-reduce
+// → section-universe → solve → check) as an independent task, stages
+// connected by bounded queues, each stage served by its own worker
+// count. There is NO barrier between stages — program A can be in the
+// solve stage while program B is still in cfg-build — so corpus
+// throughput is set by the slowest stage's service rate, not by the
+// slowest program's end-to-end chain. The READ and WRITE solve
 // halves stay concurrent within a program (the solve stage runs them as
-// two goroutines).
+// two goroutines); the check stage verifies both on its worker, through
+// the same comm.CheckPlacementCtx every other caller uses.
 //
 // Backpressure is the bounded queues themselves: a stage that cannot
 // hand its task downstream blocks on the send (or sheds, if the task's
@@ -23,17 +24,14 @@ import (
 	"time"
 
 	"givetake/internal/bitset"
-	"givetake/internal/check"
 	"givetake/internal/comm"
-	"givetake/internal/frontend"
 	"givetake/internal/ir"
 	"givetake/internal/obs"
 )
 
 // Stage indices, in flow order.
 const (
-	stageParse = iota
-	stageCFG
+	stageCFG = iota
 	stageIntervals
 	stageUniverse
 	stageSolve
@@ -43,15 +41,14 @@ const (
 
 // stageWidths derives each stage's worker count from the engine's
 // Workers: the solve and check stages (the hot ones on real corpora)
-// get the full count each, the light front-half stages half each, all
-// floored at one. Oversubscription is deliberate: stage workers are
-// goroutines gated by GOMAXPROCS, and a stage blocked on backpressure
-// costs only a goroutine; starving the bottleneck stage, by contrast,
-// caps the whole pipeline's service rate.
+// get the full count each, the three light front-half stages half
+// each, all floored at one. Oversubscription is deliberate: stage
+// workers are goroutines gated by GOMAXPROCS, and a stage blocked on
+// backpressure costs only a goroutine; starving the bottleneck stage,
+// by contrast, caps the whole pipeline's service rate.
 func stageWidths(workers int) [numStages]int {
 	light, heavy := max(workers/2, 1), max(workers, 1)
 	return [numStages]int{
-		stageParse:     light,
 		stageCFG:       light,
 		stageIntervals: light,
 		stageUniverse:  light,
@@ -67,8 +64,7 @@ func stageWidths(workers int) [numStages]int {
 type pipeTask struct {
 	ctx  context.Context
 	col  obs.Collector
-	src  string      // parse-stage input (batch path)
-	prog *ir.Program // cfg-stage input (pre-parsed path)
+	prog *ir.Program
 	opts comm.Opts
 	// postSolve is Job.PostSolve, run by the solve stage.
 	postSolve func(*comm.Analysis)
@@ -93,7 +89,7 @@ type pstage struct {
 }
 
 // pipeline owns the stages. Created once per Engine in New; torn down
-// by Engine.Close, which closes the parse queue and lets the close
+// by Engine.Close, which closes the cfg-build queue and lets the close
 // cascade stage by stage as each one's workers drain and exit.
 type pipeline struct {
 	eng    *Engine
@@ -109,8 +105,8 @@ type pipeline struct {
 func newPipeline(e *Engine, widths [numStages]int, queue int) *pipeline {
 	p := &pipeline{eng: e}
 	names := [numStages]string{
-		obs.SpanParse, obs.SpanCFGBuild, obs.SpanIntervalReduce,
-		obs.SpanSectionUniverse, "solve", obs.SpanCheck,
+		obs.SpanCFGBuild, obs.SpanIntervalReduce, obs.SpanSectionUniverse,
+		"solve", obs.SpanCheck,
 	}
 	for i, name := range names {
 		p.stages[i] = &pstage{
@@ -217,22 +213,13 @@ func (p *pipeline) recoverTo(dst *error) {
 }
 
 // runStage executes stage idx's body on t, leaving the outcome in
-// t.err / t.res / t.prog.
+// t.err / t.res.
 func (p *pipeline) runStage(idx int, t *pipeTask) {
 	defer p.recoverTo(&t.err)
 	if p.delay != nil {
 		p.delay(p.stages[idx].name)
 	}
 	switch idx {
-	case stageParse:
-		end := obs.Begin(t.col, obs.SpanParse)
-		prog, err := frontend.Parse(t.src)
-		end()
-		if err != nil {
-			t.err = err
-			return
-		}
-		t.prog = prog
 	case stageCFG:
 		a, err := comm.StageCFG(t.ctx, t.prog, t.col)
 		if err != nil {
@@ -251,7 +238,7 @@ func (p *pipeline) runStage(idx int, t *pipeTask) {
 	case stageSolve:
 		p.runSolve(t)
 	case stageCheck:
-		p.runCheck(t)
+		t.res.Check, t.err = t.res.Analysis.CheckPlacementCtx(t.ctx, t.col)
 	}
 }
 
@@ -293,46 +280,12 @@ func (p *pipeline) runSolve(t *pipeTask) {
 	}
 }
 
-// runCheck statically verifies each solved problem concurrently and
-// merges the verdicts with the linter's findings, ordering-identical to
-// the sequential comm.CheckPlacementCtx.
-func (p *pipeline) runCheck(t *pipeTask) {
-	a := t.res.Analysis
-	vend := obs.Begin(t.col, obs.SpanEngineVerify)
-	probs := a.Problems()
-	partial := make([]*check.Result, len(probs))
-	errs := make([]error, len(probs))
-	var wg sync.WaitGroup
-	wg.Add(len(probs))
-	for i, pr := range probs {
-		i, pr := i, pr
-		go func() {
-			defer wg.Done()
-			defer p.recoverTo(&errs[i])
-			partial[i], errs[i] = check.VerifyCtx(t.ctx, pr)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			vend()
-			t.err = err
-			return
-		}
-	}
-	cr := check.Merge(partial...)
-	cr.Diagnostics = append(cr.Diagnostics, a.Lints(probs)...)
-	cr.Sort()
-	t.res.Check = cr
-	vend("errors", len(cr.Errors()), "warnings", len(cr.Warnings()))
-}
-
-// close begins teardown: no further submissions may race it. The parse
-// queue closes here; each stage's close cascades to the next as its
+// close begins teardown: no further submissions may race it. The
+// cfg-build queue closes here; each stage's close cascades to the next as its
 // workers drain and exit, and done.Wait returns once the check stage
 // has flushed.
 func (p *pipeline) close() {
-	close(p.stages[stageParse].in)
+	close(p.stages[stageCFG].in)
 	p.done.Wait()
 }
 
@@ -341,7 +294,8 @@ func (p *pipeline) close() {
 // gnt_pipeline_queue_depth and gnt_pipeline_occupancy gauges sample at
 // scrape time), items and busy time are cumulative throughput — their
 // ratio per worker is the stage's measured service rate, which is what
-// gntbench's pipeline sweep holds corpus throughput against.
+// the benchmark's pipeline.bottleneck_ratio holds the run's wall time
+// against.
 type StageStats struct {
 	Stage      string  `json:"stage"`
 	Workers    int     `json:"workers"`
@@ -366,7 +320,3 @@ func (e *Engine) PipelineStats() []StageStats {
 	}
 	return out
 }
-
-// PipelineShed reports how many tasks left the pipeline because their
-// context died in-flight.
-func (e *Engine) PipelineShed() int64 { return e.pipe.shed.Load() }

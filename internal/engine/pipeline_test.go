@@ -9,24 +9,26 @@ import (
 	"time"
 
 	"givetake/internal/frontend"
+	"givetake/internal/ir"
 	"givetake/internal/obs"
 )
 
-// gateCollector blocks the first parse span until released and counts
-// every parse span begun — the probe the cancellation tests use to pin
-// one item mid-stage and then prove no further parse ever starts.
+// gateCollector blocks the first cfg-build span until released and
+// counts every cfg-build span begun — the probe the cancellation test
+// uses to pin one job mid-stage and then prove no further cfg-build
+// ever starts.
 type gateCollector struct {
 	mu      sync.Mutex
-	parses  int
-	gate    chan struct{} // close to release the pinned parse
-	started chan struct{} // closed when the first parse begins
+	builds  int
+	gate    chan struct{} // close to release the pinned cfg-build
+	started chan struct{} // closed when the first cfg-build begins
 	once    sync.Once
 }
 
 func (c *gateCollector) BeginSpan(name string, kv ...any) obs.EndFunc {
-	if name == obs.SpanParse {
+	if name == obs.SpanCFGBuild {
 		c.mu.Lock()
-		c.parses++
+		c.builds++
 		c.mu.Unlock()
 		c.once.Do(func() { close(c.started) })
 		<-c.gate
@@ -34,10 +36,10 @@ func (c *gateCollector) BeginSpan(name string, kv ...any) obs.EndFunc {
 	return func(kv ...any) {}
 }
 
-func (c *gateCollector) parseCount() int {
+func (c *gateCollector) buildCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.parses
+	return c.builds
 }
 
 // TestMapCancelStopsLaunching is the regression test for Map ignoring
@@ -73,41 +75,66 @@ func TestMapCancelStopsLaunching(t *testing.T) {
 	}
 }
 
-// TestAnalyzeBatchCancelSheds is the batch-cancellation regression
-// test: cancel while the first item is pinned mid-parse, and (a) no
-// further parse ever starts — not for queued items, not for unsubmitted
-// ones — and (b) the trailing slots carry context.Canceled instead of
-// silently missing results.
-func TestAnalyzeBatchCancelSheds(t *testing.T) {
+// TestAnalyzeCancelShedsInFlight is the in-flight cancellation
+// regression test. The first of n jobs is pinned inside cfg-build (one
+// worker, queue of one), so one job waits in the queue and the rest
+// block on submission. After cancel: (a) no further cfg-build ever
+// starts, (b) every job returns context.Canceled, and (c) the pipeline
+// sheds exactly the jobs that entered it — the queued one when its
+// worker polls it, the pinned one at its next stage boundary — while
+// the jobs still waiting to submit never enter.
+func TestAnalyzeCancelShedsInFlight(t *testing.T) {
+	const n = 8
 	col := &gateCollector{gate: make(chan struct{}), started: make(chan struct{})}
 	widths := stageWidths(2)
-	widths[stageParse] = 1
+	widths[stageCFG] = 1
 	e := newEngine(Config{Workers: 2}, widths, 1)
 	defer e.Close()
 
-	items := make([]BatchItem, 8)
-	for i := range items {
-		items[i] = BatchItem{Source: loopSrc}
-	}
+	release := sync.OnceFunc(func() { close(col.gate) })
+	defer release() // before Close, which waits for the pinned job
+
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan []BatchResult, 1)
-	go func() { done <- e.AnalyzeBatch(ctx, items, col) }()
-
-	<-col.started // item 0 is pinned inside the parse stage
-	cancel()
-	close(col.gate)
-	out := <-done
-
-	if got := col.parseCount(); got != 1 {
-		t.Fatalf("%d parse spans ran, want only the one in flight at cancel", got)
+	defer cancel()
+	errs := make(chan error, n)
+	analyze := func(prog *ir.Program) {
+		res, err := e.Analyze(ctx, Job{Prog: prog, Collector: col})
+		res.Release()
+		errs <- err
 	}
-	for i, r := range out {
-		if r.Res != nil {
-			r.Res.Release()
+	go analyze(parseLoop(t))
+	<-col.started // job 0 is pinned inside the cfg-build stage
+	for i := 1; i < n; i++ {
+		go analyze(parseLoop(t))
+	}
+	for deadline := time.Now().Add(5 * time.Second); len(e.pipe.stages[stageCFG].in) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("no job queued behind the pinned one")
 		}
-		if !errors.Is(r.Err, context.Canceled) {
-			t.Errorf("item %d: err = %v, want context.Canceled", i, r.Err)
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	// the n-2 jobs outside the pipeline return while job 0 is still
+	// pinned, so none of them can slip into the queue after cancel
+	var got []error
+	for len(got) < n-2 {
+		got = append(got, <-errs)
+	}
+	release()
+	for len(got) < n {
+		got = append(got, <-errs)
+	}
+
+	if b := col.buildCount(); b != 1 {
+		t.Fatalf("%d cfg-build spans ran, want only the one in flight at cancel", b)
+	}
+	for i, err := range got {
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("job %d: err = %v, want context.Canceled", i, err)
 		}
+	}
+	if shed := e.Stats().PipelineShed; shed != 2 {
+		t.Errorf("pipeline shed %d jobs, want 2 (the queued one and the pinned one)", shed)
 	}
 }
 
@@ -135,10 +162,10 @@ func TestCanceledAnalyzeRunsNoSolves(t *testing.T) {
 
 // TestPipelineThroughputTracksSlowestStage makes one stage 10× slower
 // than the rest and checks the two properties the pipeline exists for:
-// batch wall time tracks the slowest stage's serial floor — NOT the sum
-// of all stages per item, which is what a barriered design would cost —
-// and the queue-depth gauge reports the backlog piling up in front of
-// the bottleneck.
+// the wall time of n concurrent Analyze calls tracks the slowest
+// stage's serial floor — NOT the sum of all stages per job, which is
+// what a barriered design would cost — and the queue-depth gauge
+// reports the backlog piling up in front of the bottleneck.
 func TestPipelineThroughputTracksSlowestStage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -148,7 +175,7 @@ func TestPipelineThroughputTracksSlowestStage(t *testing.T) {
 		fast = 2 * time.Millisecond
 		slow = 20 * time.Millisecond // 10× the others
 	)
-	e := newEngine(Config{Workers: 4}, [numStages]int{1, 1, 1, 1, 1, 1}, 4)
+	e := newEngine(Config{Workers: 4}, [numStages]int{1, 1, 1, 1, 1}, 4)
 	defer e.Close()
 	e.pipe.delay = func(stage string) {
 		if stage == "solve" {
@@ -174,22 +201,32 @@ func TestPipelineThroughputTracksSlowestStage(t *testing.T) {
 		}
 	}()
 
-	items := make([]BatchItem, n)
-	for i := range items {
-		items[i] = BatchItem{Source: loopSrc}
+	progs := make([]*ir.Program, n)
+	for i := range progs {
+		progs[i] = parseLoop(t)
 	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
 	start := time.Now()
-	out := e.AnalyzeBatch(context.Background(), items, nil)
+	for i := range progs {
+		go func() {
+			defer wg.Done()
+			var res *Result
+			res, errs[i] = e.Analyze(context.Background(), Job{Prog: progs[i]})
+			res.Release()
+		}()
+	}
+	wg.Wait()
 	wall := time.Since(start)
 	close(stop)
-	for i, r := range out {
-		if r.Err != nil {
-			t.Fatalf("item %d: %v", i, r.Err)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
 		}
-		r.Res.Release()
 	}
 
-	serial := n * (5*fast + slow) // what per-item stage barriers would cost
+	serial := n * (4*fast + slow) // what per-job stage barriers would cost
 	floor := n * slow             // the slow stage alone, serviced serially
 	if wall >= serial*9/10 {
 		t.Errorf("no pipelining: wall %v within 10%% of the barriered cost %v", wall, serial)

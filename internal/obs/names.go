@@ -39,14 +39,12 @@ const (
 // names, so every consumer of a Report or trace matches on one
 // vocabulary instead of scattered string literals.
 const (
-	// SpanEngineAnalyze wraps one engine-scheduled analysis: build →
-	// {solve-read ∥ solve-write} → {check ∥ check} → merge. Its interval
-	// contains the comm stage spans (cfg-build, solve-read, ...), and
-	// the concurrent READ and WRITE solve spans can overlap each other.
+	// SpanEngineAnalyze wraps one engine-scheduled analysis:
+	// cfg-build → interval-reduce → section-universe →
+	// {solve-read ∥ solve-write} → check. Its interval contains those
+	// comm stage spans, and the concurrent READ and WRITE solve spans
+	// can overlap each other.
 	SpanEngineAnalyze = "engine.analyze"
-	// SpanEngineVerify wraps the parallel static-verification stage of
-	// one engine-scheduled analysis.
-	SpanEngineVerify = "engine.verify"
 )
 
 // Canonical span names of the durable result journal (internal/journal)
@@ -106,7 +104,7 @@ const (
 	MetricJournalTornTails     = "gnt_journal_torn_tails_total"
 	MetricJournalPending       = "gnt_journal_pending_records"
 
-	// Stage-pipelined batch path. MetricPipelineItems counts programs
+	// Engine stage pipeline. MetricPipelineItems counts programs
 	// serviced per stage by (stage); MetricPipelineShed counts tasks
 	// whose context died inside the pipeline. The queue-depth and
 	// occupancy gauges are sampled live at scrape time by (stage), and
@@ -156,7 +154,7 @@ func Spans() []string {
 		SpanParse, SpanCFGBuild, SpanIntervalReduce, SpanSectionUniverse,
 		SpanSolveRead, SpanSolveWrite, SpanReverseGraph, SpanAtomicFallback,
 		SpanCheck, SpanExecute,
-		SpanEngineAnalyze, SpanEngineVerify,
+		SpanEngineAnalyze,
 		SpanJournalFlush, SpanJournalReplay,
 	}
 }

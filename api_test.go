@@ -93,17 +93,17 @@ func TestAPISolverDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	init := gt.NewInit(len(g.Nodes))
+	init := gt.NewInit(len(g.Nodes), 1)
 	for _, n := range g.Nodes {
 		if strings.Contains(n.String(), "s = x(1)") {
-			init.AddTake(n, 1, bitset.Of(1, 0))
+			init.AddTake(n, bitset.Of(1, 0))
 		}
 	}
 	s := gt.MustSolve(g, 1, init)
 	eagerSites, lazySites := 0, 0
 	for _, n := range g.Nodes {
-		eagerSites += s.Place(gt.Eager).ResIn[n.ID].Count()
-		lazySites += s.Place(gt.Lazy).ResIn[n.ID].Count()
+		eagerSites += s.Place(gt.Eager).ResIn.At(n.ID).Count()
+		lazySites += s.Place(gt.Lazy).ResIn.At(n.ID).Count()
 	}
 	if eagerSites != 1 || lazySites != 1 {
 		t.Fatalf("production sites eager=%d lazy=%d, want 1 each", eagerSites, lazySites)
@@ -126,10 +126,10 @@ func TestAPIAfterProblem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	init := gt.NewInit(len(g.Nodes))
+	init := gt.NewInit(len(g.Nodes), 1)
 	for _, n := range rev.Nodes {
 		if strings.Contains(n.String(), "x(1) = 5") {
-			init.AddTake(n, 1, bitset.Of(1, 0))
+			init.AddTake(n, bitset.Of(1, 0))
 		}
 	}
 	s := gt.MustSolve(rev, 1, init)

@@ -180,12 +180,12 @@ func BenchmarkCriteriaScenarios(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		init := core.NewInit(len(g.Nodes))
+		init := core.NewInit(len(g.Nodes), 1)
 		for _, n := range g.Nodes {
 			if n.Block.Kind == cfg.KStmt && len(n.Block.String()) > 0 {
 				// every x(...) reference in the scenario consumes item 0
 				if containsX(n.Block.String()) {
-					init.AddTake(n, 1, bitset.Of(1, 0))
+					init.AddTake(n, bitset.Of(1, 0))
 				}
 			}
 		}
@@ -234,10 +234,10 @@ enddo
 	if err != nil {
 		b.Fatal(err)
 	}
-	init := core.NewInit(len(g.Nodes))
+	init := core.NewInit(len(g.Nodes), 1)
 	for _, n := range g.Nodes {
 		if n.Block.Kind == cfg.KStmt && containsX(n.Block.String()) {
-			init.AddTake(n, 1, bitset.Of(1, 0))
+			init.AddTake(n, bitset.Of(1, 0))
 		}
 	}
 	bad := 0
@@ -263,9 +263,10 @@ enddo
 // BenchmarkScaling — experiment E6 (§5.2): solver work is linear in
 // program size. Sub-benchmarks solve generated programs of growing size;
 // ns/op divided by the node metric should stay roughly constant, and
-// eq-evals/node is exactly 20 by construction.
+// eq-evals/node is exactly 20 by construction. allocs/op stays flat: a
+// solve allocates one slab per dataflow variable and nothing per node.
 func BenchmarkScaling(b *testing.B) {
-	for _, stmts := range []int{100, 400, 1600, 6400} {
+	for _, stmts := range []int{100, 400, 1600, 6400, 25600} {
 		b.Run(fmt.Sprintf("stmts=%d", stmts), func(b *testing.B) {
 			prog := progen.Generate(42, progen.Config{Stmts: stmts, MaxDepth: 4})
 			c, err := cfg.Build(prog)
@@ -277,22 +278,24 @@ func BenchmarkScaling(b *testing.B) {
 				b.Fatal(err)
 			}
 			const universe = 64
-			init := core.NewInit(len(g.Nodes))
+			init := core.NewInit(len(g.Nodes), universe)
 			for i, n := range g.Nodes {
 				if n.Block.Kind == cfg.KStmt {
-					init.AddTake(n, universe, bitset.Of(universe, i%universe))
+					init.AddTake(n, bitset.Of(universe, i%universe))
 					if i%7 == 0 {
-						init.AddSteal(n, universe, bitset.Of(universe, (i+3)%universe))
+						init.AddSteal(n, bitset.Of(universe, (i+3)%universe))
 					}
 				}
 			}
 			var evals int
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s := core.MustSolve(g, universe, init)
 				evals = s.EquationEvals
 			}
 			b.ReportMetric(float64(len(g.Nodes)), "nodes")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(g.Nodes)), "ns/node")
 			b.ReportMetric(float64(evals)/float64(len(g.Nodes)), "eq-evals/node")
 		})
 	}
@@ -410,17 +413,14 @@ enddo
 		}
 		count := func(s *core.Solution) int {
 			n := 0
-			for _, set := range s.Lazy.ResIn {
-				n += set.Count()
-			}
-			for _, set := range s.Lazy.ResOut {
-				n += set.Count()
+			for id := 0; id < s.Lazy.ResIn.Rows(); id++ {
+				n += s.Lazy.ResIn.At(id).Count() + s.Lazy.ResOut.At(id).Count()
 			}
 			return n
 		}
 		withGive = count(cg.Read)
 		// ablation: drop the free production and re-solve
-		blind := core.NewInit(len(cg.Graph.Nodes))
+		blind := core.NewInit(len(cg.Graph.Nodes), cg.Universe.Size())
 		blind.Take = cg.ReadInit.Take
 		blind.Steal = cg.ReadInit.Steal
 		withoutGive = count(core.MustSolve(cg.Graph, cg.Universe.Size(), blind))
@@ -560,14 +560,14 @@ func BenchmarkShiftAblation(b *testing.B) {
 			b.Fatal(err)
 		}
 		const u = 3
-		init := core.NewInit(len(g.Nodes))
+		init := core.NewInit(len(g.Nodes), u)
 		for i, n := range g.Nodes {
 			if n.Block.Kind == cfg.KStmt {
 				switch i % 5 {
 				case 0:
-					init.AddTake(n, u, bitset.Of(u, i%u))
+					init.AddTake(n, bitset.Of(u, i%u))
 				case 1:
-					init.AddSteal(n, u, bitset.Of(u, (i+1)%u))
+					init.AddSteal(n, bitset.Of(u, (i+1)%u))
 				}
 			}
 		}

@@ -145,8 +145,9 @@ func AtomicSolution(g *Graph, universe int, init *Init) (*Solution, *Init) {
 	return core.Atomic(g, universe, init)
 }
 
-// NewInit returns empty initial variables for a graph of n nodes.
-func NewInit(n int) *Init { return core.NewInit(n) }
+// NewInit returns empty initial variables for a graph of n nodes over
+// a universe of universe items.
+func NewInit(n, universe int) *Init { return core.NewInit(n, universe) }
 
 // Verify checks a solution against the paper's correctness criteria
 // (C1 balance, C2 safety, C3 sufficiency) on all bounded execution

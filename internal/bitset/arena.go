@@ -1,15 +1,15 @@
 package bitset
 
-// Arena carves same-shaped Set slabs out of one reusable word buffer.
-// A dataflow solve allocates a fixed number of per-node slabs whose
-// total size depends only on (nodes, universe); leasing an Arena per
-// solve and calling Reset between solves makes the steady-state word
-// allocation of a long-running analysis service flat — the buffer is
-// reused, only growing when a larger program arrives.
+// Arena carves Slabs out of one reusable word buffer. A dataflow solve
+// allocates a fixed number of per-node slabs whose total size depends
+// only on (nodes, universe); leasing an Arena per solve and calling
+// Reset between solves makes the steady-state allocation of a
+// long-running analysis service flat — the buffer is reused, only
+// growing when a larger program arrives.
 //
 // An Arena is not safe for concurrent use; give each concurrent solve
-// its own. Every Set carved from an Arena aliases its buffer: after
-// Reset, all previously returned Sets are invalid and must no longer
+// its own. Every Slab carved from an Arena aliases its buffer: after
+// Reset, all previously returned Slabs are invalid and must no longer
 // be referenced (the engine enforces this with an explicit Release on
 // its results).
 type Arena struct {
@@ -21,18 +21,15 @@ type Arena struct {
 	spill int
 }
 
-// NewSlice is bitset.NewSlice backed by the arena: count empty sets
-// over an n-item universe, contiguous in the arena's buffer. A nil
-// arena falls back to a plain allocation.
-func (a *Arena) NewSlice(count, n int) []*Set {
+// NewSlab is NewSlab backed by the arena: count empty rows over an
+// n-item universe, contiguous in the arena's buffer. A nil arena falls
+// back to a plain allocation.
+func (a *Arena) NewSlab(count, n int) Slab {
 	if a == nil {
-		return NewSlice(count, n)
+		return NewSlab(count, n)
 	}
-	if count < 0 || n < 0 {
-		panic("bitset: negative slab dimensions")
-	}
-	words := (n + wordBits - 1) / wordBits
-	need := count * words
+	w := slabWords(count, n)
+	need := count * w
 	var backing []uint64
 	if a.off+need <= len(a.buf) {
 		backing = a.buf[a.off : a.off+need : a.off+need]
@@ -42,17 +39,11 @@ func (a *Arena) NewSlice(count, n int) []*Set {
 		backing = make([]uint64, need)
 		a.spill += need
 	}
-	sets := make([]*Set, count)
-	hdrs := make([]Set, count)
-	for i := range sets {
-		hdrs[i] = Set{n: n, words: backing[i*words : (i+1)*words : (i+1)*words]}
-		sets[i] = &hdrs[i]
-	}
-	return sets
+	return Slab{rows: count, n: n, w: w, words: backing}
 }
 
 // Reset recycles the arena for the next solve, growing the buffer when
-// the last cycle spilled past it. All Sets carved since the previous
+// the last cycle spilled past it. All Slabs carved since the previous
 // Reset become invalid.
 func (a *Arena) Reset() {
 	if a == nil {

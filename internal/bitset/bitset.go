@@ -271,22 +271,3 @@ func (s *Set) StringWith(name func(i int) string) string {
 	b.WriteByte('}')
 	return b.String()
 }
-
-// NewSlice returns count empty sets over an n-item universe whose words
-// share one contiguous backing array. Dataflow solvers allocate many
-// same-sized sets per node; a single slab keeps them cache-adjacent and
-// reduces allocator traffic from O(count) to O(1).
-func NewSlice(count, n int) []*Set {
-	if count < 0 || n < 0 {
-		panic("bitset: negative slab dimensions")
-	}
-	words := (n + wordBits - 1) / wordBits
-	backing := make([]uint64, count*words)
-	sets := make([]*Set, count)
-	hdrs := make([]Set, count)
-	for i := range sets {
-		hdrs[i] = Set{n: n, words: backing[i*words : (i+1)*words : (i+1)*words]}
-		sets[i] = &hdrs[i]
-	}
-	return sets
-}

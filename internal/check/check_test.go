@@ -85,12 +85,10 @@ func freshProblem(t *testing.T) *check.Problem {
 	return probs[0]
 }
 
-func clearRows(rows ...[]*bitset.Set) {
-	for _, row := range rows {
-		for _, s := range row {
-			if s != nil {
-				s.Clear()
-			}
+func clearRows(slabs ...bitset.Slab) {
+	for _, s := range slabs {
+		for id := 0; id < s.Rows(); id++ {
+			s.At(id).Clear()
 		}
 	}
 }
@@ -130,12 +128,13 @@ func TestDiagnosticCodes(t *testing.T) {
 	t.Run("double open is GNT001", func(t *testing.T) {
 		p := freshProblem(t)
 		injected := false
-		for id, s := range p.Sol.Eager.ResIn {
-			if s == nil || s.IsEmpty() {
+		for id := 0; id < p.Sol.Eager.ResIn.Rows(); id++ {
+			s := p.Sol.Eager.ResIn.At(id)
+			if s.IsEmpty() {
 				continue
 			}
 			item := s.Items()[0]
-			p.Sol.Eager.ResOut[id].Add(item)
+			p.Sol.Eager.ResOut.At(id).Add(item)
 			injected = true
 			break
 		}

@@ -39,7 +39,7 @@ func randomProblem(t testing.TB, seed int64) (*interval.Graph, *core.Init, int) 
 		t.Fatalf("seed %d: interval: %v", seed, err)
 	}
 	const universe = 3
-	init := core.NewInit(len(g.Nodes))
+	init := core.NewInit(len(g.Nodes), universe)
 	for _, n := range g.Nodes {
 		if n.Block.Kind != cfg.KStmt {
 			continue
@@ -47,11 +47,11 @@ func randomProblem(t testing.TB, seed int64) (*interval.Graph, *core.Init, int) 
 		for item := 0; item < universe; item++ {
 			switch r.Intn(10) {
 			case 0:
-				init.AddTake(n, universe, bitset.Of(universe, item))
+				init.AddTake(n, bitset.Of(universe, item))
 			case 1:
-				init.AddSteal(n, universe, bitset.Of(universe, item))
+				init.AddSteal(n, bitset.Of(universe, item))
 			case 2:
-				init.AddGive(n, universe, bitset.Of(universe, item))
+				init.AddGive(n, bitset.Of(universe, item))
 			}
 		}
 	}

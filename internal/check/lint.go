@@ -84,8 +84,8 @@ func lintRecvBeforeSend(p *Problem) []Diagnostic {
 		n := wl[len(wl)-1]
 		wl = wl[:len(wl)-1]
 		st := noSend[n.ID].Clone()
-		st.SubtractWith(p.Sol.Eager.ResIn[n.ID])
-		st.SubtractWith(p.Sol.Eager.ResOut[n.ID])
+		st.SubtractWith(p.Sol.Eager.ResIn.At(n.ID))
+		st.SubtractWith(p.Sol.Eager.ResOut.At(n.ID))
 		for _, e := range n.Out {
 			switch e.Type {
 			case interval.Cycle, interval.Forward, interval.Jump, interval.Entry:
@@ -110,13 +110,13 @@ func lintRecvBeforeSend(p *Problem) []Diagnostic {
 		}
 		// events at one node fire Send before Recv at each boundary, so
 		// the node's own eager production is subtracted first
-		afterIn := bitset.Subtract(noSend[n.ID], p.Sol.Eager.ResIn[n.ID])
-		bitset.Intersect(p.Sol.Lazy.ResIn[n.ID], afterIn).ForEach(func(i int) {
+		afterIn := bitset.Subtract(noSend[n.ID], p.Sol.Eager.ResIn.At(n.ID))
+		bitset.Intersect(p.Sol.Lazy.ResIn.At(n.ID), afterIn).ForEach(func(i int) {
 			out = append(out, lintWarn(p, CodeRecvBeforeSend, i, n,
 				"Recv reachable from entry without passing the matching Send"))
 		})
-		afterOut := bitset.Subtract(afterIn, p.Sol.Eager.ResOut[n.ID])
-		bitset.Intersect(p.Sol.Lazy.ResOut[n.ID], afterOut).ForEach(func(i int) {
+		afterOut := bitset.Subtract(afterIn, p.Sol.Eager.ResOut.At(n.ID))
+		bitset.Intersect(p.Sol.Lazy.ResOut.At(n.ID), afterOut).ForEach(func(i int) {
 			out = append(out, lintWarn(p, CodeRecvBeforeSend, i, n,
 				"Recv reachable from entry without passing the matching Send"))
 		})
@@ -133,8 +133,8 @@ func lintZeroOverlap(p *Problem) []Diagnostic {
 			name        string
 			eager, lazy *bitset.Set
 		}{
-			{"entry", p.Sol.Eager.ResIn[n.ID], p.Sol.Lazy.ResIn[n.ID]},
-			{"exit", p.Sol.Eager.ResOut[n.ID], p.Sol.Lazy.ResOut[n.ID]},
+			{"entry", p.Sol.Eager.ResIn.At(n.ID), p.Sol.Lazy.ResIn.At(n.ID)},
+			{"exit", p.Sol.Eager.ResOut.At(n.ID), p.Sol.Lazy.ResOut.At(n.ID)},
 		} {
 			b := boundary
 			nn := n
@@ -157,10 +157,10 @@ func lintZeroTripHoist(p *Problem) []Diagnostic {
 			continue
 		}
 		hh := h
-		p.Sol.Eager.ResIn[h.ID].ForEach(func(i int) {
+		p.Sol.Eager.ResIn.At(h.ID).ForEach(func(i int) {
 			inside, outside := 0, 0
 			for _, n := range p.Graph.Nodes {
-				if t := initSetAt(p.Init.Take, n.ID); t != nil && t.Has(i) {
+				if p.Init.Take.At(n.ID).Has(i) {
 					// The header's own TAKE fires at construct entry even on
 					// zero trips, so it counts as an outside consumer.
 					if interval.InInterval(n, hh) {

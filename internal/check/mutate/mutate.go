@@ -59,12 +59,9 @@ func sites(s *core.Solution, universe int) []site {
 			}
 			for _, dir := range []struct {
 				out bool
-				row []*bitset.Set
+				res bitset.Slab
 			}{{false, p.ResIn}, {true, p.ResOut}} {
-				if n.ID >= len(dir.row) || dir.row[n.ID] == nil {
-					continue
-				}
-				set := dir.row[n.ID]
+				set := dir.res.At(n.ID)
 				for item := 0; item < universe; item++ {
 					out = append(out, site{sched, dir.out, n.ID, item, set, set.Has(item)})
 				}

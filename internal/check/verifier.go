@@ -86,6 +86,15 @@ func (w words) has(i int) bool { return w[i>>6]&(1<<(uint(i)&63)) != 0 }
 func (w words) add(i int)      { w[i>>6] |= 1 << (uint(i) & 63) }
 func (w words) remove(i int)   { w[i>>6] &^= 1 << (uint(i) & 63) }
 
+func (w words) isEmpty() bool {
+	for _, x := range w {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 func (w words) clear() {
 	for i := range w {
 		w[i] = 0
@@ -358,7 +367,7 @@ func newVerifier(ctx context.Context, p *Problem) *verifier {
 		}
 	}
 	off := vFixed * uw
-	for m, sched := range [2]struct{ in, out []*bitset.Set }{
+	for m, sched := range [2]struct{ in, out bitset.Slab }{
 		{p.Sol.Eager.ResIn, p.Sol.Eager.ResOut},
 		{p.Sol.Lazy.ResIn, p.Sol.Lazy.ResOut},
 	} {
@@ -387,14 +396,11 @@ func newVerifier(ctx context.Context, p *Problem) *verifier {
 
 // eachProducer calls f(id, i) for every node ID in increasing order and
 // every item i of RES_in(id) ∪ RES_out(id), in increasing order.
-func (v *verifier) eachProducer(in, out []*bitset.Set, f func(id, i int)) {
+func (v *verifier) eachProducer(in, out bitset.Slab, f func(id, i int)) {
 	for id := range v.g.Nodes {
 		v.tmp.clear()
-		for _, r := range [2]*bitset.Set{resInOf(in, id), resInOf(out, id)} {
-			if r != nil {
-				v.tmp.or(r.Words())
-			}
-		}
+		v.tmp.or(in.Row(id))
+		v.tmp.or(out.Row(id))
 		v.tmp.forEach(func(i int) { f(id, i) })
 	}
 }
@@ -646,7 +652,7 @@ func (v *verifier) transfer(c *dfContext) {
 	// Events fire on every visit of a plain node but only on construct
 	// entry from outside for headers (core.Verify step()).
 	if !n.IsHeader || c.outside {
-		v.production(n, st, resInOf(v.p.Sol.Eager.ResIn, n.ID), resInOf(v.p.Sol.Lazy.ResIn, n.ID), phaseIn)
+		v.production(n, st, phaseIn)
 		v.takeEv(n, st)
 		v.giveEv(n, st)
 		v.stealEv(n, st)
@@ -680,7 +686,7 @@ func (v *verifier) transfer(c *dfContext) {
 		// Eq. 11 inherits GIVEN(h) − STEAL(h) into every iteration, so a
 		// steal on any body path blinds the framework on all of them.
 		if s, ok := v.snaps[snapKey{n.ID, c.f}]; ok {
-			steal := v.p.Sol.Steal[n.ID].Words()
+			steal := v.p.Sol.Steal.Row(n.ID)
 			for m := 0; m < 2; m++ {
 				o1 := v.vec(st, vAvailO1Must+m)
 				o1.and(s[m*v.uw : (m+1)*v.uw])
@@ -707,7 +713,7 @@ func (v *verifier) transfer(c *dfContext) {
 			continue
 		}
 		if !fired {
-			v.production(n, st, resInOf(v.p.Sol.Eager.ResOut, n.ID), resInOf(v.p.Sol.Lazy.ResOut, n.ID), phaseOut)
+			v.production(n, st, phaseOut)
 			fired = true
 		}
 		exited = true
@@ -741,7 +747,7 @@ func (v *verifier) exitEdges(h *interval.Node, f int32, st *state) {
 			continue
 		}
 		if !fired {
-			v.production(h, st, resInOf(v.p.Sol.Eager.ResOut, h.ID), resInOf(v.p.Sol.Lazy.ResOut, h.ID), phaseOut)
+			v.production(h, st, phaseOut)
 			fired = true
 		}
 		exited = true
@@ -761,20 +767,6 @@ func (v *verifier) taint(st *state) {
 	words(st.w[vPendingU*v.uw : (vPendingU+2)*v.uw]).clear()
 }
 
-func resInOf(res []*bitset.Set, id int) *bitset.Set {
-	if res == nil || id >= len(res) {
-		return nil
-	}
-	return res[id]
-}
-
-func initSetAt(sets []*bitset.Set, id int) *bitset.Set {
-	if sets == nil || id >= len(sets) {
-		return nil
-	}
-	return sets[id]
-}
-
 type phase int
 
 const (
@@ -782,19 +774,28 @@ const (
 	phaseOut
 )
 
+// resAt returns the EAGER and LAZY RES rows of node n at its entry
+// (phaseIn) or exit (phaseOut).
+func (v *verifier) resAt(n *interval.Node, ph phase) (eager, lazy words) {
+	e, l := &v.p.Sol.Eager, &v.p.Sol.Lazy
+	if ph == phaseIn {
+		return e.ResIn.Row(n.ID), l.ResIn.Row(n.ID)
+	}
+	return e.ResOut.Row(n.ID), l.ResOut.Row(n.ID)
+}
+
 // production replays a RES event (RES_in or RES_out) of both modes:
 // the O1 check and availability bookkeeping per mode, then the C1
 // balance protocol (EAGER opens, LAZY closes). Order matches
 // core.Verify's produce/produceExit.
-func (v *verifier) production(n *interval.Node, st *state, eager, lazy *bitset.Set, ph phase) {
-	res := [2]*bitset.Set{eager, lazy}
-	for m := 0; m < 2; m++ {
-		r := res[m]
-		if r == nil || r.IsEmpty() {
+func (v *verifier) production(n *interval.Node, st *state, ph phase) {
+	eager, lazy := v.resAt(n, ph)
+	for m, r := range [2]words{eager, lazy} {
+		if r.isEmpty() {
 			continue
 		}
 		avail, o1, pend := v.vec(st, vAvailMust+m), v.vec(st, vAvailO1Must+m), v.vec(st, vPendingU+m)
-		words(r.Words()).forEach(func(i int) {
+		r.forEach(func(i int) {
 			from := v.fromMay(st, m, i)
 			self := v.producer(m, i, n.ID)
 			if v.reporting && o1.has(i) && !from.has(self) {
@@ -811,32 +812,28 @@ func (v *verifier) production(n *interval.Node, st *state, eager, lazy *bitset.S
 		v.stats.SetOps += 3
 	}
 	openMust, openMay := v.vec(st, vOpenMust), v.vec(st, vOpenMay)
-	if eager != nil {
-		words(eager.Words()).forEach(func(i int) {
-			if v.reporting && openMay.has(i) {
-				v.emit(CodeStartedTwice, "C1", 0, i, n, "production started twice without a stop", fpOpen, ph)
-			}
-			openMust.add(i)
-			openMay.add(i)
-		})
-	}
-	if lazy != nil {
-		words(lazy.Words()).forEach(func(i int) {
-			if v.reporting && !openMust.has(i) {
-				v.emit(CodeStopWithoutStart, "C1", 1, i, n, "production stopped without a start", fpClose, ph)
-			}
-			openMust.remove(i)
-			openMay.remove(i)
-		})
-	}
+	eager.forEach(func(i int) {
+		if v.reporting && openMay.has(i) {
+			v.emit(CodeStartedTwice, "C1", 0, i, n, "production started twice without a stop", fpOpen, ph)
+		}
+		openMust.add(i)
+		openMay.add(i)
+	})
+	lazy.forEach(func(i int) {
+		if v.reporting && !openMust.has(i) {
+			v.emit(CodeStopWithoutStart, "C1", 1, i, n, "production stopped without a start", fpClose, ph)
+		}
+		openMust.remove(i)
+		openMay.remove(i)
+	})
 }
 
 func (v *verifier) takeEv(n *interval.Node, st *state) {
-	t := initSetAt(v.p.Init.Take, n.ID)
-	if t == nil || t.IsEmpty() {
+	t := words(v.p.Init.Take.Row(n.ID))
+	if t.isEmpty() {
 		return
 	}
-	words(t.Words()).forEach(func(i int) {
+	t.forEach(func(i int) {
 		for m := 0; m < 2; m++ {
 			if v.reporting && !v.vec(st, vAvailMust+m).has(i) {
 				v.emit(CodeConsumerStarved, "C3", m, i, n, "consumer without available production", fpTake, phaseIn)
@@ -848,11 +845,11 @@ func (v *verifier) takeEv(n *interval.Node, st *state) {
 }
 
 func (v *verifier) giveEv(n *interval.Node, st *state) {
-	gv := initSetAt(v.p.Init.Give, n.ID)
-	if gv == nil || gv.IsEmpty() {
+	gv := words(v.p.Init.Give.Row(n.ID))
+	if gv.isEmpty() {
 		return
 	}
-	v.provide(st, gv.Words())
+	v.provide(st, gv)
 }
 
 // provide makes every item of g available as externally produced, in
@@ -871,11 +868,10 @@ func (v *verifier) provide(st *state, g []uint64) {
 }
 
 func (v *verifier) stealEv(n *interval.Node, st *state) {
-	sl := initSetAt(v.p.Init.Steal, n.ID)
-	if sl == nil || sl.IsEmpty() {
+	sw := words(v.p.Init.Steal.Row(n.ID))
+	if sw.isEmpty() {
 		return
 	}
-	sw := words(sl.Words())
 	for m := 0; m < 2; m++ {
 		pend := v.vec(st, vPendingU+m)
 		if v.reporting {
@@ -897,9 +893,9 @@ func (v *verifier) stealEv(n *interval.Node, st *state) {
 // surviving free production GIVE(h)−STEAL(h) is vacuously satisfied
 // (paper §2) and counts as externally provided.
 func (v *verifier) skippedGive(h *interval.Node, st *state) {
-	steal := v.p.Sol.Steal[h.ID].Words()
+	steal := v.p.Sol.Steal.Row(h.ID)
 	live := uint64(0)
-	for i, g := range v.p.Sol.Give[h.ID].Words() {
+	for i, g := range v.p.Sol.Give.Row(h.ID) {
 		v.tmp[i] = g &^ steal[i]
 		live |= v.tmp[i]
 	}

@@ -29,18 +29,16 @@ func failingProblem(t *testing.T) *Problem {
 	if err != nil {
 		t.Fatal(err)
 	}
-	init := core.NewInit(len(g.Nodes))
+	init := core.NewInit(len(g.Nodes), 1)
 	for _, n := range g.Nodes {
 		if n.Block.Kind == cfg.KStmt {
-			init.AddTake(n, 1, bitset.Of(1, 0))
+			init.AddTake(n, bitset.Of(1, 0))
 		}
 	}
 	sol := core.MustSolve(g, 1, init)
-	for _, row := range [][]*bitset.Set{sol.Eager.ResIn, sol.Eager.ResOut} {
-		for _, s := range row {
-			if s != nil {
-				s.Clear()
-			}
+	for _, res := range []bitset.Slab{sol.Eager.ResIn, sol.Eager.ResOut} {
+		for id := 0; id < res.Rows(); id++ {
+			res.At(id).Clear()
 		}
 	}
 	p := &Problem{Name: "READ", Graph: g, Universe: 1, Init: init, Sol: sol}

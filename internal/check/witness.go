@@ -3,7 +3,6 @@ package check
 import (
 	"slices"
 
-	"givetake/internal/bitset"
 	"givetake/internal/interval"
 )
 
@@ -168,14 +167,14 @@ func (v *verifier) replay(c *dfContext, s itemState, g witnessGoal) (bool, []suc
 
 	if !n.IsHeader || c.outside {
 		s = v.replayProduction(n, s, phaseIn, w)
-		if t := initSetAt(v.p.Init.Take, n.ID); t != nil && t.Has(g.item) {
+		if v.p.Init.Take.At(n.ID).Has(g.item) {
 			w.check(fpTake, phaseIn, s)
 			s.pending = false
 		}
-		if gv := initSetAt(v.p.Init.Give, n.ID); gv != nil && gv.Has(g.item) {
+		if v.p.Init.Give.At(n.ID).Has(g.item) {
 			s.avail, s.availO1, s.from = true, true, fromExt
 		}
-		if sl := initSetAt(v.p.Init.Steal, n.ID); sl != nil && sl.Has(g.item) {
+		if v.p.Init.Steal.At(n.ID).Has(g.item) {
 			w.check(fpSteal, phaseIn, s)
 			s.avail, s.availO1, s.pending, s.from = false, false, false, fromNone
 		}
@@ -186,7 +185,7 @@ func (v *verifier) replay(c *dfContext, s itemState, g witnessGoal) (bool, []suc
 		if c.outside || !v.fr.has(c.f, n.ID) {
 			bodyF := v.fr.step(c.f, opWith, n)
 			z := s
-			if v.p.Sol.Give[n.ID].Has(g.item) && !v.p.Sol.Steal[n.ID].Has(g.item) {
+			if v.p.Sol.Give.At(n.ID).Has(g.item) && !v.p.Sol.Steal.At(n.ID).Has(g.item) {
 				z.avail, z.availO1, z.from = true, true, fromExt
 			}
 			if c.outside {
@@ -205,7 +204,7 @@ func (v *verifier) replay(c *dfContext, s itemState, g witnessGoal) (bool, []suc
 		if sn, ok := v.snaps[snapKey{n.ID, c.f}]; !ok || !sn[g.mode*v.uw:].has(g.item) {
 			s.availO1 = false
 		}
-		if sl := v.p.Sol.Steal[n.ID]; sl != nil && sl.Has(g.item) {
+		if v.p.Sol.Steal.At(n.ID).Has(g.item) {
 			s.availO1 = false
 		}
 		if child := entryChild(n); child != nil {
@@ -275,18 +274,13 @@ func (v *verifier) replayExit(h *interval.Node, f int32, s itemState, w *wit) []
 }
 
 func (v *verifier) replayProduction(n *interval.Node, s itemState, ph phase, w *wit) itemState {
-	var eager, lazy *bitset.Set
-	if ph == phaseIn {
-		eager, lazy = resInOf(v.p.Sol.Eager.ResIn, n.ID), resInOf(v.p.Sol.Lazy.ResIn, n.ID)
-	} else {
-		eager, lazy = resInOf(v.p.Sol.Eager.ResOut, n.ID), resInOf(v.p.Sol.Lazy.ResOut, n.ID)
-	}
+	eager, lazy := v.resAt(n, ph)
 	item := w.g.item
 	modeRes := eager
 	if w.g.mode == 1 {
 		modeRes = lazy
 	}
-	if modeRes != nil && modeRes.Has(item) {
+	if modeRes.has(item) {
 		w.check(fpO1, ph, s)
 		s.avail, s.availO1 = true, true
 		s.from = n.ID
@@ -294,11 +288,11 @@ func (v *verifier) replayProduction(n *interval.Node, s itemState, ph phase, w *
 			s.pending = true
 		}
 	}
-	if eager != nil && eager.Has(item) {
+	if eager.has(item) {
 		w.check(fpOpen, ph, s)
 		s.open = true
 	}
-	if lazy != nil && lazy.Has(item) {
+	if lazy.has(item) {
 		w.check(fpClose, ph, s)
 		s.open = false
 	}

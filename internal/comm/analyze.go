@@ -171,8 +171,10 @@ func (a *Analysis) StageUniverse(ctx context.Context, ocol obs.Collector) error 
 
 	a.Reduce = col.classifyReductions()
 	u := a.Universe.Size()
-	a.ReadInit = core.NewInit(len(g.Nodes))
-	a.WriteInit = core.NewInit(len(g.Nodes))
+	col.computeOverlaps()
+	a.ReadInit = core.NewInit(len(g.Nodes), u)
+	a.WriteInit = core.NewInit(len(g.Nodes), u)
+	read, write := a.ReadInit, a.WriteInit
 	for _, ev := range col.events {
 		n := g.NodeFor(ev.block)
 		if n == nil {
@@ -185,42 +187,39 @@ func (a *Analysis) StageUniverse(ctx context.Context, ocol obs.Collector) error 
 			}
 			fallthrough
 		case evRef:
-			one := bitset.Of(u, ev.item.ID)
-			a.ReadInit.AddTake(n, u, one)
+			read.Take.At(n.ID).Add(ev.item.ID)
 			// WRITE: a reference to a section requires any pending
 			// write-back of overlapping data to have completed first —
 			// the owner must hold current data before it can be re-read.
 			// A STEAL in the AFTER problem is exactly "production may not
 			// move past this point toward program start", which pins
 			// WRITE_Recv above the reference (Figure 3's ordering).
-			a.WriteInit.AddSteal(n, u, col.overlappingOrSame(ev.item))
+			col.stealOverlapping(write, n, ev.item, true)
 		case evReduceDef:
-			one := bitset.Of(u, ev.item.ID)
 			if _, ok := a.Reduce[ev.item.ID]; ok {
 				// the accumulation invalidates any fetched copy and needs a
 				// reducing write-back, but gives nothing for the READ
 				// problem (the local value is only a partial result)
-				a.ReadInit.AddSteal(n, u, col.overlappingOrSame(ev.item))
-				a.WriteInit.AddTake(n, u, one)
-				a.WriteInit.AddSteal(n, u, col.overlapping(ev.item))
+				col.stealOverlapping(read, n, ev.item, true)
+				write.Take.At(n.ID).Add(ev.item.ID)
+				col.stealOverlapping(write, n, ev.item, false)
 				continue
 			}
 			fallthrough
 		case evDef:
-			one := bitset.Of(u, ev.item.ID)
 			// READ: the defined section comes for free; overlapping
 			// sections are voided (their cached copies may be stale).
-			a.ReadInit.AddGive(n, u, one)
-			a.ReadInit.AddSteal(n, u, col.overlapping(ev.item))
+			read.Give.At(n.ID).Add(ev.item.ID)
+			col.stealOverlapping(read, n, ev.item, false)
 			// WRITE: the definition must be written back; overlapping
 			// earlier write-backs are voided.
-			a.WriteInit.AddTake(n, u, one)
-			a.WriteInit.AddSteal(n, u, col.overlapping(ev.item))
+			write.Take.At(n.ID).Add(ev.item.ID)
+			col.stealOverlapping(write, n, ev.item, false)
 		case evKillArray:
 			// a definition of a local array (or an unanalyzable
 			// distributed definition) steals every section depending on it
-			a.ReadInit.AddSteal(n, u, col.dependingOn(ev.array))
-			a.WriteInit.AddSteal(n, u, col.dependingOn(ev.array))
+			read.AddSteal(n, col.dependingOn(ev.array))
+			write.AddSteal(n, col.dependingOn(ev.array))
 		}
 	}
 
@@ -436,40 +435,57 @@ type collector struct {
 	ranges map[string]sections.LoopRange
 	events []event
 	err    error
+
+	// overlap row i holds the sections that may overlap item i, i
+	// excluded; dep memoizes dependingOn per array. Both are filled once
+	// the walk has collected the whole universe.
+	overlap bitset.Slab
+	dep     map[string]*bitset.Set
 }
 
 func (c *collector) item(array string, subs []ir.Expr) *sections.Item {
 	return c.a.Universe.ItemFor(array, subs, c.env, c.ranges)
 }
 
-// overlapping returns sections of the same array that may overlap it,
-// excluding it itself (the definition gives its own section).
-func (c *collector) overlapping(it *sections.Item) *bitset.Set {
-	s := bitset.New(c.a.Universe.Size())
-	for _, other := range c.a.Universe.Items {
-		if other.ID != it.ID && c.a.Universe.MayOverlap(other, it) {
-			s.Add(other.ID)
+// computeOverlaps fills the overlap slab for the collected universe:
+// one pass over each item's candidates, instead of one per event.
+func (c *collector) computeOverlaps() {
+	u := c.a.Universe
+	c.overlap = bitset.NewSlab(u.Size(), u.Size())
+	c.dep = map[string]*bitset.Set{}
+	for _, it := range u.Items {
+		row := c.overlap.At(it.ID)
+		for _, other := range u.Items {
+			if other.ID != it.ID && u.MayOverlap(other, it) {
+				row.Add(other.ID)
+			}
 		}
 	}
-	return s
 }
 
-// overlappingOrSame is overlapping including the item itself.
-func (c *collector) overlappingOrSame(it *sections.Item) *bitset.Set {
-	s := c.overlapping(it)
-	s.Add(it.ID)
-	return s
+// stealOverlapping adds to STEAL_init(n) of in the sections of the same
+// array that may overlap it, and it itself when self is set (a
+// definition instead gives its own section).
+func (c *collector) stealOverlapping(in *core.Init, n *interval.Node, it *sections.Item, self bool) {
+	in.AddSteal(n, c.overlap.At(it.ID))
+	if self {
+		in.Steal.At(n.ID).Add(it.ID)
+	}
 }
 
 // dependingOn returns sections whose subscript reads the named array, or
 // every section of that array when it is distributed.
 func (c *collector) dependingOn(array string) *bitset.Set {
+	if s, ok := c.dep[array]; ok {
+		return s
+	}
 	s := bitset.New(c.a.Universe.Size())
 	for _, other := range c.a.Universe.Items {
 		if other.UsesArray(array) || other.Array == array {
 			s.Add(other.ID)
 		}
 	}
+	c.dep[array] = s
 	return s
 }
 

@@ -55,7 +55,7 @@ func (a *Analysis) commsAt(b *cfg.Block, entry bool, opt Options) []ir.Stmt {
 	id := n.ID
 	var out []ir.Stmt
 	add := func(op, half string, set *bitset.Set) {
-		if set == nil || set.IsEmpty() {
+		if set.IsEmpty() {
 			return
 		}
 		type group struct {
@@ -96,9 +96,9 @@ func (a *Analysis) commsAt(b *cfg.Block, entry bool, opt Options) []ir.Stmt {
 		// AFTER problem, WRITE_Recv the EAGER one (§3.1).
 		var send, recv *bitset.Set
 		if entry {
-			send, recv = a.Write.Lazy.ResOut[id], a.Write.Eager.ResOut[id]
+			send, recv = a.Write.Lazy.ResOut.At(id), a.Write.Eager.ResOut.At(id)
 		} else {
-			send, recv = a.Write.Lazy.ResIn[id], a.Write.Eager.ResIn[id]
+			send, recv = a.Write.Lazy.ResIn.At(id), a.Write.Eager.ResIn.At(id)
 		}
 		if opt.Split {
 			add("WRITE", "Send", send)
@@ -110,9 +110,9 @@ func (a *Analysis) commsAt(b *cfg.Block, entry bool, opt Options) []ir.Stmt {
 	if opt.Reads {
 		var send, recv *bitset.Set
 		if entry {
-			send, recv = a.Read.Eager.ResIn[id], a.Read.Lazy.ResIn[id]
+			send, recv = a.Read.Eager.ResIn.At(id), a.Read.Lazy.ResIn.At(id)
 		} else {
-			send, recv = a.Read.Eager.ResOut[id], a.Read.Lazy.ResOut[id]
+			send, recv = a.Read.Eager.ResOut.At(id), a.Read.Lazy.ResOut.At(id)
 		}
 		if opt.Split {
 			add("READ", "Send", send)

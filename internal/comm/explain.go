@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"givetake/internal/bitset"
 	"givetake/internal/cfg"
 	"givetake/internal/core"
 	"givetake/internal/interval"
@@ -113,13 +112,13 @@ func (a *Analysis) ExplainNode(preNum int) (string, error) {
 func (a *Analysis) explainSlot(sb *strings.Builder, sl resSlot, n *interval.Node, boundary string) bool {
 	p := sl.sol.Place(sl.mode)
 	id := n.ID
-	set := p.ResOut[id]
+	set := p.ResOut.At(id)
 	eq, res := "Eq.15", "RES_out"
 	if sl.resIn {
-		set = p.ResIn[id]
+		set = p.ResIn.At(id)
 		eq, res = "Eq.14", "RES_in"
 	}
-	if set == nil || set.IsEmpty() {
+	if set.IsEmpty() {
 		return false
 	}
 	graphNote := ""
@@ -147,9 +146,9 @@ func (a *Analysis) explainNeed(sb *strings.Builder, sl resSlot, n *interval.Node
 	s, id := sl.sol, n.ID
 	if sl.resIn {
 		switch {
-		case has(s.Take[id], item):
+		case s.Take.At(id).Has(item):
 			fmt.Fprintf(sb, "      needed: TAKE(%d) — consumed at this node\n", a.preOf(id))
-		case has(s.TakenIn[id], item):
+		case s.TakenIn.At(id).Has(item):
 			fmt.Fprintf(sb, "      needed: TAKEN_in(%d) — consumed on every path from here (consumers: %s)\n",
 				a.preOf(id), a.consumers(sl, item))
 		default:
@@ -162,7 +161,7 @@ func (a *Analysis) explainNeed(sb *strings.Builder, sl resSlot, n *interval.Node
 	p := s.Place(sl.mode)
 	var needs []string
 	for _, e := range n.Out {
-		if interval.FJ.Has(e.Type) && has(p.GivenIn[e.To.ID], item) {
+		if interval.FJ.Has(e.Type) && p.GivenIn.At(e.To.ID).Has(item) {
 			needs = append(needs, fmt.Sprintf("%d", a.preOf(e.To.ID)))
 		}
 	}
@@ -179,7 +178,7 @@ func (a *Analysis) explainMissing(sb *strings.Builder, sl resSlot, n *interval.N
 	p := s.Place(sl.mode)
 	if !sl.resIn {
 		// Eq. 15 subtracts GIVEN_out(n)
-		if has(s.Steal[id], item) {
+		if s.Steal.At(id).Has(item) {
 			fmt.Fprintf(sb, "      missing: STEAL(%d) voids it at this node (Eq.13 subtracts it from GIVEN_out)\n", a.preOf(id))
 		} else {
 			fmt.Fprintf(sb, "      missing: not in GIVEN_out(%d) — never available at this node's exit\n", a.preOf(id))
@@ -194,7 +193,7 @@ func (a *Analysis) explainMissing(sb *strings.Builder, sl resSlot, n *interval.N
 			continue
 		}
 		fj++
-		if !has(p.GivenOut[e.From.ID], item) {
+		if !p.GivenOut.At(e.From.ID).Has(item) {
 			lacking = append(lacking, fmt.Sprintf("%d", a.preOf(e.From.ID)))
 		}
 	}
@@ -203,7 +202,7 @@ func (a *Analysis) explainMissing(sb *strings.Builder, sl resSlot, n *interval.N
 		fmt.Fprintf(sb, "      missing: no predecessors — nothing can be available on entry\n")
 	case fj == 0:
 		h := n.EntryHeader
-		if has(s.Steal[h.ID], item) {
+		if s.Steal.At(h.ID).Has(item) {
 			fmt.Fprintf(sb, "      missing: enclosing loop (header %d) may void it, so header availability is not inherited\n", a.preOf(h.ID))
 		} else {
 			fmt.Fprintf(sb, "      missing: not available at enclosing header %d\n", a.preOf(h.ID))
@@ -221,8 +220,8 @@ func (a *Analysis) explainMissing(sb *strings.Builder, sl resSlot, n *interval.N
 // ultimately forced this placement.
 func (a *Analysis) consumers(sl resSlot, item int) string {
 	var pres []int
-	for id := range sl.init.Take {
-		if has(sl.init.Take[id], item) {
+	for id := 0; id < sl.init.Take.Rows(); id++ {
+		if sl.init.Take.At(id).Has(item) {
 			pres = append(pres, a.preOf(id))
 		}
 	}
@@ -235,8 +234,4 @@ func (a *Analysis) consumers(sl resSlot, item int) string {
 		out[i] = fmt.Sprintf("node %d", p)
 	}
 	return strings.Join(out, ", ")
-}
-
-func has(s *bitset.Set, item int) bool {
-	return s != nil && s.Has(item)
 }

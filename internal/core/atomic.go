@@ -31,57 +31,21 @@ import (
 // never fails; it is the bottom rung of the serve degradation ladder.
 func Atomic(g *interval.Graph, universe int, init *Init) (*Solution, *Init) {
 	n := len(g.Nodes)
-	s := &Solution{Graph: g, Universe: universe}
-	s.Stats.Nodes = n
-	s.Stats.Universe = universe
-	s.Stats.Words = (universe + 63) / 64
-	s.Stats.MaxLevel, s.Stats.NodesPerLevel = g.LevelStats()
-	alloc := func() []*bitset.Set {
-		return bitset.NewSlice(n, universe)
-	}
-	s.Steal, s.Give, s.Block = alloc(), alloc(), alloc()
-	s.TakenOut, s.Take, s.TakenIn = alloc(), alloc(), alloc()
-	s.BlockLoc, s.TakeLoc = alloc(), alloc()
-	s.GiveLoc, s.StealLoc = alloc(), alloc()
-	for _, p := range []*Placement{&s.Eager, &s.Lazy} {
-		p.GivenIn, p.Given, p.GivenOut = alloc(), alloc(), alloc()
-		p.ResIn, p.ResOut = alloc(), alloc()
-	}
-
-	fb := NewInit(n)
+	s := newSolution(g, universe, nil)
+	fb := NewInit(n, universe)
 	for id := 0; id < n; id++ {
-		if t := at(init.Take, id); t != nil {
-			fb.Take[id] = t.Clone()
-			s.Take[id].UnionWith(t)
-			s.Eager.ResIn[id].UnionWith(t)
-			s.Lazy.ResIn[id].UnionWith(t)
-			s.Eager.Given[id].UnionWith(t)
-			s.Lazy.Given[id].UnionWith(t)
+		t := init.Take.Row(id)
+		copy(fb.Take.Row(id), t)
+		for _, v := range [...]bitset.Slab{s.Take, s.Eager.ResIn, s.Lazy.ResIn, s.Eager.Given, s.Lazy.Given} {
+			bitset.Or(v.Row(id), t)
 		}
 		// the node-local invalidation set: everything the original
 		// problem steals here, plus everything consumed or given here
-		st := bitset.New(universe)
-		if v := at(init.Steal, id); v != nil {
-			st.UnionWith(v)
-		}
-		if v := at(init.Take, id); v != nil {
-			st.UnionWith(v)
-		}
-		if v := at(init.Give, id); v != nil {
-			st.UnionWith(v)
-		}
-		if !st.IsEmpty() {
-			fb.Steal[id] = st
-			s.Steal[id].UnionWith(st)
-		}
+		st := fb.Steal.Row(id)
+		bitset.Or(st, init.Steal.Row(id))
+		bitset.Or(st, t)
+		bitset.Or(st, init.Give.Row(id))
+		bitset.Or(s.Steal.Row(id), st)
 	}
 	return s, fb
-}
-
-// at indexes an Init slice defensively (nil slice or entry = empty).
-func at(v []*bitset.Set, id int) *bitset.Set {
-	if v == nil || id >= len(v) || v[id] == nil {
-		return nil
-	}
-	return v[id]
 }

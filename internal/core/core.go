@@ -73,72 +73,79 @@ func (m Mode) String() string {
 	return "lazy"
 }
 
-// Init supplies the initial dataflow variables (paper §4.1), indexed by
-// interval node ID. Nil slices and nil entries mean the empty set.
+// Init supplies the initial dataflow variables (paper §4.1): one slab
+// row per interval node ID, every row over the problem's universe.
 type Init struct {
 	// Take holds TAKE_init(n): the consumers at n.
-	Take []*bitset.Set
+	Take bitset.Slab
 	// Steal holds STEAL_init(n): items whose production is voided at n.
-	Steal []*bitset.Set
+	Steal bitset.Slab
 	// Give holds GIVE_init(n): items produced at n "for free" as a side
 	// effect (they satisfy later consumers without generated code).
-	Give []*bitset.Set
+	Give bitset.Slab
 }
 
-// NewInit returns an Init with empty sets for a graph of n nodes.
-func NewInit(n int) *Init {
+// NewInit returns an Init with an empty row for each of the given
+// number of nodes, over a universe of universe items.
+func NewInit(nodes, universe int) *Init {
 	return &Init{
-		Take:  make([]*bitset.Set, n),
-		Steal: make([]*bitset.Set, n),
-		Give:  make([]*bitset.Set, n),
+		Take:  bitset.NewSlab(nodes, universe),
+		Steal: bitset.NewSlab(nodes, universe),
+		Give:  bitset.NewSlab(nodes, universe),
 	}
-}
-
-// add unions items into slot i of dst, allocating on demand.
-func (in *Init) add(dst []*bitset.Set, i, universe int, items *bitset.Set) {
-	if dst[i] == nil {
-		dst[i] = bitset.New(universe)
-	}
-	dst[i].UnionWith(items)
 }
 
 // AddTake unions items into TAKE_init(n).
-func (in *Init) AddTake(n *interval.Node, universe int, items *bitset.Set) {
-	in.add(in.Take, n.ID, universe, items)
+func (in *Init) AddTake(n *interval.Node, items *bitset.Set) {
+	in.Take.At(n.ID).UnionWith(items)
 }
 
 // AddSteal unions items into STEAL_init(n).
-func (in *Init) AddSteal(n *interval.Node, universe int, items *bitset.Set) {
-	in.add(in.Steal, n.ID, universe, items)
+func (in *Init) AddSteal(n *interval.Node, items *bitset.Set) {
+	in.Steal.At(n.ID).UnionWith(items)
 }
 
 // AddGive unions items into GIVE_init(n).
-func (in *Init) AddGive(n *interval.Node, universe int, items *bitset.Set) {
-	in.add(in.Give, n.ID, universe, items)
+func (in *Init) AddGive(n *interval.Node, items *bitset.Set) {
+	in.Give.At(n.ID).UnionWith(items)
 }
 
-// Placement holds the §4.4–4.5 variables of one mode.
+// fits reports whether in has one row per node of an n-node graph over
+// the given universe.
+func (in *Init) fits(n, universe int) bool {
+	for _, v := range [3]bitset.Slab{in.Take, in.Steal, in.Give} {
+		if v.Rows() != n || v.Universe() != universe {
+			return false
+		}
+	}
+	return true
+}
+
+// Placement holds the §4.4–4.5 variables of one mode, one row per node
+// ID.
 type Placement struct {
-	GivenIn  []*bitset.Set // GIVEN_in(n), availability at node entry
-	Given    []*bitset.Set // GIVEN(n), availability at the node itself
-	GivenOut []*bitset.Set // GIVEN_out(n), availability at node exit
-	ResIn    []*bitset.Set // RES_in(n), production generated at node entry
-	ResOut   []*bitset.Set // RES_out(n), production generated at node exit
+	GivenIn  bitset.Slab // GIVEN_in(n), availability at node entry
+	Given    bitset.Slab // GIVEN(n), availability at the node itself
+	GivenOut bitset.Slab // GIVEN_out(n), availability at node exit
+	ResIn    bitset.Slab // RES_in(n), production generated at node entry
+	ResOut   bitset.Slab // RES_out(n), production generated at node exit
 }
 
 // Solution carries every dataflow variable of a solved problem. The
 // variables shared between modes (§4.2–4.3, sets S1 and S2) appear once;
-// the placement variables (§4.4–4.5) appear per mode.
+// the placement variables (§4.4–4.5) appear per mode. Each variable is
+// one pointer-free slab with a row per node ID; At(id) views a row as a
+// *bitset.Set.
 type Solution struct {
 	Graph    *interval.Graph
 	Universe int
 
-	// S1 variables (Eqs. 1–8), indexed by node ID.
-	Steal, Give, Block      []*bitset.Set
-	TakenOut, Take, TakenIn []*bitset.Set
-	BlockLoc, TakeLoc       []*bitset.Set
+	// S1 variables (Eqs. 1–8).
+	Steal, Give, Block      bitset.Slab
+	TakenOut, Take, TakenIn bitset.Slab
+	BlockLoc, TakeLoc       bitset.Slab
 	// S2 variables (Eqs. 9–10).
-	GiveLoc, StealLoc []*bitset.Set
+	GiveLoc, StealLoc bitset.Slab
 
 	// Eager and Lazy placements (Eqs. 11–15).
 	Eager, Lazy Placement
@@ -156,6 +163,10 @@ type Solution struct {
 	// every group exactly once per node; enter panics on the second
 	// visit, making any regression of the one-pass O(E) property loud.
 	evals [grpCount][]uint8
+
+	// tmp holds the scratch rows the equations need for intermediate
+	// meets and differences.
+	tmp bitset.Slab
 }
 
 // Equation groups of the Figure 15 pass structure. Eqs. 11–15 run once
@@ -206,8 +217,8 @@ func (s *Solution) Place(m Mode) *Placement {
 
 // Solve runs the GiveNTake algorithm (paper Fig. 15) on g. Each equation
 // is evaluated exactly once per node, so the work is O(E) bit-vector
-// operations. Init slices must be indexed by node ID; missing entries
-// are empty sets. Zero-trip hoisting is suppressed for nodes whose
+// operations. init must have one row per node ID over universe
+// (NewInit). Zero-trip hoisting is suppressed for nodes whose
 // NoHoist flag is set (§4.1, §5.3). A broken one-pass invariant is
 // returned as *InvariantError (errors.Is ErrInvariant), never panicked.
 func Solve(g *interval.Graph, universe int, init *Init) (*Solution, error) {
@@ -235,9 +246,9 @@ func SolveCtx(ctx context.Context, g *interval.Graph, universe int, init *Init) 
 }
 
 // SolveIn is SolveCtx with slab reuse: when ar is non-nil every
-// per-node set slab is carved from it instead of freshly allocated,
-// so a worker that leases one arena per solve keeps its steady-state
-// allocation flat across requests. The returned Solution aliases the
+// variable's slab is carved from it instead of freshly allocated, so a
+// worker that leases one arena per solve allocates only a few fixed
+// headers per solve, whatever the graph size. The returned Solution aliases the
 // arena's buffer and must not be used after the arena is Reset.
 func SolveIn(ctx context.Context, g *interval.Graph, universe int, init *Init, ar *bitset.Arena) (sol *Solution, err error) {
 	defer func() {
@@ -262,35 +273,15 @@ func SolveIn(ctx context.Context, g *interval.Graph, universe int, init *Init, a
 		}
 	}
 	n := len(g.Nodes)
-	s := &Solution{Graph: g, Universe: universe}
-	s.Stats.Nodes = n
-	s.Stats.Universe = universe
-	s.Stats.Words = (universe + 63) / 64
-	s.Stats.MaxLevel, s.Stats.NodesPerLevel = g.LevelStats()
+	if !init.fits(n, universe) {
+		return nil, fmt.Errorf("core: initial variables do not fit %d nodes over %d items", n, universe)
+	}
+	s := newSolution(g, universe, ar)
+	evals := make([]uint8, grpCount*n)
 	for grp := range s.evals {
-		s.evals[grp] = make([]uint8, n)
+		s.evals[grp] = evals[grp*n : (grp+1)*n]
 	}
-	// one slab per variable keeps the per-node sets contiguous and the
-	// allocation count independent of graph size; an arena additionally
-	// reuses the words across solves
-	alloc := func() []*bitset.Set {
-		return ar.NewSlice(n, universe)
-	}
-	s.Steal, s.Give, s.Block = alloc(), alloc(), alloc()
-	s.TakenOut, s.Take, s.TakenIn = alloc(), alloc(), alloc()
-	s.BlockLoc, s.TakeLoc = alloc(), alloc()
-	s.GiveLoc, s.StealLoc = alloc(), alloc()
-	for _, p := range []*Placement{&s.Eager, &s.Lazy} {
-		p.GivenIn, p.Given, p.GivenOut = alloc(), alloc(), alloc()
-		p.ResIn, p.ResOut = alloc(), alloc()
-	}
-
-	initSet := func(v []*bitset.Set, id int) *bitset.Set {
-		if v == nil || v[id] == nil {
-			return nil
-		}
-		return v[id]
-	}
+	s.tmp = ar.NewSlab(3, universe)
 
 	// ----- Pass 1: S1 (Eqs. 1–8) in REVERSEPREORDER, with S2 (Eqs. 9–10)
 	// for each header's children, in FORWARD order, evaluated first
@@ -307,7 +298,7 @@ func SolveIn(ctx context.Context, g *interval.Graph, universe int, init *Init, a
 				s.eq9_10(c)
 			}
 		}
-		s.eq1_8(nd, init, initSet)
+		s.eq1_8(nd, init)
 	}
 	for _, c := range g.Root.Children {
 		s.eq9_10(c)
@@ -334,6 +325,27 @@ func SolveIn(ctx context.Context, g *interval.Graph, universe int, init *Init, a
 	return s, nil
 }
 
+// newSolution returns a Solution over g with an empty slab per
+// variable, carved from ar when it is non-nil.
+func newSolution(g *interval.Graph, universe int, ar *bitset.Arena) *Solution {
+	n := len(g.Nodes)
+	s := &Solution{Graph: g, Universe: universe}
+	s.Stats.Nodes = n
+	s.Stats.Universe = universe
+	s.Stats.Words = (universe + 63) / 64
+	s.Stats.MaxLevel, s.Stats.NodesPerLevel = g.LevelStats()
+	alloc := func() bitset.Slab { return ar.NewSlab(n, universe) }
+	s.Steal, s.Give, s.Block = alloc(), alloc(), alloc()
+	s.TakenOut, s.Take, s.TakenIn = alloc(), alloc(), alloc()
+	s.BlockLoc, s.TakeLoc = alloc(), alloc()
+	s.GiveLoc, s.StealLoc = alloc(), alloc()
+	for _, p := range [2]*Placement{&s.Eager, &s.Lazy} {
+		p.GivenIn, p.Given, p.GivenOut = alloc(), alloc(), alloc()
+		p.ResIn, p.ResOut = alloc(), alloc()
+	}
+	return s
+}
+
 // finishStats derives the aggregate counters after the passes: total
 // word operations and the per-equation-per-node evaluation bounds that
 // witness the one-pass property empirically.
@@ -357,18 +369,17 @@ func (s *Solution) finishStats() {
 }
 
 // eq1_8 evaluates the consumption-propagation set S1 at node n.
-func (s *Solution) eq1_8(n *interval.Node, init *Init, initSet func([]*bitset.Set, int) *bitset.Set) {
+func (s *Solution) eq1_8(n *interval.Node, init *Init) {
 	id := n.ID
 	s.enter(grpS1, id)
 	ops := 0
+	steal, give, block := s.Steal.Row(id), s.Give.Row(id), s.Block.Row(id)
 
 	// Eq. 1: STEAL(n) = STEAL_init(n) ∪ STEAL_loc(LASTCHILD(n))
-	if v := initSet(init.Steal, id); v != nil {
-		s.Steal[id].UnionWith(v)
-		ops++
-	}
+	bitset.Or(steal, init.Steal.Row(id))
+	ops++
 	if n.LastChild != nil {
-		s.Steal[id].UnionWith(s.StealLoc[n.LastChild.ID])
+		bitset.Or(steal, s.StealLoc.Row(n.LastChild.ID))
 		ops++
 	}
 
@@ -383,44 +394,43 @@ func (s *Solution) eq1_8(n *interval.Node, init *Init, initSet func([]*bitset.Se
 	if n.NoHoist {
 		for _, e := range n.Out {
 			if e.Type == interval.Entry {
-				s.Steal[id].UnionWith(s.TakeLoc[e.To.ID])
+				bitset.Or(steal, s.TakeLoc.Row(e.To.ID))
 				ops++
 			}
 		}
 	}
 
 	// Eq. 2: GIVE(n) = GIVE_init(n) ∪ GIVE_loc(LASTCHILD(n))
-	if v := initSet(init.Give, id); v != nil {
-		s.Give[id].UnionWith(v)
-		ops++
-	}
+	bitset.Or(give, init.Give.Row(id))
+	ops++
 	if n.LastChild != nil {
-		s.Give[id].UnionWith(s.GiveLoc[n.LastChild.ID])
+		bitset.Or(give, s.GiveLoc.Row(n.LastChild.ID))
 		ops++
 	}
 
 	// Eq. 3: BLOCK(n) = STEAL(n) ∪ GIVE(n) ∪ ⋃_{s∈SUCCS^E} BLOCK_loc(s)
-	s.Block[id].UnionWith(s.Steal[id])
-	s.Block[id].UnionWith(s.Give[id])
+	bitset.Or(block, steal)
+	bitset.Or(block, give)
 	ops += 2
 	for _, e := range n.Out {
 		if e.Type == interval.Entry {
-			s.Block[id].UnionWith(s.BlockLoc[e.To.ID])
+			bitset.Or(block, s.BlockLoc.Row(e.To.ID))
 			ops++
 		}
 	}
 
 	// Eq. 4: TAKEN_out(n) = ⋂_{s∈SUCCS^FJS} TAKEN_in(s); empty ⇒ ⊥
+	takenOut := s.TakenOut.Row(id)
 	first := true
 	for _, e := range n.Out {
 		if !interval.FJS.Has(e.Type) {
 			continue
 		}
 		if first {
-			s.TakenOut[id].Copy(s.TakenIn[e.To.ID])
+			copy(takenOut, s.TakenIn.Row(e.To.ID))
 			first = false
 		} else {
-			s.TakenOut[id].IntersectWith(s.TakenIn[e.To.ID])
+			bitset.And(takenOut, s.TakenIn.Row(e.To.ID))
 		}
 		ops++
 	}
@@ -432,61 +442,63 @@ func (s *Solution) eq1_8(n *interval.Node, init *Init, initSet func([]*bitset.Se
 	// loop to the header — the zero-trip hoist; the third term hoists
 	// consumption that *may* happen inside if it is guaranteed after the
 	// loop anyway. NoHoist headers skip both (§4.1, §5.3).
-	take := s.Take[id]
-	if v := initSet(init.Take, id); v != nil {
-		take.UnionWith(v)
-		ops++
-	}
+	take := s.Take.Row(id)
+	bitset.Or(take, init.Take.Row(id))
+	ops++
 	if !n.NoHoist {
-		guaranteed := bitset.New(s.Universe)
-		may := bitset.New(s.Universe)
+		guaranteed, may := s.tmp.Row(0), s.tmp.Row(1)
+		clear(guaranteed)
+		clear(may)
 		hasEntry := false
 		for _, e := range n.Out {
 			if e.Type == interval.Entry {
 				hasEntry = true
-				guaranteed.UnionWith(s.TakenIn[e.To.ID])
-				may.UnionWith(s.TakeLoc[e.To.ID])
+				bitset.Or(guaranteed, s.TakenIn.Row(e.To.ID))
+				bitset.Or(may, s.TakeLoc.Row(e.To.ID))
 				ops += 2
 			}
 		}
 		if hasEntry {
-			guaranteed.SubtractWith(s.Steal[id])
-			take.UnionWith(guaranteed)
-			may.IntersectWith(s.TakenOut[id])
-			may.SubtractWith(s.Block[id])
-			take.UnionWith(may)
+			bitset.AndNot(guaranteed, steal)
+			bitset.Or(take, guaranteed)
+			bitset.And(may, takenOut)
+			bitset.AndNot(may, block)
+			bitset.Or(take, may)
 			ops += 5
 		}
 	}
 
 	// Eq. 6: TAKEN_in(n) = TAKE(n) ∪ (TAKEN_out(n) − BLOCK(n))
-	s.TakenIn[id].Copy(s.TakenOut[id])
-	s.TakenIn[id].SubtractWith(s.Block[id])
-	s.TakenIn[id].UnionWith(take)
+	takenIn := s.TakenIn.Row(id)
+	copy(takenIn, takenOut)
+	bitset.AndNot(takenIn, block)
+	bitset.Or(takenIn, take)
 	ops += 3
 
 	// Eq. 7: BLOCK_loc(n) = (BLOCK(n) ∪ ⋃_{s∈SUCCS^F} BLOCK_loc(s)) − TAKE(n)
-	s.BlockLoc[id].Copy(s.Block[id])
+	blockLoc := s.BlockLoc.Row(id)
+	copy(blockLoc, block)
 	for _, e := range n.Out {
 		if e.Type == interval.Forward {
-			s.BlockLoc[id].UnionWith(s.BlockLoc[e.To.ID])
+			bitset.Or(blockLoc, s.BlockLoc.Row(e.To.ID))
 			ops++
 		}
 	}
-	s.BlockLoc[id].SubtractWith(take)
+	bitset.AndNot(blockLoc, take)
 	ops += 2
 
 	// Eq. 8: TAKE_loc(n) = TAKE(n) ∪ (⋃_{s∈SUCCS^EF} TAKE_loc(s) − BLOCK(n))
-	acc := bitset.New(s.Universe)
+	acc := s.tmp.Row(0)
+	clear(acc)
 	for _, e := range n.Out {
 		if interval.EF.Has(e.Type) {
-			acc.UnionWith(s.TakeLoc[e.To.ID])
+			bitset.Or(acc, s.TakeLoc.Row(e.To.ID))
 			ops++
 		}
 	}
-	acc.SubtractWith(s.Block[id])
-	acc.UnionWith(take)
-	s.TakeLoc[id].Copy(acc)
+	bitset.AndNot(acc, block)
+	bitset.Or(acc, take)
+	copy(s.TakeLoc.Row(id), acc)
 	ops += 3
 	s.Stats.SetOps += int64(ops)
 }
@@ -505,8 +517,8 @@ func (s *Solution) eq9_10(n *interval.Node) {
 	}
 
 	// Eq. 9: GIVE_loc(n) = (GIVE(n) ∪ TAKE(n) ∪ ⋂_{p∈PREDS^FJ} GIVE_loc(p)) − STEAL(n)
-	meet := (*bitset.Set)(nil)
-	bottomed := false
+	meet := s.tmp.Row(0)
+	haveMeet, bottomed := false, false
 	for _, e := range n.In {
 		if !interval.FJ.Has(e.Type) {
 			continue
@@ -515,47 +527,49 @@ func (s *Solution) eq9_10(n *interval.Node) {
 			bottomed = true // unknown predecessor summary ⇒ assume ⊥
 			continue
 		}
-		if meet == nil {
-			meet = s.GiveLoc[e.From.ID].Clone()
+		if !haveMeet {
+			copy(meet, s.GiveLoc.Row(e.From.ID))
+			haveMeet = true
 		} else {
-			meet.IntersectWith(s.GiveLoc[e.From.ID])
+			bitset.And(meet, s.GiveLoc.Row(e.From.ID))
 		}
 		ops++
 	}
-	gl := s.GiveLoc[id]
-	gl.UnionWith(s.Give[id])
-	gl.UnionWith(s.Take[id])
+	gl := s.GiveLoc.Row(id)
+	bitset.Or(gl, s.Give.Row(id))
+	bitset.Or(gl, s.Take.Row(id))
 	ops += 2
-	if meet != nil && !bottomed {
-		gl.UnionWith(meet)
+	if haveMeet && !bottomed {
+		bitset.Or(gl, meet)
 		ops++
 	}
-	gl.SubtractWith(s.Steal[id])
+	bitset.AndNot(gl, s.Steal.Row(id))
 	ops++
 
 	// Eq. 10: STEAL_loc(n) = STEAL(n)
 	//                      ∪ ⋃_{p∈PREDS^FJ} (STEAL_loc(p) − GIVE_loc(p))
 	//                      ∪ ⋃_{p∈PREDS^S} STEAL_loc(p)
-	sl := s.StealLoc[id]
-	sl.UnionWith(s.Steal[id])
+	sl := s.StealLoc.Row(id)
+	bitset.Or(sl, s.Steal.Row(id))
 	ops++
+	d := s.tmp.Row(1)
 	for _, e := range n.In {
 		switch {
 		case interval.FJ.Has(e.Type):
 			if invertedJump(e) {
-				sl.Fill() // unknown predecessor summary ⇒ assume ⊤
+				s.StealLoc.Fill(id) // unknown predecessor summary ⇒ assume ⊤
 				ops++
 				continue
 			}
-			d := s.StealLoc[e.From.ID].Clone()
-			d.SubtractWith(s.GiveLoc[e.From.ID])
-			sl.UnionWith(d)
+			copy(d, s.StealLoc.Row(e.From.ID))
+			bitset.AndNot(d, s.GiveLoc.Row(e.From.ID))
+			bitset.Or(sl, d)
 			ops += 3
 		case e.Type == interval.Synthetic:
 			// p is the header of an interval enclosing the source of a
 			// jump; the interval may be left half-done, so resupplies
 			// (GIVE_loc) cannot be trusted and are not subtracted.
-			sl.UnionWith(s.StealLoc[e.From.ID])
+			bitset.Or(sl, s.StealLoc.Row(e.From.ID))
 			ops++
 		}
 	}
@@ -586,49 +600,54 @@ func (s *Solution) eq11_13(n *interval.Node, m Mode) {
 	// the header's STEAL — the body's may-steal summary (Eq. 1) —
 	// restores soundness; the remaining GIVEN(h) components are already
 	// steal-filtered, and all §4 worked-example values are unchanged.
-	gin := p.GivenIn[id]
+	gin := p.GivenIn.Row(id)
 	if h := n.EntryHeader; h != nil {
-		inherit := p.Given[h.ID].Clone()
-		inherit.SubtractWith(s.Steal[h.ID])
-		gin.UnionWith(inherit)
+		inherit := s.tmp.Row(0)
+		copy(inherit, p.Given.Row(h.ID))
+		bitset.AndNot(inherit, s.Steal.Row(h.ID))
+		bitset.Or(gin, inherit)
 		ops += 3
 	}
-	var meet, join *bitset.Set
+	meet, join := s.tmp.Row(1), s.tmp.Row(2)
+	haveMeet := false
 	for _, e := range n.In {
 		if !interval.FJ.Has(e.Type) {
 			continue
 		}
-		out := p.GivenOut[e.From.ID]
-		if meet == nil {
-			meet = out.Clone()
-			join = out.Clone()
+		out := p.GivenOut.Row(e.From.ID)
+		if !haveMeet {
+			copy(meet, out)
+			copy(join, out)
+			haveMeet = true
 		} else {
-			meet.IntersectWith(out)
-			join.UnionWith(out)
+			bitset.And(meet, out)
+			bitset.Or(join, out)
 		}
 		ops += 2
 	}
-	if meet != nil {
-		gin.UnionWith(meet)
-		join.IntersectWith(s.TakenIn[id])
-		gin.UnionWith(join)
+	if haveMeet {
+		bitset.Or(gin, meet)
+		bitset.And(join, s.TakenIn.Row(id))
+		bitset.Or(gin, join)
 		ops += 3
 	}
 
 	// Eq. 12: GIVEN(n) = GIVEN_in(n) ∪ TAKEN_in(n)   (EAGER)
 	//                  = GIVEN_in(n) ∪ TAKE(n)       (LAZY)
-	p.Given[id].Copy(gin)
+	given := p.Given.Row(id)
+	copy(given, gin)
 	if m == Eager {
-		p.Given[id].UnionWith(s.TakenIn[id])
+		bitset.Or(given, s.TakenIn.Row(id))
 	} else {
-		p.Given[id].UnionWith(s.Take[id])
+		bitset.Or(given, s.Take.Row(id))
 	}
 	ops += 2
 
 	// Eq. 13: GIVEN_out(n) = (GIVE(n) ∪ GIVEN(n)) − STEAL(n)
-	p.GivenOut[id].Copy(p.Given[id])
-	p.GivenOut[id].UnionWith(s.Give[id])
-	p.GivenOut[id].SubtractWith(s.Steal[id])
+	gout := p.GivenOut.Row(id)
+	copy(gout, given)
+	bitset.Or(gout, s.Give.Row(id))
+	bitset.AndNot(gout, s.Steal.Row(id))
 	ops += 3
 	s.Stats.SetOps += int64(ops)
 }
@@ -645,18 +664,20 @@ func (s *Solution) eq14_15(n *interval.Node, m Mode) {
 	p := s.Place(m)
 
 	// Eq. 14: RES_in(n) = GIVEN(n) − GIVEN_in(n)
-	p.ResIn[id].Copy(p.Given[id])
-	p.ResIn[id].SubtractWith(p.GivenIn[id])
+	resIn := p.ResIn.Row(id)
+	copy(resIn, p.Given.Row(id))
+	bitset.AndNot(resIn, p.GivenIn.Row(id))
 	ops += 2
 
 	// Eq. 15: RES_out(n) = ⋃_{s∈SUCCS^FJ} GIVEN_in(s) − GIVEN_out(n)
+	resOut := p.ResOut.Row(id)
 	for _, e := range n.Out {
 		if interval.FJ.Has(e.Type) {
-			p.ResOut[id].UnionWith(p.GivenIn[e.To.ID])
+			bitset.Or(resOut, p.GivenIn.Row(e.To.ID))
 			ops++
 		}
 	}
-	p.ResOut[id].SubtractWith(p.GivenOut[id])
+	bitset.AndNot(resOut, p.GivenOut.Row(id))
 	ops++
 	s.Stats.SetOps += int64(ops)
 }
@@ -665,10 +686,10 @@ func (s *Solution) eq14_15(n *interval.Node, m Mode) {
 // item names.
 func (s *Solution) Dump(name func(int) string) string {
 	var sb strings.Builder
-	row := func(label string, v []*bitset.Set) {
+	row := func(label string, v bitset.Slab) {
 		fmt.Fprintf(&sb, "%-14s", label)
 		for _, n := range s.Graph.Preorder {
-			fmt.Fprintf(&sb, " %d:%s", n.Pre+1, v[n.ID].StringWith(name))
+			fmt.Fprintf(&sb, " %d:%s", n.Pre+1, v.At(n.ID).StringWith(name))
 		}
 		sb.WriteByte('\n')
 	}

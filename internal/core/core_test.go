@@ -34,7 +34,7 @@ func newScenario(t *testing.T, src string) *scenario {
 	if err != nil {
 		t.Fatalf("interval: %v", err)
 	}
-	return &scenario{t: t, g: g, init: NewInit(len(g.Nodes)), u: 1}
+	return &scenario{t: t, g: g, init: NewInit(len(g.Nodes), 1), u: 1}
 }
 
 // node returns the unique node whose printed block description contains
@@ -58,9 +58,9 @@ func (sc *scenario) node(substr string) *interval.Node {
 
 func (sc *scenario) one() *bitset.Set { return bitset.Of(sc.u, 0) }
 
-func (sc *scenario) take(substr string)  { sc.init.AddTake(sc.node(substr), sc.u, sc.one()) }
-func (sc *scenario) steal(substr string) { sc.init.AddSteal(sc.node(substr), sc.u, sc.one()) }
-func (sc *scenario) give(substr string)  { sc.init.AddGive(sc.node(substr), sc.u, sc.one()) }
+func (sc *scenario) take(substr string)  { sc.init.AddTake(sc.node(substr), sc.one()) }
+func (sc *scenario) steal(substr string) { sc.init.AddSteal(sc.node(substr), sc.one()) }
+func (sc *scenario) give(substr string)  { sc.init.AddGive(sc.node(substr), sc.one()) }
 
 func (sc *scenario) solve() *Solution { return MustSolve(sc.g, sc.u, sc.init) }
 
@@ -83,10 +83,10 @@ func (sc *scenario) solveVerified() *Solution {
 func resNodes(s *Solution, m Mode) (in, out []string) {
 	p := s.Place(m)
 	for _, n := range s.Graph.Preorder {
-		if !p.ResIn[n.ID].IsEmpty() {
+		if !p.ResIn.At(n.ID).IsEmpty() {
 			in = append(in, n.Block.String())
 		}
-		if !p.ResOut[n.ID].IsEmpty() {
+		if !p.ResOut.At(n.ID).IsEmpty() {
 			out = append(out, n.Block.String())
 		}
 	}
@@ -347,12 +347,12 @@ b = 2
 	// reversed time, i.e. latest in original time).
 	p := s.Place(Eager)
 	exitNode := rev.NodeFor(sc.node("exit").Block)
-	if !p.ResIn[exitNode.ID].Has(0) {
+	if !p.ResIn.At(exitNode.ID).Has(0) {
 		t.Fatalf("eager AFTER production should land at original exit; dump:\n%s",
 			s.Dump(func(i int) string { return "x" }))
 	}
 	lazyNode := rev.NodeFor(sc.node("x(1) = 5").Block)
-	if !s.Place(Lazy).ResIn[lazyNode.ID].Has(0) {
+	if !s.Place(Lazy).ResIn.At(lazyNode.ID).Has(0) {
 		t.Fatalf("lazy AFTER production should sit right after the def; dump:\n%s",
 			s.Dump(func(i int) string { return "x" }))
 	}
@@ -382,7 +382,7 @@ b = 2
 	for _, m := range []Mode{Eager, Lazy} {
 		p := s.Place(m)
 		body := rev.NodeFor(sc.node("x(i) = 5").Block)
-		if p.ResIn[body.ID].Has(0) || p.ResOut[body.ID].Has(0) {
+		if p.ResIn.At(body.ID).Has(0) || p.ResOut.At(body.ID).Has(0) {
 			t.Fatalf("%v AFTER production not sunk out of loop; dump:\n%s", m,
 				s.Dump(func(i int) string { return "x" }))
 		}
@@ -434,11 +434,9 @@ s = x(1)
 	// sabotage: erase all production
 	for _, m := range []Mode{Eager, Lazy} {
 		p := s.Place(m)
-		for _, set := range p.ResIn {
-			set.Clear()
-		}
-		for _, set := range p.ResOut {
-			set.Clear()
+		for id := 0; id < p.ResIn.Rows(); id++ {
+			p.ResIn.At(id).Clear()
+			p.ResOut.At(id).Clear()
 		}
 	}
 	vs := Verify(s, sc.init, VerifyConfig{})
@@ -462,7 +460,7 @@ s = x(1)
 	s := sc.solve()
 	// sabotage: add a second eager production right before the consumer
 	n := sc.g.NodeFor(sc.node("s = x(1)").Block)
-	s.Eager.ResIn[n.ID].Add(0)
+	s.Eager.ResIn.At(n.ID).Add(0)
 	vs := Verify(s, sc.init, VerifyConfig{})
 	found := false
 	for _, v := range vs {
@@ -534,8 +532,8 @@ func TestViolationString(t *testing.T) {
 	sc.take("s = x(1)")
 	s := sc.solve()
 	for _, m := range []Mode{Eager, Lazy} {
-		for _, set := range s.Place(m).ResIn {
-			set.Clear()
+		for id := 0; id < s.Place(m).ResIn.Rows(); id++ {
+			s.Place(m).ResIn.At(id).Clear()
 		}
 	}
 	vs := Verify(s, sc.init, VerifyConfig{})

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-
-	"givetake/internal/bitset"
 )
 
 // The solver counters are the empirical witness of the §5.2 complexity
@@ -81,7 +79,7 @@ func TestDoubleEvaluationPanics(t *testing.T) {
 		}
 	}()
 	// re-run one equation group on an already-solved instance
-	s.eq1_8(sc.g.Preorder[0], sc.init, func(v []*bitset.Set, id int) *bitset.Set { return nil })
+	s.eq1_8(sc.g.Preorder[0], sc.init)
 }
 
 // SolveCtx converts the invariant panic into a returned error at the
@@ -102,7 +100,7 @@ func TestSolveReturnsErrInvariant(t *testing.T) {
 				panic(r)
 			}
 		}()
-		s.eq1_8(sc.g.Preorder[0], sc.init, func(v []*bitset.Set, id int) *bitset.Set { return nil })
+		s.eq1_8(sc.g.Preorder[0], sc.init)
 		return s, nil
 	}()
 	if !errors.Is(err, ErrInvariant) {
@@ -123,5 +121,18 @@ func TestSolveCtxCanceled(t *testing.T) {
 	s, err := SolveCtx(ctx, sc.g, sc.u, sc.init)
 	if s != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("SolveCtx on canceled ctx = (%v, %v), want (nil, context.Canceled)", s, err)
+	}
+}
+
+// Initial variables must have one row per node over the solve's
+// universe; a mismatch is returned as an error before any equation runs.
+func TestSolveRejectsMisfitInit(t *testing.T) {
+	sc := newScenario(t, "x = a\n")
+	n := len(sc.g.Nodes)
+	for _, init := range []*Init{NewInit(n, 2), NewInit(n+1, 1)} {
+		if s, err := Solve(sc.g, 1, init); s != nil || err == nil {
+			t.Errorf("Solve with %d×%d init = (%v, %v), want an error",
+				init.Take.Rows(), init.Take.Universe(), s, err)
+		}
 	}
 }

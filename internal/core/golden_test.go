@@ -118,17 +118,17 @@ func fig12(t *testing.T) (*interval.Graph, map[int]*interval.Node) {
 // fig12Init builds the READ-problem initial sets of §4.1:
 // STEAL_init(3) = {y_b}, GIVE_init(3) = {y_a}, TAKE_init(13) = {x_k,y_b}.
 func fig12Init(g *interval.Graph, m map[int]*interval.Node) *Init {
-	init := NewInit(len(g.Nodes))
-	init.AddSteal(m[3], universeSize, bitset.Of(universeSize, yb))
-	init.AddGive(m[3], universeSize, bitset.Of(universeSize, ya))
-	init.AddTake(m[13], universeSize, bitset.Of(universeSize, xk, yb))
+	init := NewInit(len(g.Nodes), universeSize)
+	init.AddSteal(m[3], bitset.Of(universeSize, yb))
+	init.AddGive(m[3], bitset.Of(universeSize, ya))
+	init.AddTake(m[13], bitset.Of(universeSize, xk, yb))
 	return init
 }
 
 // expectation: item ∈ variable exactly at the listed paper nodes.
 type expectation struct {
 	name  string
-	v     func(s *Solution) []*bitset.Set
+	v     func(s *Solution) bitset.Slab
 	item  int
 	nodes []int
 }
@@ -141,7 +141,7 @@ func checkExact(t *testing.T, s *Solution, m map[int]*interval.Node, e expectati
 	}
 	vs := e.v(s)
 	for num := 1; num <= 14; num++ {
-		got := vs[m[num].ID].Has(e.item)
+		got := vs.At(m[num].ID).Has(e.item)
 		if got != want[num] {
 			t.Errorf("%s: %s at node %d = %v, want %v", e.name, itemName[e.item], num, got, want[num])
 		}
@@ -169,22 +169,22 @@ func TestFig12GoldenValues(t *testing.T) {
 	g, m := fig12(t)
 	s := MustSolve(g, universeSize, fig12Init(g, m))
 
-	steal := func(s *Solution) []*bitset.Set { return s.Steal }
-	block := func(s *Solution) []*bitset.Set { return s.Block }
-	takenOut := func(s *Solution) []*bitset.Set { return s.TakenOut }
-	take := func(s *Solution) []*bitset.Set { return s.Take }
-	takenIn := func(s *Solution) []*bitset.Set { return s.TakenIn }
-	blockLoc := func(s *Solution) []*bitset.Set { return s.BlockLoc }
-	takeLoc := func(s *Solution) []*bitset.Set { return s.TakeLoc }
-	stealLoc := func(s *Solution) []*bitset.Set { return s.StealLoc }
-	givenInE := func(s *Solution) []*bitset.Set { return s.Eager.GivenIn }
-	givenE := func(s *Solution) []*bitset.Set { return s.Eager.Given }
-	givenOutE := func(s *Solution) []*bitset.Set { return s.Eager.GivenOut }
-	givenInL := func(s *Solution) []*bitset.Set { return s.Lazy.GivenIn }
-	givenL := func(s *Solution) []*bitset.Set { return s.Lazy.Given }
-	givenOutL := func(s *Solution) []*bitset.Set { return s.Lazy.GivenOut }
-	resInE := func(s *Solution) []*bitset.Set { return s.Eager.ResIn }
-	resInL := func(s *Solution) []*bitset.Set { return s.Lazy.ResIn }
+	steal := func(s *Solution) bitset.Slab { return s.Steal }
+	block := func(s *Solution) bitset.Slab { return s.Block }
+	takenOut := func(s *Solution) bitset.Slab { return s.TakenOut }
+	take := func(s *Solution) bitset.Slab { return s.Take }
+	takenIn := func(s *Solution) bitset.Slab { return s.TakenIn }
+	blockLoc := func(s *Solution) bitset.Slab { return s.BlockLoc }
+	takeLoc := func(s *Solution) bitset.Slab { return s.TakeLoc }
+	stealLoc := func(s *Solution) bitset.Slab { return s.StealLoc }
+	givenInE := func(s *Solution) bitset.Slab { return s.Eager.GivenIn }
+	givenE := func(s *Solution) bitset.Slab { return s.Eager.Given }
+	givenOutE := func(s *Solution) bitset.Slab { return s.Eager.GivenOut }
+	givenInL := func(s *Solution) bitset.Slab { return s.Lazy.GivenIn }
+	givenL := func(s *Solution) bitset.Slab { return s.Lazy.Given }
+	givenOutL := func(s *Solution) bitset.Slab { return s.Lazy.GivenOut }
+	resInE := func(s *Solution) bitset.Slab { return s.Eager.ResIn }
+	resInL := func(s *Solution) bitset.Slab { return s.Lazy.ResIn }
 
 	exps := []expectation{
 		// §4.2, propagating consumption
@@ -249,7 +249,7 @@ func TestFig12GoldenValues(t *testing.T) {
 	// §4.2 GIVE values implied by the text: node 3 gives y_a (GIVE_init),
 	// node 2 inherits it through GIVE_loc(LASTCHILD(2)).
 	for _, num := range []int{2, 3} {
-		if !s.Give[m[num].ID].Has(ya) {
+		if !s.Give.At(m[num].ID).Has(ya) {
 			t.Errorf("GIVE: y_a missing at node %d", num)
 		}
 	}
@@ -259,16 +259,16 @@ func TestFig12GoldenValues(t *testing.T) {
 	// propagate y_a into 12 and 14 via the Eq. 9 meet over node 11, which
 	// the paper's list omits; both are harmless availability facts).
 	for _, num := range cat(seq(2, 7), seq(9, 11)) {
-		if !s.GiveLoc[m[num].ID].Has(ya) {
+		if !s.GiveLoc.At(m[num].ID).Has(ya) {
 			t.Errorf("GIVE_loc: y_a missing at node %d", num)
 		}
 	}
 	for _, num := range seq(12, 14) {
-		if !s.GiveLoc[m[num].ID].Has(xk) || !s.GiveLoc[m[num].ID].Has(yb) {
+		if !s.GiveLoc.At(m[num].ID).Has(xk) || !s.GiveLoc.At(m[num].ID).Has(yb) {
 			t.Errorf("GIVE_loc: x_k/y_b missing at node %d", num)
 		}
 	}
-	if s.GiveLoc[m[1].ID].Has(ya) {
+	if s.GiveLoc.At(m[1].ID).Has(ya) {
 		t.Errorf("GIVE_loc: y_a should not reach node 1")
 	}
 
@@ -276,9 +276,9 @@ func TestFig12GoldenValues(t *testing.T) {
 	// everywhere, both modes.
 	for num := 1; num <= 14; num++ {
 		for _, mode := range []Mode{Eager, Lazy} {
-			if !s.Place(mode).ResOut[m[num].ID].IsEmpty() {
+			if !s.Place(mode).ResOut.At(m[num].ID).IsEmpty() {
 				t.Errorf("RES_out/%v at node %d = %v, want empty", mode,
-					num, s.Place(mode).ResOut[m[num].ID].StringWith(func(i int) string { return itemName[i] }))
+					num, s.Place(mode).ResOut.At(m[num].ID).StringWith(func(i int) string { return itemName[i] }))
 			}
 		}
 	}

@@ -2,8 +2,6 @@ package core
 
 import (
 	"testing"
-
-	"givetake/internal/bitset"
 )
 
 // TestRegressionNoHoistBalance pins the randomized seed that exposed a
@@ -28,19 +26,12 @@ func TestRegressionNoHoistBalance(t *testing.T) {
 		for _, n := range v.Path {
 			t.Logf("  pre=%d %v take=%v steal=%v give=%v RinE=%v RinL=%v RoutE=%v RoutL=%v",
 				n.Pre+1, n,
-				setStr(init.Take, n.ID), setStr(init.Steal, n.ID), setStr(init.Give, n.ID),
-				s.Eager.ResIn[n.ID], s.Lazy.ResIn[n.ID], s.Eager.ResOut[n.ID], s.Lazy.ResOut[n.ID])
+				init.Take.At(n.ID), init.Steal.At(n.ID), init.Give.At(n.ID),
+				s.Eager.ResIn.At(n.ID), s.Lazy.ResIn.At(n.ID), s.Eager.ResOut.At(n.ID), s.Lazy.ResOut.At(n.ID))
 		}
 	}
 	if len(vs) > 0 {
 		t.Logf("graph:\n%s", g)
 		t.Fail()
 	}
-}
-
-func setStr(v []*bitset.Set, id int) string {
-	if v == nil || v[id] == nil {
-		return "{}"
-	}
-	return v[id].String()
 }

@@ -34,7 +34,7 @@ func randomProblem(t testing.TB, seed int64, arrays bool) (*interval.Graph, *Ini
 		t.Fatalf("seed %d: interval: %v", seed, err)
 	}
 	const universe = 3
-	init := NewInit(len(g.Nodes))
+	init := NewInit(len(g.Nodes), universe)
 	for _, n := range g.Nodes {
 		if n.Block.Kind != cfg.KStmt {
 			continue // scatter effects over real statements only
@@ -42,11 +42,11 @@ func randomProblem(t testing.TB, seed int64, arrays bool) (*interval.Graph, *Ini
 		for item := 0; item < universe; item++ {
 			switch r.Intn(10) {
 			case 0:
-				init.AddTake(n, universe, bitset.Of(universe, item))
+				init.AddTake(n, bitset.Of(universe, item))
 			case 1:
-				init.AddSteal(n, universe, bitset.Of(universe, item))
+				init.AddSteal(n, bitset.Of(universe, item))
 			case 2:
-				init.AddGive(n, universe, bitset.Of(universe, item))
+				init.AddGive(n, bitset.Of(universe, item))
 			}
 		}
 	}
@@ -146,8 +146,8 @@ func TestPropertySolveDeterministic(t *testing.T) {
 	b := MustSolve(g, u, init)
 	for _, n := range g.Nodes {
 		for _, m := range []Mode{Eager, Lazy} {
-			if !a.Place(m).ResIn[n.ID].Equal(b.Place(m).ResIn[n.ID]) ||
-				!a.Place(m).ResOut[n.ID].Equal(b.Place(m).ResOut[n.ID]) {
+			if !a.Place(m).ResIn.At(n.ID).Equal(b.Place(m).ResIn.At(n.ID)) ||
+				!a.Place(m).ResOut.At(n.ID).Equal(b.Place(m).ResOut.At(n.ID)) {
 				t.Fatalf("non-deterministic result at %v", n)
 			}
 		}
@@ -162,7 +162,7 @@ func TestPropertyEagerDominatesLazy(t *testing.T) {
 		g, init, u := randomProblem(t, seed, false)
 		s := MustSolve(g, u, init)
 		for _, n := range g.Nodes {
-			if !s.Eager.Given[n.ID].ContainsAll(s.Lazy.Given[n.ID]) {
+			if !s.Eager.Given.At(n.ID).ContainsAll(s.Lazy.Given.At(n.ID)) {
 				t.Logf("seed %d: GIVEN^lazy ⊄ GIVEN^eager at %v", seed, n)
 				return false
 			}

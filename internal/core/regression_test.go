@@ -33,7 +33,7 @@ enddo
 	// and production for the in-loop consumer must sit inside the loop
 	// (it cannot be hoisted past the conditional steal)
 	n := sc.g.NodeFor(sc.node("t = x(1)").Block)
-	if !s.Eager.ResIn[n.ID].Has(0) {
+	if !s.Eager.ResIn.At(n.ID).Has(0) {
 		t.Fatalf("eager production missing at the in-loop consumer:\n%s",
 			s.Dump(func(int) string { return "x" }))
 	}

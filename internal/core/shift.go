@@ -77,17 +77,17 @@ func (s *Solution) downMerge(p *Placement, n *interval.Node) int {
 	if len(pads) == 0 {
 		return 0
 	}
-	common := p.ResIn[pads[0].ID].Clone()
+	common := p.ResIn.At(pads[0].ID).Clone()
 	for _, pad := range pads[1:] {
-		common.IntersectWith(p.ResIn[pad.ID])
+		common.IntersectWith(p.ResIn.At(pad.ID))
 	}
 	if common.IsEmpty() {
 		return 0
 	}
 	for _, pad := range pads {
-		p.ResIn[pad.ID].SubtractWith(common)
+		p.ResIn.At(pad.ID).SubtractWith(common)
 	}
-	p.ResIn[n.ID].UnionWith(common)
+	p.ResIn.At(n.ID).UnionWith(common)
 	return common.Count() * len(pads)
 }
 
@@ -110,9 +110,9 @@ func (s *Solution) upMerge(p *Placement, n *interval.Node) int {
 	if len(pads) < 2 {
 		return 0 // single-pad chains are handled by downMerge at the pad's sink
 	}
-	common := p.ResIn[pads[0].ID].Clone()
+	common := p.ResIn.At(pads[0].ID).Clone()
 	for _, pad := range pads[1:] {
-		common.IntersectWith(p.ResIn[pad.ID])
+		common.IntersectWith(p.ResIn.At(pad.ID))
 	}
 	// only hoist production the pads exclusively own: a pad with other
 	// predecessors cannot happen (pads are edge splits), so ownership is
@@ -121,9 +121,9 @@ func (s *Solution) upMerge(p *Placement, n *interval.Node) int {
 		return 0
 	}
 	for _, pad := range pads {
-		p.ResIn[pad.ID].SubtractWith(common)
+		p.ResIn.At(pad.ID).SubtractWith(common)
 	}
-	p.ResOut[n.ID].UnionWith(common)
+	p.ResOut.At(n.ID).UnionWith(common)
 	return common.Count() * len(pads)
 }
 
@@ -135,7 +135,7 @@ func (s *Solution) SyntheticResidue(m Mode) int {
 	total := 0
 	for _, n := range s.Graph.Nodes {
 		if n.Block != nil && n.Block.Synthetic() {
-			total += p.ResIn[n.ID].Count() + p.ResOut[n.ID].Count()
+			total += p.ResIn.At(n.ID).Count() + p.ResOut.At(n.ID).Count()
 		}
 	}
 	return total

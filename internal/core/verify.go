@@ -233,7 +233,7 @@ func (v *verifier) step(n *interval.Node, fromOutside bool, loops []loopFrame) {
 					// produced section is empty), so availability summaries
 					// still apply. GIVE(h) − STEAL(h) aggregates exactly
 					// the loop's surviving free production (Eqs. 1–2).
-					skipped := bitset.Subtract(v.s.Give[n.ID], v.s.Steal[n.ID])
+					skipped := bitset.Subtract(v.s.Give.At(n.ID), v.s.Steal.At(n.ID))
 					for m := Eager; m <= Lazy; m++ {
 						v.avail[m].UnionWith(skipped)
 						v.availO1[m].UnionWith(skipped)
@@ -349,17 +349,17 @@ func (v *verifier) finishPath(last *interval.Node) {
 // produce handles RES_in events for both modes.
 func (v *verifier) produce(n *interval.Node) {
 	for m := Eager; m <= Lazy; m++ {
-		res := v.s.Place(m).ResIn[n.ID]
+		res := v.s.Place(m).ResIn.At(n.ID)
 		v.applyProduction(m, n, res)
 	}
 	// C1 balance: eager opens, lazy closes.
-	v.s.Eager.ResIn[n.ID].ForEach(func(i int) {
+	v.s.Eager.ResIn.At(n.ID).ForEach(func(i int) {
 		if v.open[Eager].Has(i) {
 			v.violate("C1", Eager, i, n, "production started twice without a stop")
 		}
 		v.open[Eager].Add(i)
 	})
-	v.s.Lazy.ResIn[n.ID].ForEach(func(i int) {
+	v.s.Lazy.ResIn.At(n.ID).ForEach(func(i int) {
 		if !v.open[Eager].Has(i) {
 			v.violate("C1", Lazy, i, n, "production stopped without a start")
 		}
@@ -371,16 +371,16 @@ func (v *verifier) produce(n *interval.Node) {
 // succ (RES_out is production on the exit side).
 func (v *verifier) produceExit(n, succ *interval.Node) {
 	for m := Eager; m <= Lazy; m++ {
-		res := v.s.Place(m).ResOut[n.ID]
+		res := v.s.Place(m).ResOut.At(n.ID)
 		v.applyProduction(m, n, res)
 	}
-	v.s.Eager.ResOut[n.ID].ForEach(func(i int) {
+	v.s.Eager.ResOut.At(n.ID).ForEach(func(i int) {
 		if v.open[Eager].Has(i) {
 			v.violate("C1", Eager, i, n, "production started twice without a stop (exit)")
 		}
 		v.open[Eager].Add(i)
 	})
-	v.s.Lazy.ResOut[n.ID].ForEach(func(i int) {
+	v.s.Lazy.ResOut.At(n.ID).ForEach(func(i int) {
 		if !v.open[Eager].Has(i) {
 			v.violate("C1", Lazy, i, n, "production stopped without a start (exit)")
 		}
@@ -401,21 +401,16 @@ func (v *verifier) applyProduction(m Mode, n *interval.Node, res *bitset.Set) {
 }
 
 func (v *verifier) give(n *interval.Node) {
-	if v.init.Give == nil || v.init.Give[n.ID] == nil {
-		return
-	}
+	g := v.init.Give.At(n.ID)
 	for m := Eager; m <= Lazy; m++ {
-		v.avail[m].UnionWith(v.init.Give[n.ID])
-		v.availO1[m].UnionWith(v.init.Give[n.ID])
-		v.init.Give[n.ID].ForEach(func(i int) { v.availFrom[m][i] = -1 })
+		v.avail[m].UnionWith(g)
+		v.availO1[m].UnionWith(g)
+		g.ForEach(func(i int) { v.availFrom[m][i] = -1 })
 	}
 }
 
 func (v *verifier) take(n *interval.Node) {
-	if v.init.Take == nil || v.init.Take[n.ID] == nil {
-		return
-	}
-	v.init.Take[n.ID].ForEach(func(i int) {
+	v.init.Take.At(n.ID).ForEach(func(i int) {
 		for m := Eager; m <= Lazy; m++ {
 			if !v.avail[m].Has(i) {
 				v.violate("C3", m, i, n, "consumer without available production")
@@ -426,10 +421,7 @@ func (v *verifier) take(n *interval.Node) {
 }
 
 func (v *verifier) steal(n *interval.Node) {
-	if v.init.Steal == nil || v.init.Steal[n.ID] == nil {
-		return
-	}
-	st := v.init.Steal[n.ID]
+	st := v.init.Steal.At(n.ID)
 	for m := Eager; m <= Lazy; m++ {
 		if v.cfg.CheckSafety && !v.zeroTrips {
 			stolen := bitset.Intersect(v.pending[m], st)

@@ -14,6 +14,7 @@
 package interval
 
 import (
+	"container/heap"
 	"fmt"
 	"sort"
 	"strings"
@@ -397,32 +398,15 @@ func (g *Graph) computePreorder() {
 			}
 		}
 	}
-	// ready: max-heap by (level desc, id asc) — implemented as sorted
-	// insertion into a small slice since graphs are program-sized.
-	var ready []*Node
-	push := func(n *Node) {
-		ready = append(ready, n)
-	}
-	pop := func() *Node {
-		best := 0
-		for i := 1; i < len(ready); i++ {
-			a, b := ready[i], ready[best]
-			if a.Level > b.Level || (a.Level == b.Level && a.ID < b.ID) {
-				best = i
-			}
-		}
-		n := ready[best]
-		ready = append(ready[:best], ready[best+1:]...)
-		return n
-	}
+	ready := make(readyQueue, 0, len(g.Nodes))
 	for _, n := range g.Nodes {
 		if indeg[n.ID] == 0 {
-			push(n)
+			heap.Push(&ready, n)
 		}
 	}
-	g.Preorder = g.Preorder[:0]
-	for len(ready) > 0 {
-		n := pop()
+	g.Preorder = make([]*Node, 0, len(g.Nodes))
+	for ready.Len() > 0 {
+		n := heap.Pop(&ready).(*Node)
 		n.Pre = len(g.Preorder)
 		g.Preorder = append(g.Preorder, n)
 		for _, e := range n.Out {
@@ -430,7 +414,7 @@ func (g *Graph) computePreorder() {
 				continue
 			}
 			if indeg[e.To.ID]--; indeg[e.To.ID] == 0 {
-				push(e.To)
+				heap.Push(&ready, e.To)
 			}
 		}
 	}
@@ -444,6 +428,24 @@ func (g *Graph) computePreorder() {
 			n.Parent.Children = append(n.Parent.Children, n)
 		}
 	}
+}
+
+// readyQueue is computePreorder's ready set, a heap that pops the
+// deepest node first and the lowest ID among equally deep ones.
+type readyQueue []*Node
+
+func (q readyQueue) Len() int { return len(q) }
+func (q readyQueue) Less(i, j int) bool {
+	a, b := q[i], q[j]
+	return a.Level > b.Level || (a.Level == b.Level && a.ID < b.ID)
+}
+func (q readyQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *readyQueue) Push(x any)   { *q = append(*q, x.(*Node)) }
+func (q *readyQueue) Pop() any {
+	old := *q
+	n := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return n
 }
 
 // check verifies the §3.3 requirements and the preorder invariants.

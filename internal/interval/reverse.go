@@ -39,18 +39,35 @@ var reversedType = [...]EdgeType{
 // transfer directly; RES_in on the reversed graph is production at the
 // node's *exit* in original orientation, and vice versa.
 func Reverse(g *Graph) (*Graph, error) {
-	r := &Graph{CFG: g.CFG, Reversed: true, byBlock: map[*cfg.Block]*Node{}}
+	r := &Graph{CFG: g.CFG, Reversed: true, byBlock: make(map[*cfg.Block]*Node, len(g.Nodes))}
 	r.Root = &Node{ID: -1, Level: 0, IsHeader: true}
 
+	// The clones and their edge lists are carved from one slice each, so
+	// reversing costs a fixed number of allocations. A clone gets one
+	// out-edge per original in-edge and vice versa.
+	nodes := make([]Node, len(g.Nodes))
 	clone := make([]*Node, len(g.Nodes))
+	size := 0
+	for _, n := range g.Nodes {
+		size += len(n.In) + len(n.Out)
+	}
+	edges := make([]Edge, size)
+	carve := func(k int) []Edge {
+		e := edges[:0:k]
+		edges = edges[k:]
+		return e
+	}
 	for i, n := range g.Nodes {
-		clone[i] = &Node{
+		nodes[i] = Node{
 			ID:       n.ID,
 			Block:    n.Block,
 			Level:    n.Level,
 			IsHeader: n.IsHeader,
 			NoHoist:  n.NoHoist,
+			Out:      carve(len(n.In)),
+			In:       carve(len(n.Out)),
 		}
+		clone[i] = &nodes[i]
 		if n.Block != nil {
 			r.byBlock[n.Block] = clone[i]
 		}

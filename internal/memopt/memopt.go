@@ -115,7 +115,7 @@ func Analyze(prog *ir.Program) (*Analysis, error) {
 	walk(prog.Body)
 
 	u := a.Universe.Size()
-	a.Init = core.NewInit(len(g.Nodes))
+	a.Init = core.NewInit(len(g.Nodes), u)
 	overlapping := func(it *sections.Item, same bool) *bitset.Set {
 		s := bitset.New(u)
 		for _, other := range a.Universe.Items {
@@ -133,10 +133,10 @@ func Analyze(prog *ir.Program) (*Analysis, error) {
 		if e.def {
 			// write-allocate: the defined section becomes resident, but
 			// overlapping prefetched copies go stale
-			a.Init.AddGive(n, u, bitset.Of(u, e.item.ID))
-			a.Init.AddSteal(n, u, overlapping(e.item, false))
+			a.Init.AddGive(n, bitset.Of(u, e.item.ID))
+			a.Init.AddSteal(n, overlapping(e.item, false))
 		} else {
-			a.Init.AddTake(n, u, bitset.Of(u, e.item.ID))
+			a.Init.AddTake(n, bitset.Of(u, e.item.ID))
 		}
 	}
 	a.Solution, err = core.Solve(g, u, a.Init)
@@ -180,11 +180,11 @@ func (a *Analysis) Annotate() *ir.Program {
 			out = append(out, c)
 		}
 		if entry {
-			add("Send", a.Solution.Eager.ResIn[n.ID])
-			add("Recv", a.Solution.Lazy.ResIn[n.ID])
+			add("Send", a.Solution.Eager.ResIn.At(n.ID))
+			add("Recv", a.Solution.Lazy.ResIn.At(n.ID))
 		} else {
-			add("Send", a.Solution.Eager.ResOut[n.ID])
-			add("Recv", a.Solution.Lazy.ResOut[n.ID])
+			add("Send", a.Solution.Eager.ResOut.At(n.ID))
+			add("Recv", a.Solution.Lazy.ResOut.At(n.ID))
 		}
 		return out
 	})

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 )
 
 // A nil collector must be safe to drive: Begin returns a callable
@@ -161,6 +162,52 @@ func TestWriteTrace(t *testing.T) {
 	}
 	if ph := r.Phases(); len(ph) != 1 || ph[0].Name != "solve" {
 		t.Errorf("phases = %+v, want only the closed solve span", ph)
+	}
+
+	// Overlapping spans must not share a thread: Perfetto nests events
+	// on one thread by time, and READ ∥ WRITE overlap without nesting.
+	ms := time.Millisecond
+	r = NewRecorder()
+	r.spans = []Span{
+		{Name: SpanSolveRead, Start: 0, Dur: 10 * ms},
+		{Name: SpanSolveWrite, Start: 5 * ms, Dur: 10 * ms},
+		{Name: SpanCheck, Start: 20 * ms, Dur: ms},
+	}
+	sb.Reset()
+	if err := r.WriteTrace(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var lanes struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Tid  int            `json:"tid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &lanes); err != nil {
+		t.Fatalf("invalid trace JSON: %v\n%s", err, sb.String())
+	}
+	tid := map[string]int{}
+	threads := map[int]bool{}
+	for _, ev := range lanes.TraceEvents {
+		switch ev.Ph {
+		case "X":
+			tid[ev.Name] = ev.Tid
+		case "M":
+			if ev.Name == "thread_name" {
+				threads[ev.Tid] = true
+			}
+		}
+	}
+	if tid[SpanSolveRead] == tid[SpanSolveWrite] {
+		t.Errorf("overlapping solve spans share tid %d", tid[SpanSolveRead])
+	}
+	if tid[SpanSolveRead] != 1 || tid[SpanSolveWrite] != 2 || tid[SpanCheck] != 1 {
+		t.Errorf("tids = %v, want solve-read and check on 1, solve-write on 2", tid)
+	}
+	if !threads[1] || !threads[2] || len(threads) != 2 {
+		t.Errorf("thread_name metadata for tids %v, want 1 and 2", threads)
 	}
 }
 

@@ -122,28 +122,36 @@ type traceFile struct {
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
 }
 
-// WriteTrace renders the recording as Chrome trace-event JSON.
+// WriteTrace renders the recording as Chrome trace-event JSON. Each
+// span goes on the lowest thread (lane) whose previous span has ended,
+// so a thread never holds two overlapping events: the engine's
+// concurrent READ and WRITE solves, and the stages inside its
+// engine.analyze span, get lanes of their own.
 func (r *Recorder) WriteTrace(w io.Writer) error {
 	r.mu.Lock()
 	spans := make([]Span, len(r.spans))
 	copy(spans, r.spans)
 	r.mu.Unlock()
 
-	tf := traceFile{DisplayTimeUnit: "ms"}
-	tf.TraceEvents = append(tf.TraceEvents,
-		traceEvent{Name: "process_name", Ph: "M", Pid: 1, Tid: 1,
-			Args: map[string]any{"name": "gnt"}},
-		traceEvent{Name: "thread_name", Ph: "M", Pid: 1, Tid: 1,
-			Args: map[string]any{"name": "pipeline"}})
+	var events []traceEvent
+	ends := []time.Duration{0} // end of the last span on thread k+1
 	for _, sp := range spans {
 		if sp.Dur < 0 {
 			continue // open span: not representable as a complete event
 		}
+		lane := 0
+		for lane < len(ends) && ends[lane] > sp.Start {
+			lane++
+		}
+		if lane == len(ends) {
+			ends = append(ends, 0)
+		}
+		ends[lane] = sp.Start + sp.Dur
 		ev := traceEvent{
 			Name: sp.Name, Cat: "phase", Ph: "X",
 			Ts:  float64(sp.Start.Nanoseconds()) / 1e3,
 			Dur: float64(sp.Dur.Nanoseconds()) / 1e3,
-			Pid: 1, Tid: 1,
+			Pid: 1, Tid: lane + 1,
 		}
 		if ev.Dur <= 0 {
 			ev.Dur = 0.001 // zero-duration X events confuse viewers
@@ -154,8 +162,22 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 				ev.Args[a.Key] = a.Value
 			}
 		}
-		tf.TraceEvents = append(tf.TraceEvents, ev)
+		events = append(events, ev)
 	}
+
+	tf := traceFile{DisplayTimeUnit: "ms"}
+	tf.TraceEvents = append(tf.TraceEvents,
+		traceEvent{Name: "process_name", Ph: "M", Pid: 1, Tid: 1,
+			Args: map[string]any{"name": "gnt"}})
+	for k := range ends {
+		name := "pipeline"
+		if k > 0 {
+			name = fmt.Sprintf("pipeline %d", k+1)
+		}
+		tf.TraceEvents = append(tf.TraceEvents, traceEvent{Name: "thread_name", Ph: "M", Pid: 1, Tid: k + 1,
+			Args: map[string]any{"name": name}})
+	}
+	tf.TraceEvents = append(tf.TraceEvents, events...)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(tf)

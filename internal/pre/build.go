@@ -143,16 +143,16 @@ func (p *Problem) GiveNTake() (*Placement, *core.Solution, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	init := core.NewInit(len(g.Nodes))
+	init := core.NewInit(len(g.Nodes), p.Universe)
 	for _, n := range g.Nodes {
 		id := n.Block.ID
 		if !p.Used[id].IsEmpty() {
-			init.AddTake(n, p.Universe, p.Used[id])
+			init.AddTake(n, p.Used[id])
 		}
 		killed := bitset.NewFull(p.Universe)
 		killed.SubtractWith(p.Transp[id])
 		if !killed.IsEmpty() {
-			init.AddSteal(n, p.Universe, killed)
+			init.AddSteal(n, killed)
 		}
 	}
 	s, err := core.Solve(g, p.Universe, init)
@@ -173,16 +173,16 @@ func (p *Problem) GiveNTake() (*Placement, *core.Solution, error) {
 				}
 			}
 			if outside != nil {
-				pl.Insert[outside.ID].UnionWith(s.Lazy.ResIn[n.ID])
+				pl.Insert[outside.ID].UnionWith(s.Lazy.ResIn.At(n.ID))
 			} else {
-				pl.Insert[id].UnionWith(s.Lazy.ResIn[n.ID])
+				pl.Insert[id].UnionWith(s.Lazy.ResIn.At(n.ID))
 			}
 		} else {
-			pl.Insert[id].UnionWith(s.Lazy.ResIn[n.ID])
+			pl.Insert[id].UnionWith(s.Lazy.ResIn.At(n.ID))
 		}
-		pl.Insert[id].UnionWith(s.Lazy.ResOut[n.ID])
+		pl.Insert[id].UnionWith(s.Lazy.ResOut.At(n.ID))
 		// a use whose value is already available on entry is redundant
-		pl.Redundant[id] = bitset.Intersect(p.Used[id], s.Lazy.GivenIn[n.ID])
+		pl.Redundant[id] = bitset.Intersect(p.Used[id], s.Lazy.GivenIn.At(n.ID))
 	}
 	return pl, s, nil
 }

@@ -7,9 +7,13 @@ package givetake_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
 	"runtime"
+	"sort"
 	"testing"
+	"time"
 
 	gt "givetake"
 	"givetake/internal/bitset"
@@ -17,6 +21,7 @@ import (
 	"givetake/internal/check"
 	"givetake/internal/comm"
 	"givetake/internal/core"
+	"givetake/internal/engine"
 	"givetake/internal/frontend"
 	"givetake/internal/interval"
 	"givetake/internal/machine"
@@ -628,3 +633,167 @@ enddo
 		b.Fatalf("coalescing saved nothing: %d vs %d", merged, plain)
 	}
 }
+
+// speedupPairs is how many interleaved serial/parallel sweep pairs one
+// iteration of BenchmarkParallelSpeedup measures. One sweep of the
+// corpus is a few milliseconds of work, and one such measurement on a
+// small shared machine can land anywhere; alternating the two kinds
+// exposes both to the same drift. Odd, so the median is one of the
+// pairs.
+const speedupPairs = 5
+
+// minSpeedup is the gate: parallel must be no slower than serial, with
+// 10% scheduling-noise tolerance.
+const minSpeedup = 0.9
+
+// speedupGate returns the median of the serial/parallel ratios in
+// pairs, an odd number of them, and an error when it is below bar.
+func speedupGate(pairs []float64, bar float64) (float64, error) {
+	if len(pairs)%2 == 0 {
+		return 0, fmt.Errorf("speedup gate needs an odd number of pairs, got %d", len(pairs))
+	}
+	sorted := append([]float64(nil), pairs...)
+	sort.Float64s(sorted)
+	med := sorted[len(sorted)/2]
+	if med < bar {
+		return med, fmt.Errorf("parallel sweep too slow: median speedup %.2f < required %.2f (pairs %.2f)",
+			med, bar, pairs)
+	}
+	return med, nil
+}
+
+// TestSpeedupGate pins the gate's decision: fail below the bar, pass
+// at it, and judge the median of the pairs, not their mean.
+func TestSpeedupGate(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		pairs []float64
+		bar   float64
+		med   float64
+		pass  bool
+	}{
+		{"below the bar", []float64{0.5, 0.6, 0.89, 0.95, 2.0}, 0.9, 0.89, false},
+		{"at the bar", []float64{2.0, 0.9, 0.5}, 0.9, 0.9, true},
+		{"median passes, mean fails", []float64{0.1, 0.1, 0.95, 1.0, 1.0}, 0.9, 0.95, true},
+		{"median fails, mean passes", []float64{10, 0.5, 0.85, 0.6, 10}, 0.9, 0.85, false},
+		{"impossible bar", []float64{1.3, 1.5, 1.4}, 1e9, 1.4, false},
+		{"even pair count", []float64{1.3, 1.5}, 0.9, 0, false},
+	} {
+		med, err := speedupGate(tc.pairs, tc.bar)
+		if med != tc.med || (err == nil) != tc.pass {
+			t.Errorf("%s: speedupGate(%v, %v) = %v, %v; want %v, pass %v",
+				tc.name, tc.pairs, tc.bar, med, err, tc.med, tc.pass)
+		}
+	}
+}
+
+// BenchmarkParallelSpeedup gates the engine's concurrent path against
+// the sequential library path on the testdata corpus (top level and
+// kernels). Each pair times one serial sweep, then one sweep through a
+// fresh engine on 4 workers; both sides do the same work per program:
+// parse, analyze, verify (must be Ok) and render the annotated body.
+// The heap is settled with runtime.GC before each timed sweep, outside
+// the timer, so the ratio does not measure where GC cycles land. The
+// benchmark fails when the median of the pairs' serial/parallel ratios
+// is below minSpeedup; with -benchtime=1x that is the median of
+// speedupPairs pairs. go test runs benchmarks of different packages
+// one at a time, so `go test -bench=. ./...` runs this gate with no
+// other benchmark on the machine.
+func BenchmarkParallelSpeedup(b *testing.B) {
+	var sources []string
+	for _, file := range corpusFiles(b) {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sources = append(sources, string(src))
+	}
+	ctx := context.Background()
+	timed := func(sweep func() error) time.Duration {
+		runtime.GC()
+		start := time.Now()
+		if err := sweep(); err != nil {
+			b.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	var pairs []float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < speedupPairs; k++ {
+			serial := timed(func() error {
+				for _, src := range sources {
+					if err := sweepSerial(ctx, src); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			e := engine.New(engine.Config{Workers: 4})
+			parallel := timed(func() error { return sweepEngine(ctx, e, sources) })
+			e.Close()
+			pairs = append(pairs, float64(serial)/float64(parallel))
+		}
+	}
+	b.StopTimer()
+	if len(pairs)%2 == 0 {
+		pairs = pairs[1:] // b.N even: drop the first, coldest pair
+	}
+	med, err := speedupGate(pairs, minSpeedup)
+	b.ReportMetric(med, "speedup")
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// sweepSerial runs one program through the sequential library path.
+func sweepSerial(ctx context.Context, src string) error {
+	prog, err := gt.Parse(src)
+	if err != nil {
+		return err
+	}
+	a, err := comm.Analyze(ctx, prog, nil, comm.Opts{})
+	if err != nil {
+		return err
+	}
+	res, err := a.CheckPlacementCtx(ctx, nil)
+	if err != nil {
+		return err
+	}
+	if !res.Ok() {
+		return fmt.Errorf("verification failed: %s", res.Errors()[0])
+	}
+	renderSink = a.AnnotatedSource(comm.DefaultOptions)
+	return nil
+}
+
+// sweepEngine runs every program through e's stage pipeline with
+// fan-out bounded by its worker count; any failure fails the sweep.
+func sweepEngine(ctx context.Context, e *engine.Engine, sources []string) error {
+	errs := make([]error, len(sources))
+	bodies := make([]string, len(sources))
+	e.Map(ctx, len(sources), func(ctx context.Context, i int) {
+		prog, err := gt.Parse(sources[i])
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		res, err := e.Analyze(ctx, engine.Job{Prog: prog})
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		defer res.Release()
+		if !res.Check.Ok() {
+			errs[i] = fmt.Errorf("verification failed: %s", res.Check.Errors()[0])
+			return
+		}
+		bodies[i] = res.Analysis.AnnotatedSource(comm.DefaultOptions)
+	})
+	renderSink = bodies[len(bodies)-1]
+	return errors.Join(errs...)
+}
+
+// renderSink keeps the rendered bodies observable so no sweep's render
+// can be optimized away.
+var renderSink string

@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"net"
 	"net/http"
 	"sort"
 	"strconv"
@@ -169,6 +168,9 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = DefaultMaxBodyBytes
 	}
+	if c.DrainGrace == 0 {
+		c.DrainGrace = serve.DefaultDrainGrace
+	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -256,50 +258,18 @@ func (r *Router) Handler() http.Handler { return r.instrument(r.mux) }
 // balancer stops sending) while routed work continues to completion.
 func (r *Router) BeginDrain() { r.draining.Store(true) }
 
-// ListenAndServe runs the router until ctx is canceled, then drains:
-// /readyz flips first, the listener stays open for the grace window,
-// then shuts down gracefully. The listener binds synchronously so a
-// bind conflict is reported immediately (the serve package's hard-won
-// convention).
+// ListenAndServe runs the router until ctx is canceled, then drains
+// through serve.ServeAndDrain: /readyz flips first, the listener stays
+// open for the grace window, then shuts down gracefully. The listener
+// binds synchronously so a bind conflict is reported immediately, and
+// the prober starts only once it is bound.
 func (r *Router) ListenAndServe(ctx context.Context) error {
-	hs := &http.Server{Addr: r.cfg.Addr, Handler: r.Handler()}
-	addr := hs.Addr
-	if addr == "" {
-		addr = ":http"
-	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := serve.Listen(r.cfg.Addr)
 	if err != nil {
 		return err
 	}
 	r.Start(ctx)
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		r.BeginDrain()
-		g := r.cfg.DrainGrace
-		if g == 0 {
-			g = serve.DefaultDrainGrace
-		}
-		if g > 0 {
-			gt := time.NewTimer(g)
-			select {
-			case err := <-errc:
-				gt.Stop()
-				return err
-			case <-gt.C:
-			}
-		}
-		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		serr := hs.Shutdown(sctx)
-		if lerr := <-errc; lerr != nil && !errors.Is(lerr, http.ErrServerClosed) {
-			return lerr
-		}
-		return serr
-	}
+	return serve.ServeAndDrain(ctx, ln, r.Handler(), r.cfg.DrainGrace, r.BeginDrain)
 }
 
 // ---- rendezvous hashing ----

@@ -90,68 +90,23 @@ func (c *routeCarrier) snapshot() []telemetry.TraceAttempt {
 	return c.attempts
 }
 
-// routeLabel bounds the route label to the known endpoint set so an
-// arbitrary scanned path can never mint a new time series.
-func routeLabel(path string) string {
-	switch path {
-	case "/analyze", "/batch", "/healthz", "/readyz", "/metrics", "/debug/requests":
-		return path
-	}
-	return "other"
-}
-
-// statusWriter captures the status a handler wrote (200 when a body
-// was written without an explicit WriteHeader).
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-func (w *statusWriter) status() int {
-	if w.code == 0 {
-		return http.StatusOK
-	}
-	return w.code
-}
-
 // instrument is the router's outermost middleware: it validates or
-// assigns the request's X-Gnt-Trace ID exactly like serve does (so one
-// ID survives client → router → node), times the request, counts it,
-// and records routed requests in the trace ring with one attempt entry
-// per forwarded try — the router half of the end-to-end failover
-// reconstruction.
+// assigns the request's X-Gnt-Trace ID (telemetry.AcceptTrace, as
+// serve does), times the request, counts it, and records routed
+// requests in the trace ring with one attempt entry per forwarded try
+// — the router half of the end-to-end failover reconstruction.
 func (r *Router) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		route := routeLabel(req.URL.Path)
-		id := req.Header.Get(telemetry.TraceHeader)
-		if !telemetry.ValidTraceID(id) {
-			id = telemetry.NewTraceID()
-		}
-		w.Header().Set(telemetry.TraceHeader, id)
-
+		route := telemetry.RouteLabel(req.URL.Path)
+		id, ctx := telemetry.AcceptTrace(w, req)
 		car := &routeCarrier{}
-		ctx := telemetry.WithTraceID(req.Context(), id)
 		ctx = context.WithValue(ctx, carrierKey{}, car)
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &telemetry.StatusWriter{ResponseWriter: w}
 		start := time.Now()
 		next.ServeHTTP(sw, req.WithContext(ctx))
 		elapsed := time.Since(start)
 
-		status := strconv.Itoa(sw.status())
+		status := strconv.Itoa(sw.Status())
 		r.inst.requests.Inc(route, status)
 		r.inst.duration.Observe(elapsed.Seconds(), route, status)
 
@@ -164,7 +119,7 @@ func (r *Router) instrument(next http.Handler) http.Handler {
 			Method:     req.Method,
 			Start:      start,
 			DurationMS: float64(elapsed.Microseconds()) / 1000,
-			Status:     sw.status(),
+			Status:     sw.Status(),
 			Cache:      sw.Header().Get("X-Gnt-Cache"),
 			Attempts:   car.snapshot(),
 		})

@@ -210,7 +210,7 @@ func RunCtx(ctx context.Context, prog *ir.Program, cfg Config) (*Trace, error) {
 	_, err := ex.exec(prog.Body)
 	// finalize the trace even when execution was truncated: a partial
 	// trace with Steps and Faults populated is still meaningful to
-	// budget-limited callers (gnt -mode serve, gntbench)
+	// budget-limited callers (gnt -mode serve)
 	ex.trace.Steps = ex.steps
 	if ex.net != nil {
 		ex.net.Finish()

@@ -303,22 +303,12 @@ func (s *Server) Handler() http.Handler {
 	return s.instrument(boundary)
 }
 
-// ListenAndServe runs the service until ctx is canceled, then shuts
-// down gracefully (in-flight requests get 5s to drain). The listener
-// is bound synchronously, so a bind conflict is reported immediately
-// and can never race ctx cancellation into looking like a clean
-// shutdown; serve-time listener failures are likewise preferred over
-// the graceful-close sentinel by the errc drain below. (The old shape
-// — ListenAndServe on a goroutine, Shutdown's error returned verbatim
-// — dropped the listener's error whenever cancellation won the race,
-// so a server that never bound "shut down cleanly".)
+// ListenAndServe runs the service until ctx is canceled, then drains
+// and shuts down gracefully (ServeAndDrain). The listener is bound
+// synchronously, so a bind conflict is reported immediately and can
+// never race ctx cancellation into looking like a clean shutdown.
 func (s *Server) ListenAndServe(ctx context.Context) error {
-	hs := &http.Server{Addr: s.cfg.Addr, Handler: s.Handler()}
-	addr := hs.Addr
-	if addr == "" {
-		addr = ":http"
-	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := Listen(s.cfg.Addr)
 	if err != nil {
 		return err
 	}
@@ -336,19 +326,35 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 		go func() { _ = ps.Serve(pln) }()
 		defer ps.Close()
 	}
+	return ServeAndDrain(ctx, ln, s.Handler(), s.cfg.DrainGrace, s.BeginDrain)
+}
+
+// Listen binds addr (":http" when empty) for ServeAndDrain.
+func Listen(addr string) (net.Listener, error) {
+	if addr == "" {
+		addr = ":http"
+	}
+	return net.Listen("tcp", addr)
+}
+
+// ServeAndDrain serves h on ln until ctx is canceled, then drains:
+// beginDrain advertises the shutdown (on /readyz), the listener keeps
+// serving for the grace window (none when grace <= 0) so routers that
+// poll readiness stop routing before the port closes, and Shutdown
+// gives whatever is still in flight 5s. A serve-time listener failure
+// is returned in preference to the graceful-close sentinel. The
+// server and the cluster router both shut down through it.
+func ServeAndDrain(ctx context.Context, ln net.Listener, h http.Handler, grace time.Duration, beginDrain func()) error {
+	hs := &http.Server{Handler: h}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {
 	case err := <-errc:
 		return err
 	case <-ctx.Done():
-		// Drain protocol: advertise the shutdown on /readyz first, keep
-		// the listener serving for the grace window so routers that poll
-		// readiness stop routing before the port closes, then let
-		// Shutdown finish whatever is still in flight.
-		s.BeginDrain()
-		if g := s.cfg.DrainGrace; g > 0 {
-			gt := time.NewTimer(g)
+		beginDrain()
+		if grace > 0 {
+			gt := time.NewTimer(grace)
 			select {
 			case err := <-errc:
 				gt.Stop()

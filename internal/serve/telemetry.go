@@ -189,44 +189,6 @@ func noteResponseMeta(ctx context.Context, body []byte) string {
 	return m.RungName
 }
 
-// routeLabel bounds the route label to the known endpoint set: an
-// arbitrary scanned path must never mint a new time series.
-func routeLabel(path string) string {
-	switch path {
-	case "/analyze", "/batch", "/healthz", "/readyz", "/metrics", "/debug/requests":
-		return path
-	}
-	return "other"
-}
-
-// statusWriter captures the status code a handler wrote (200 when the
-// handler wrote a body without an explicit WriteHeader).
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-func (w *statusWriter) status() int {
-	if w.code == 0 {
-		return http.StatusOK
-	}
-	return w.code
-}
-
 // instrument is the outermost middleware: it assigns (or validates and
 // propagates) the request's trace ID, times the request, and — after
 // the handler returns — records the latency histogram, the request
@@ -235,22 +197,16 @@ func (w *statusWriter) status() int {
 // its 500.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		route := routeLabel(r.URL.Path)
-		id := r.Header.Get(telemetry.TraceHeader)
-		if !telemetry.ValidTraceID(id) {
-			id = telemetry.NewTraceID()
-		}
-		w.Header().Set(telemetry.TraceHeader, id)
-
+		route := telemetry.RouteLabel(r.URL.Path)
+		id, ctx := telemetry.AcceptTrace(w, r)
 		car := &traceCarrier{}
-		ctx := telemetry.WithTraceID(r.Context(), id)
 		ctx = context.WithValue(ctx, carrierKey{}, car)
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &telemetry.StatusWriter{ResponseWriter: w}
 		start := time.Now()
 		next.ServeHTTP(sw, r.WithContext(ctx))
 		elapsed := time.Since(start)
 
-		status := strconv.Itoa(sw.status())
+		status := strconv.Itoa(sw.Status())
 		cache := sw.Header().Get("X-Gnt-Cache")
 		rung, code, attempts, spans := car.snapshot()
 		s.inst.requests.Inc(route, status)
@@ -267,7 +223,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			Method:     r.Method,
 			Start:      start,
 			DurationMS: float64(elapsed.Microseconds()) / 1000,
-			Status:     sw.status(),
+			Status:     sw.Status(),
 			Cache:      cache,
 			Rung:       rung,
 			Code:       code,
@@ -279,7 +235,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			Trace:      id,
 			Method:     r.Method,
 			Route:      route,
-			Status:     sw.status(),
+			Status:     sw.Status(),
 			DurationMS: float64(elapsed.Microseconds()) / 1000,
 			Cache:      cache,
 			Rung:       rung,

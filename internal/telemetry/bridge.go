@@ -8,8 +8,8 @@ import (
 
 // Bridge feeds the per-stage latency histogram
 // (gnt_stage_duration_seconds{stage=<span name>}), one observation per
-// closed span. Span sources with no per-request recorder (the journal,
-// gntbench's sweeps) use it as their obs.Collector; the serving layer
+// closed span. The one span source with no per-request recorder, the
+// journal, uses it as its obs.Collector; the serving layer
 // records each request's spans in that request's obs.Recorder and
 // hands the finished rows to ObservePhases instead.
 type Bridge struct {

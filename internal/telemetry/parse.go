@@ -32,8 +32,8 @@ type Sample struct {
 type Families map[string]*Family
 
 // ParseExposition is the strict Prometheus text-format parser used by
-// the unit tests, the chaos soak's invariant checks, gntbench, and the
-// CI scrape smoke. It rejects what a lenient scraper would shrug off:
+// the unit tests, the chaos soak's invariant checks, and the CI scrape
+// smoke. It rejects what a lenient scraper would shrug off:
 //
 //   - a family declared (TYPE) more than once, or samples for a family
 //     that was never declared;

@@ -13,10 +13,9 @@
 // second set of hooks. A served request's spans are recorded once, in
 // that request's obs.Recorder, whose phase rows become the /analyze
 // response's phases, the /debug/requests trace spans and, through
-// Bridge.ObservePhases, the histogram. Span sources with no request
-// (the journal, gntbench's sweeps) use the Bridge directly as their
-// obs.Collector. Event counts are not
-// pushed anywhere: a component that already counts an event (the
+// Bridge.ObservePhases, the histogram. The one span source with no
+// request, the journal, uses the Bridge directly as its obs.Collector.
+// Event counts are not pushed anywhere: a component that already counts an event (the
 // engine's cache and pipeline stats, the journal's stats) registers a
 // CounterFunc or CounterSeriesFunc that reads its count at scrape
 // time, so each event is counted once.
@@ -36,6 +35,6 @@
 //
 //  3. Exposition is strict. The text format written by Registry.Expose
 //     round-trips through ParseExposition, the same strict parser the
-//     unit tests, the chaos harness, gntbench, and the CI smoke job
-//     use to validate a live scrape.
+//     unit tests, the chaos harness and the CI smoke job use to
+//     validate a live scrape.
 package telemetry

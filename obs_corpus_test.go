@@ -13,7 +13,7 @@ import (
 
 // corpusFiles returns every mini-Fortran program in testdata, including
 // the kernels.
-func corpusFiles(t *testing.T) []string {
+func corpusFiles(t testing.TB) []string {
 	t.Helper()
 	var files []string
 	for _, pat := range []string{"testdata/*.f", "testdata/kernels/*.f"} {

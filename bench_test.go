@@ -337,6 +337,42 @@ func BenchmarkIntervalScaling(b *testing.B) {
 	}
 }
 
+// BenchmarkCompile — experiment E6d: the library compile path that
+// bench/'s compile-large workload times, source text to annotated
+// source (Parse → GenerateComm → AnnotatedSource), on generated programs
+// of its sizes. ns/node, B/node and allocs/node should stay roughly
+// constant as programs grow.
+func BenchmarkCompile(b *testing.B) {
+	for _, stmts := range []int{1000, 2000, 4000} {
+		b.Run(fmt.Sprintf("stmts=%d", stmts), func(b *testing.B) {
+			src := compileSource(stmts)
+			var nodes int
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p, err := gt.Parse(src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cg, err := gt.GenerateComm(p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cg.AnnotatedSource(gt.SplitComm)
+				nodes = len(cg.Graph.Nodes)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			per := float64(nodes) * float64(b.N)
+			b.ReportMetric(float64(nodes), "nodes")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/node")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/per, "B/node")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/per, "allocs/node")
+		})
+	}
+}
+
 // BenchmarkPREComparison — experiment E7 (§1): classical PRE as a
 // GIVE-N-TAKE instance versus Morel–Renvoise and Lazy Code Motion over a
 // corpus of generated programs. Metrics: total weighted insertion cost

@@ -249,13 +249,17 @@ func (g *Graph) SplitCriticalEdges() int {
 	return n
 }
 
-// Compact removes blocks unreachable from Entry and renumbers IDs.
+// Compact removes blocks unreachable from Entry and renumbers IDs. It
+// relies on the graph invariant Blocks[i].ID == i (which NewBlock keeps
+// and Validate enforces) to mark blocks in a slice. Pruned blocks keep
+// their stale IDs: a stale ID may equal a live block's, so a pruned
+// block must never be looked up by ID alone.
 func (g *Graph) Compact() {
-	reach := map[*Block]bool{}
+	reach := make([]bool, len(g.Blocks))
 	var stack []*Block
 	push := func(b *Block) {
-		if b != nil && !reach[b] {
-			reach[b] = true
+		if b != nil && !reach[b.ID] {
+			reach[b.ID] = true
 			stack = append(stack, b)
 		}
 	}
@@ -267,26 +271,32 @@ func (g *Graph) Compact() {
 			push(s)
 		}
 	}
-	var kept []*Block
-	for _, b := range g.Blocks {
-		if reach[b] {
-			b.ID = len(kept)
-			kept = append(kept, b)
-			// drop edges from unreachable preds
-			var preds []*Block
+	// drop edges from unreachable preds while every ID still indexes
+	// reach, then renumber
+	for i, b := range g.Blocks {
+		if reach[i] {
+			preds := b.Preds[:0]
 			for _, p := range b.Preds {
-				if reach[p] {
+				if reach[p.ID] {
 					preds = append(preds, p)
 				}
 			}
 			b.Preds = preds
 		}
 	}
+	kept := g.Blocks[:0]
+	for i, b := range g.Blocks {
+		if reach[i] {
+			b.ID = len(kept)
+			kept = append(kept, b)
+		}
+	}
 	g.Blocks = kept
 }
 
-// Validate checks structural invariants (edge symmetry, single entry/exit,
-// no critical edges) and returns a descriptive error if any fails.
+// Validate checks structural invariants (dense IDs, edge symmetry,
+// single entry/exit, no critical edges) and returns a descriptive error
+// if any fails.
 func (g *Graph) Validate() error {
 	if g.Entry == nil || g.Exit == nil {
 		return fmt.Errorf("cfg: missing entry or exit")
@@ -297,13 +307,14 @@ func (g *Graph) Validate() error {
 	if len(g.Exit.Succs) != 0 {
 		return fmt.Errorf("cfg: exit %v has successors", g.Exit)
 	}
-	index := map[*Block]bool{}
-	for _, b := range g.Blocks {
-		index[b] = true
+	for i, b := range g.Blocks {
+		if b.ID != i {
+			return fmt.Errorf("cfg: block %v at index %d: IDs must equal indices", b, i)
+		}
 	}
 	for _, b := range g.Blocks {
 		for _, s := range b.Succs {
-			if !index[s] {
+			if !g.has(s) {
 				return fmt.Errorf("cfg: %v has successor outside graph", b)
 			}
 			if !contains(s.Preds, b) {
@@ -314,12 +325,21 @@ func (g *Graph) Validate() error {
 			}
 		}
 		for _, p := range b.Preds {
+			if !g.has(p) {
+				return fmt.Errorf("cfg: %v has predecessor outside graph", b)
+			}
 			if !contains(p.Succs, b) {
 				return fmt.Errorf("cfg: edge %v -> %v missing succ link", p, b)
 			}
 		}
 	}
 	return nil
+}
+
+// has reports whether b is one of g's blocks: its ID indexes g.Blocks
+// and the block there is b itself, not a pruned block with a stale ID.
+func (g *Graph) has(b *Block) bool {
+	return b != nil && b.ID >= 0 && b.ID < len(g.Blocks) && g.Blocks[b.ID] == b
 }
 
 func contains(list []*Block, b *Block) bool {

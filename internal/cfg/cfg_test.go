@@ -1,6 +1,7 @@
 package cfg
 
 import (
+	"strings"
 	"testing"
 
 	"givetake/internal/frontend"
@@ -308,5 +309,24 @@ endif
 	}
 	if !g.Reducible() {
 		t.Fatal("should be reducible")
+	}
+}
+
+// Validate rejects a graph whose block IDs are not their indices in
+// Blocks, and an edge from a block outside the graph.
+func TestValidateRejectsBadIDs(t *testing.T) {
+	g := build(t, "x = 1\ny = 2")
+	g.Blocks[1].ID = 7
+	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "IDs must equal indices") {
+		t.Fatalf("ID 7 at index 1: err = %v, want the dense-ID error", err)
+	}
+	g.Blocks[1].ID = 1
+
+	// a stranger block with a live block's ID
+	stranger := &Block{ID: 2, Kind: KStmt}
+	g.Blocks[2].Preds = append(g.Blocks[2].Preds, stranger)
+	stranger.Succs = []*Block{g.Blocks[2]}
+	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "predecessor outside graph") {
+		t.Fatalf("pred outside the graph: err = %v, want it rejected", err)
 	}
 }

@@ -1,7 +1,7 @@
 package check
 
 import (
-	"fmt"
+	"math/bits"
 
 	"givetake/internal/bitset"
 	"givetake/internal/cfg"
@@ -62,11 +62,6 @@ func lintWarn(p *Problem, code string, item int, n *interval.Node, detail string
 func lintRecvBeforeSend(p *Problem) []Diagnostic {
 	g := p.Graph
 	nn := len(g.Nodes)
-	u := p.Universe
-	// noSend[n]: items for which some entry path reaches n's events with
-	// no EAGER production passed yet.
-	noSend := make([]*bitset.Set, nn)
-	seen := make([]bool, nn)
 	var entry *interval.Node
 	for _, n := range g.Preorder {
 		if n.CountPreds(interval.CEFJ) == 0 {
@@ -77,15 +72,23 @@ func lintRecvBeforeSend(p *Problem) []Diagnostic {
 	if entry == nil {
 		return nil
 	}
-	noSend[entry.ID] = bitset.NewFull(u)
+	eagerIn, eagerOut := p.Sol.Eager.ResIn, p.Sol.Eager.ResOut
+	lazyIn, lazyOut := p.Sol.Lazy.ResIn, p.Sol.Lazy.ResOut
+	// noSend row n: items for which some entry path reaches n's events
+	// with no EAGER production passed yet. The extra last row is the
+	// state leaving the node being propagated.
+	noSend := bitset.NewSlab(nn+1, p.Universe)
+	st := noSend.Row(nn)
+	seen := make([]bool, nn)
+	noSend.Fill(entry.ID)
 	seen[entry.ID] = true
 	wl := []*interval.Node{entry}
 	for len(wl) > 0 {
 		n := wl[len(wl)-1]
 		wl = wl[:len(wl)-1]
-		st := noSend[n.ID].Clone()
-		st.SubtractWith(p.Sol.Eager.ResIn.At(n.ID))
-		st.SubtractWith(p.Sol.Eager.ResOut.At(n.ID))
+		copy(st, noSend.Row(n.ID))
+		bitset.AndNot(st, eagerIn.Row(n.ID))
+		bitset.AndNot(st, eagerOut.Row(n.ID))
 		for _, e := range n.Out {
 			switch e.Type {
 			case interval.Cycle, interval.Forward, interval.Jump, interval.Entry:
@@ -93,12 +96,8 @@ func lintRecvBeforeSend(p *Problem) []Diagnostic {
 				continue
 			}
 			t := e.To.ID
-			if !seen[t] {
+			if grew := orGrows(noSend.Row(t), st); grew || !seen[t] {
 				seen[t] = true
-				noSend[t] = st.Clone()
-				wl = append(wl, e.To)
-			} else if !noSend[t].ContainsAll(st) {
-				noSend[t].UnionWith(st)
 				wl = append(wl, e.To)
 			}
 		}
@@ -108,20 +107,37 @@ func lintRecvBeforeSend(p *Problem) []Diagnostic {
 		if !seen[n.ID] {
 			continue
 		}
+		warn := func(wi int, w uint64) {
+			for ; w != 0; w &= w - 1 {
+				out = append(out, lintWarn(p, CodeRecvBeforeSend, wi*64+bits.TrailingZeros64(w), n,
+					"Recv reachable from entry without passing the matching Send"))
+			}
+		}
 		// events at one node fire Send before Recv at each boundary, so
 		// the node's own eager production is subtracted first
-		afterIn := bitset.Subtract(noSend[n.ID], p.Sol.Eager.ResIn.At(n.ID))
-		bitset.Intersect(p.Sol.Lazy.ResIn.At(n.ID), afterIn).ForEach(func(i int) {
-			out = append(out, lintWarn(p, CodeRecvBeforeSend, i, n,
-				"Recv reachable from entry without passing the matching Send"))
-		})
-		afterOut := bitset.Subtract(afterIn, p.Sol.Eager.ResOut.At(n.ID))
-		bitset.Intersect(p.Sol.Lazy.ResOut.At(n.ID), afterOut).ForEach(func(i int) {
-			out = append(out, lintWarn(p, CodeRecvBeforeSend, i, n,
-				"Recv reachable from entry without passing the matching Send"))
-		})
+		ns, eIn, eOut := noSend.Row(n.ID), eagerIn.Row(n.ID), eagerOut.Row(n.ID)
+		lIn, lOut := lazyIn.Row(n.ID), lazyOut.Row(n.ID)
+		for wi := range ns {
+			warn(wi, lIn[wi]&ns[wi]&^eIn[wi])
+		}
+		for wi := range ns {
+			warn(wi, lOut[wi]&ns[wi]&^eIn[wi]&^eOut[wi])
+		}
 	}
 	return out
+}
+
+// orGrows sets dst |= src word by word and reports whether dst gained
+// an item.
+func orGrows(dst, src []uint64) bool {
+	grew := false
+	for i, w := range src {
+		if w&^dst[i] != 0 {
+			dst[i] |= w
+			grew = true
+		}
+	}
+	return grew
 }
 
 // lintZeroOverlap flags items whose Send and Recv coincide at the same
@@ -129,20 +145,17 @@ func lintRecvBeforeSend(p *Problem) []Diagnostic {
 func lintZeroOverlap(p *Problem) []Diagnostic {
 	var out []Diagnostic
 	for _, n := range p.Graph.Preorder {
-		for _, boundary := range []struct {
-			name        string
-			eager, lazy *bitset.Set
-		}{
-			{"entry", p.Sol.Eager.ResIn.At(n.ID), p.Sol.Lazy.ResIn.At(n.ID)},
-			{"exit", p.Sol.Eager.ResOut.At(n.ID), p.Sol.Lazy.ResOut.At(n.ID)},
-		} {
-			b := boundary
-			nn := n
-			bitset.Intersect(b.eager, b.lazy).ForEach(func(i int) {
-				out = append(out, lintWarn(p, CodeZeroOverlap, i, nn,
-					fmt.Sprintf("Send and Recv coincide at node %s: zero-overlap region hides no latency", b.name)))
-			})
+		warn := func(eager, lazy bitset.Slab, boundary string) {
+			l := lazy.Row(n.ID)
+			for wi, w := range eager.Row(n.ID) {
+				for w &= l[wi]; w != 0; w &= w - 1 {
+					out = append(out, lintWarn(p, CodeZeroOverlap, wi*64+bits.TrailingZeros64(w), n,
+						"Send and Recv coincide at node "+boundary+": zero-overlap region hides no latency"))
+				}
+			}
 		}
+		warn(p.Sol.Eager.ResIn, p.Sol.Lazy.ResIn, "entry")
+		warn(p.Sol.Eager.ResOut, p.Sol.Lazy.ResOut, "exit")
 	}
 	return out
 }

@@ -493,3 +493,37 @@ w(1) = x(1) + x(50) + y(a(1))
 		t.Fatalf("distinct sections merged or lost:\n%s", text)
 	}
 }
+
+// A reference in code that cfg.Compact prunes causes no communication,
+// although the pruned block's stale ID equals the ID of the live block
+// of "s = y(2)": the collector must find no node for the dead block.
+func TestPrunedReferenceStaysDead(t *testing.T) {
+	const src = `
+distributed x(100), y(100)
+goto 9
+8 t = x(1)
+9 continue
+s = y(2)
+`
+	a, err := analyzeSource(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := a.CFG.StmtBlock[a.Prog.Body[1]]
+	if dead == nil || dead.ID >= len(a.CFG.Blocks) || a.CFG.Blocks[dead.ID].Stmt != a.Prog.Body[3] {
+		t.Fatalf("dead block %v: want the stale ID of the live block of s = y(2) in\n%s", dead, a.CFG)
+	}
+	for _, it := range a.Universe.Items {
+		if it.Array != "x" {
+			continue
+		}
+		for _, n := range a.Graph.Nodes {
+			if a.ReadInit.Take.At(n.ID).Has(it.ID) || a.WriteInit.Take.At(n.ID).Has(it.ID) {
+				t.Errorf("dead reference x(1) taken at %v", n)
+			}
+		}
+	}
+	if out := a.AnnotatedSource(DefaultOptions); strings.Contains(out, "{x(1)}") {
+		t.Errorf("dead reference communicated:\n%s", out)
+	}
+}

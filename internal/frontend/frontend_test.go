@@ -216,6 +216,44 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// The parser pulls tokens from the scanner as it goes, yet reports
+// what lexing the whole source first would: a lex error anywhere wins
+// over a parse or semantic error, even one earlier in the source, and
+// a source that lexes cleanly reports its first parse error. The
+// messages are exact.
+func TestParseLexErrorPrecedence(t *testing.T) {
+	cases := []struct {
+		name, src, want string
+	}{
+		{"parse error before lex error", "x = = 1\ny = $", "2:5: unexpected character '$'"},
+		{"parse error before bad dot operator", "do i = 1, n\nenddo enddo\nz = .foo.", "3:5: unexpected '.'"},
+		{"lex error where parsing could end", "x = 1\n$", "2:1: unexpected character '$'"},
+		{"lex error first", "$ x = = 1", "1:1: unexpected character '$'"},
+		{"literal out of range before lex error", "x = 99999999999999999999\n@", "2:1: unexpected character '@'"},
+		{"lex error in an open block", "if (c) then\nx = 1\ny = 2 .lt 3", "3:7: unexpected '.'"},
+		{"first of two parse errors", "x = = 1\ny = 2 )", "1:5: expected expression, found '=' \"=\""},
+		{"literal out of range", "x = 99999999999999999999", "1:5: integer literal out of range"},
+		{"missing enddo", "do i = 1, n\n x(i) = 1\n", "3:1: expected \"enddo\", found EOF"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := Parse(c.src); err == nil || err.Error() != c.want {
+				t.Errorf("Parse(%q): error = %v, want %s", c.src, err, c.want)
+			}
+			if _, err := ParseStmts(c.src); err == nil || err.Error() != c.want {
+				t.Errorf("ParseStmts(%q): error = %v, want %s", c.src, err, c.want)
+			}
+		})
+	}
+	// a semantic error loses to a lex error too
+	if _, err := Parse("goto 5\n#"); err == nil || err.Error() != "2:1: unexpected character '#'" {
+		t.Errorf("undefined label before lex error: error = %v", err)
+	}
+	if _, err := Parse("goto 5"); err == nil || err.Error() != "1:1: goto 5: undefined label" {
+		t.Errorf("undefined label: error = %v", err)
+	}
+}
+
 func TestParseNestedLoopGoto(t *testing.T) {
 	src := `
 do i = 1, n

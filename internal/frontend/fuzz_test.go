@@ -21,6 +21,7 @@ func FuzzParse(f *testing.F) {
 		"if (1 != 2 .and. .not. c) then\nendif",
 		"do i = 1, n\ndo i = 1, n\nenddo\nenddo",
 		"goto 1\n1 x = 1",
+		"x = = 1\ny = $", // a parse error before a lex error
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -85,119 +85,141 @@ var dotOps = map[string]string{
 }
 
 // Lex splits src into tokens. Comments run from '!' to end of line.
-// Fortran is case-insensitive; identifiers are lowered.
+// Fortran is case-insensitive; identifiers are lowered. The parser does
+// not call Lex: it pulls tokens from the same scanner one at a time, so
+// no token slice is built on the compile path.
 func Lex(src string) ([]Token, error) {
+	s := scanner{src: src, line: 1, col: 1}
 	var toks []Token
-	line, col := 1, 1
-	i := 0
-	emit := func(k TokenKind, text string, startCol int) {
-		toks = append(toks, Token{Kind: k, Text: text, Pos: ir.Pos{Line: line, Col: startCol}})
-	}
-	for i < len(src) {
-		c := src[i]
-		switch {
-		case c == '\n':
-			emit(TokNewline, "", col)
-			line++
-			col = 1
-			i++
-		case c == ';':
-			emit(TokNewline, "", col)
-			i++
-			col++
-		case c == ' ' || c == '\t' || c == '\r':
-			i++
-			col++
-		case c == '!':
-			if i+1 < len(src) && src[i+1] == '=' {
-				emit(TokOp, "!=", col)
-				i += 2
-				col += 2
-				break
-			}
-			for i < len(src) && src[i] != '\n' {
-				i++
-				col++
-			}
-		case c >= '0' && c <= '9':
-			start, startCol := i, col
-			for i < len(src) && src[i] >= '0' && src[i] <= '9' {
-				i++
-				col++
-			}
-			emit(TokInt, src[start:i], startCol)
-		case isIdentStart(c):
-			start, startCol := i, col
-			for i < len(src) && isIdentPart(src[i]) {
-				i++
-				col++
-			}
-			emit(TokIdent, strings.ToLower(src[start:i]), startCol)
-		case c == '.':
-			if strings.HasPrefix(src[i:], "...") {
-				emit(TokEllipsis, "...", col)
-				i += 3
-				col += 3
-				break
-			}
-			// dot operator like .lt.
-			end := strings.IndexByte(src[i+1:], '.')
-			if end >= 0 {
-				word := strings.ToLower(src[i : i+end+2])
-				if op, ok := dotOps[word]; ok {
-					emit(TokOp, op, col)
-					i += end + 2
-					col += end + 2
-					break
-				}
-			}
-			return nil, &Error{ir.Pos{Line: line, Col: col}, "unexpected '.'"}
-		default:
-			startCol := col
-			two := ""
-			if i+1 < len(src) {
-				two = src[i : i+2]
-			}
-			switch {
-			case two == "<=" || two == ">=" || two == "==" || two == "!=" || two == "/=":
-				op := two
-				if op == "/=" {
-					op = "!="
-				}
-				emit(TokOp, op, startCol)
-				i += 2
-				col += 2
-			case c == '(':
-				emit(TokLParen, "(", startCol)
-				i++
-				col++
-			case c == ')':
-				emit(TokRParen, ")", startCol)
-				i++
-				col++
-			case c == ',':
-				emit(TokComma, ",", startCol)
-				i++
-				col++
-			case c == ':':
-				emit(TokColon, ":", startCol)
-				i++
-				col++
-			case c == '=':
-				emit(TokAssign, "=", startCol)
-				i++
-				col++
-			case c == '+' || c == '-' || c == '*' || c == '/' || c == '<' || c == '>':
-				emit(TokOp, string(c), startCol)
-				i++
-				col++
-			default:
-				return nil, &Error{ir.Pos{Line: line, Col: col}, fmt.Sprintf("unexpected character %q", c)}
-			}
+	for {
+		t := s.next()
+		if s.err != nil {
+			return nil, s.err
+		}
+		toks = append(toks, t)
+		if t.Kind == TokEOF {
+			return toks, nil
 		}
 	}
-	toks = append(toks, Token{Kind: TokEOF, Pos: ir.Pos{Line: line, Col: col}})
-	return toks, nil
+}
+
+// scanner produces the tokens of src one at a time. At the end of the
+// source, and from a lex error on, next returns TokEOF; err holds the
+// lex error.
+type scanner struct {
+	src       string
+	i         int
+	line, col int
+	err       error
+}
+
+func (s *scanner) tok(k TokenKind, text string, startCol int) Token {
+	return Token{Kind: k, Text: text, Pos: ir.Pos{Line: s.line, Col: startCol}}
+}
+
+func (s *scanner) fail(msg string) Token {
+	s.err = &Error{ir.Pos{Line: s.line, Col: s.col}, msg}
+	return s.tok(TokEOF, "", s.col)
+}
+
+// next returns the next token.
+func (s *scanner) next() Token {
+	src := s.src
+	for s.err == nil && s.i < len(src) {
+		c := src[s.i]
+		switch {
+		case c == '\n':
+			t := s.tok(TokNewline, "", s.col)
+			s.line++
+			s.col = 1
+			s.i++
+			return t
+		case c == ';':
+			t := s.tok(TokNewline, "", s.col)
+			s.i++
+			s.col++
+			return t
+		case c == ' ' || c == '\t' || c == '\r':
+			s.i++
+			s.col++
+		case c == '!':
+			if s.i+1 < len(src) && src[s.i+1] == '=' {
+				t := s.tok(TokOp, "!=", s.col)
+				s.i += 2
+				s.col += 2
+				return t
+			}
+			for s.i < len(src) && src[s.i] != '\n' {
+				s.i++
+				s.col++
+			}
+		case c >= '0' && c <= '9':
+			start, startCol := s.i, s.col
+			for s.i < len(src) && src[s.i] >= '0' && src[s.i] <= '9' {
+				s.i++
+				s.col++
+			}
+			return s.tok(TokInt, src[start:s.i], startCol)
+		case isIdentStart(c):
+			start, startCol := s.i, s.col
+			for s.i < len(src) && isIdentPart(src[s.i]) {
+				s.i++
+				s.col++
+			}
+			return s.tok(TokIdent, strings.ToLower(src[start:s.i]), startCol)
+		case c == '.':
+			if strings.HasPrefix(src[s.i:], "...") {
+				t := s.tok(TokEllipsis, "...", s.col)
+				s.i += 3
+				s.col += 3
+				return t
+			}
+			// dot operator like .lt.
+			end := strings.IndexByte(src[s.i+1:], '.')
+			if end >= 0 {
+				word := strings.ToLower(src[s.i : s.i+end+2])
+				if op, ok := dotOps[word]; ok {
+					t := s.tok(TokOp, op, s.col)
+					s.i += end + 2
+					s.col += end + 2
+					return t
+				}
+			}
+			return s.fail("unexpected '.'")
+		default:
+			startCol := s.col
+			two := ""
+			if s.i+1 < len(src) {
+				two = src[s.i : s.i+2]
+			}
+			k, text, width := TokOp, "", 1
+			switch {
+			case two == "<=" || two == ">=" || two == "==" || two == "!=" || two == "/=":
+				text, width = two, 2
+				if two == "/=" {
+					text = "!="
+				}
+			case c == '(':
+				k, text = TokLParen, "("
+			case c == ')':
+				k, text = TokRParen, ")"
+			case c == ',':
+				k, text = TokComma, ","
+			case c == ':':
+				k, text = TokColon, ":"
+			case c == '=':
+				k, text = TokAssign, "="
+			case c == '+' || c == '-' || c == '*' || c == '/' || c == '<' || c == '>':
+				text = src[s.i : s.i+1]
+			default:
+				return s.fail(fmt.Sprintf("unexpected character %q", c))
+			}
+			s.i += width
+			s.col += width
+			return s.tok(k, text, startCol)
+		}
+	}
+	return s.tok(TokEOF, "", s.col)
 }
 
 func isIdentStart(c byte) bool {

@@ -20,13 +20,9 @@ import (
 //	77 continue                              (numeric statement labels)
 //	lhs = rhs      with array refs x(a(k)+1) and '...' placeholders
 func Parse(src string) (*ir.Program, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := newParser(src)
 	prog, err := p.program()
-	if err != nil {
+	if err := p.finish(err); err != nil {
 		return nil, err
 	}
 	if err := Check(prog); err != nil {
@@ -37,40 +33,70 @@ func Parse(src string) (*ir.Program, error) {
 
 // ParseStmts parses a bare statement list (no declarations), for tests.
 func ParseStmts(src string) ([]ir.Stmt, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := newParser(src)
 	p.skipNewlines()
 	stmts, err := p.stmtList("")
-	if err != nil {
-		return nil, err
+	if err == nil && p.peek().Kind != TokEOF {
+		err = p.errf("unexpected %s", p.peek())
 	}
-	if p.peek().Kind != TokEOF {
-		return nil, p.errf("unexpected %s", p.peek())
+	if err := p.finish(err); err != nil {
+		return nil, err
 	}
 	return stmts, nil
 }
 
+// parser is a recursive-descent parser over a token stream with two
+// tokens of lookahead; la[:n] holds the tokens pulled from sc but not
+// yet consumed.
 type parser struct {
-	toks []Token
-	i    int
+	sc scanner
+	la [2]Token
+	n  int
 }
 
-func (p *parser) peek() Token { return p.toks[p.i] }
-func (p *parser) peek2() Token {
-	if p.i+1 < len(p.toks) {
-		return p.toks[p.i+1]
-	}
-	return p.toks[len(p.toks)-1]
+func newParser(src string) *parser {
+	return &parser{sc: scanner{src: src, line: 1, col: 1}}
 }
+
+func (p *parser) peek() Token {
+	if p.n == 0 {
+		p.la[0] = p.sc.next()
+		p.n = 1
+	}
+	return p.la[0]
+}
+
+func (p *parser) peek2() Token {
+	p.peek()
+	if p.n == 1 {
+		p.la[1] = p.sc.next()
+		p.n = 2
+	}
+	return p.la[1]
+}
+
 func (p *parser) next() Token {
-	t := p.toks[p.i]
+	t := p.peek()
 	if t.Kind != TokEOF {
-		p.i++
+		p.la[0] = p.la[1]
+		p.n--
 	}
 	return t
+}
+
+// finish settles the outcome of a parse whose own error is err. A lex
+// error anywhere in the source wins, as if the whole source had been
+// lexed before parsing: on a parse error the rest of the source is
+// scanned for one.
+func (p *parser) finish(err error) error {
+	if err != nil {
+		for p.sc.next().Kind != TokEOF {
+		}
+	}
+	if p.sc.err != nil {
+		return p.sc.err
+	}
+	return err
 }
 
 func (p *parser) errf(format string, args ...any) error {

@@ -178,12 +178,21 @@ type Graph struct {
 	// Reversed marks a graph produced by Reverse (used for AFTER
 	// problems); Jump edges then point into intervals rather than out.
 	Reversed bool
-
-	byBlock map[*cfg.Block]*Node
 }
 
-// NodeFor returns the interval node of a CFG block.
-func (g *Graph) NodeFor(b *cfg.Block) *Node { return g.byBlock[b] }
+// NodeFor returns the interval node of a CFG block, or nil if b is not
+// one of the graph's blocks. Node i is the node of CFG block i, so the
+// block's ID is the index; a block that cfg.Compact pruned keeps a
+// stale ID, possibly a live block's, so the node's block must be b.
+func (g *Graph) NodeFor(b *cfg.Block) *Node {
+	if b == nil || b.ID < 0 || b.ID >= len(g.Nodes) {
+		return nil
+	}
+	if n := g.Nodes[b.ID]; n.Block == b {
+		return n
+	}
+	return nil
+}
 
 // InInterval reports n ∈ T(h).
 func InInterval(n, h *Node) bool {
@@ -210,13 +219,16 @@ func FromCFG(c *cfg.Graph) (*Graph, error) {
 		return nil, fmt.Errorf("interval: graph is irreducible; apply node splitting first (cfg.MakeReducible)")
 	}
 
-	g := &Graph{CFG: c, byBlock: map[*cfg.Block]*Node{}}
+	g := &Graph{CFG: c}
 	g.Root = &Node{ID: -1, Level: 0, IsHeader: true}
 
-	for _, b := range c.Blocks {
-		n := &Node{ID: len(g.Nodes), Block: b, Parent: g.Root, Level: 1}
-		g.Nodes = append(g.Nodes, n)
-		g.byBlock[b] = n
+	// The nodes are carved from one slice; node i is the node of block
+	// i (cfg.Validate guarantees c.Blocks[i].ID == i).
+	nodes := make([]Node, len(c.Blocks))
+	g.Nodes = make([]*Node, len(c.Blocks))
+	for i, b := range c.Blocks {
+		nodes[i] = Node{ID: i, Block: b, Parent: g.Root, Level: 1}
+		g.Nodes[i] = &nodes[i]
 	}
 
 	if err := g.buildLoopForest(dom); err != nil {
@@ -225,7 +237,6 @@ func FromCFG(c *cfg.Graph) (*Graph, error) {
 	if err := g.classifyEdges(); err != nil {
 		return nil, err
 	}
-	g.addSyntheticEdges()
 	g.computePreorder()
 	if err := g.check(); err != nil {
 		return nil, err
@@ -237,46 +248,48 @@ func FromCFG(c *cfg.Graph) (*Graph, error) {
 // Parent/Level. With the unique-latch normalization every header has
 // exactly one back edge; multiple back edges to one header are rejected.
 func (g *Graph) buildLoopForest(dom *cfg.DomTree) error {
-	// loop membership per header, innermost assignment wins later
+	// loop membership per header, innermost assignment wins later; the
+	// bodies of all loops are consecutive runs of one members slice
 	type loop struct {
 		header *Node
-		body   map[*Node]bool
-		latch  *Node
+		lo, hi int // body = members[lo:hi]
 	}
-	var loops []*loop
-	byHeader := map[*Node]*loop{}
+	var loops []loop
+	var members, stack []*Node
+	// mark[n.ID] == k+1 while loop k's body is being collected
+	mark := make([]int32, len(g.Nodes))
 
 	for _, b := range g.CFG.Blocks {
 		for _, s := range b.Succs {
 			if !dom.Dominates(s, b) {
 				continue
 			}
-			h := g.byBlock[s]
-			m := g.byBlock[b]
-			if byHeader[h] != nil {
+			h := g.Nodes[s.ID]
+			m := g.Nodes[b.ID]
+			if h.IsHeader {
 				return fmt.Errorf("interval: header %v has multiple CYCLE edges; merge latches first", h)
 			}
-			l := &loop{header: h, body: map[*Node]bool{}, latch: m}
+			stamp := int32(len(loops) + 1)
+			lo := len(members)
 			// natural loop: nodes that reach the latch without passing h
-			stack := []*Node{m}
-			l.body[m] = true
+			if m != h {
+				mark[m.ID] = stamp
+				members = append(members, m)
+				stack = append(stack[:0], m)
+			}
 			for len(stack) > 0 {
 				n := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				if n == h {
-					continue
-				}
 				for _, p := range n.Block.Preds {
-					pn := g.byBlock[p]
-					if pn != h && !l.body[pn] {
-						l.body[pn] = true
+					pn := g.Nodes[p.ID]
+					if pn != h && mark[pn.ID] != stamp {
+						mark[pn.ID] = stamp
+						members = append(members, pn)
 						stack = append(stack, pn)
 					}
 				}
 			}
-			delete(l.body, h)
-			loops = append(loops, l)
-			byHeader[h] = l
+			loops = append(loops, loop{header: h, lo: lo, hi: len(members)})
 			h.IsHeader = true
 			h.LastChild = m
 		}
@@ -284,19 +297,18 @@ func (g *Graph) buildLoopForest(dom *cfg.DomTree) error {
 
 	// sort loops by body size ascending so that assigning parents from
 	// the smallest loop up makes the innermost header win
-	sort.Slice(loops, func(i, j int) bool { return len(loops[i].body) < len(loops[j].body) })
+	sort.Slice(loops, func(i, j int) bool { return loops[i].hi-loops[i].lo < loops[j].hi-loops[j].lo })
 
 	// headers themselves: a header's parent is the innermost loop that
 	// contains it as a body member — handled here too, since headers of
 	// inner loops are body members of outer loops. Natural loops of a
 	// reducible graph nest, so the loops whose body holds n are exactly
-	// the headers on n's Parent chain: each adds one to n's level.
-	assigned := map[*Node]bool{}
+	// the headers on n's Parent chain: each adds one to n's level. A
+	// node still parented by ROOT has not been assigned yet.
 	for _, l := range loops {
-		for n := range l.body {
-			if !assigned[n] {
+		for _, n := range members[l.lo:l.hi] {
+			if n.Parent == g.Root {
 				n.Parent = l.header
-				assigned[n] = true
 			}
 			n.Level++
 		}
@@ -304,19 +316,27 @@ func (g *Graph) buildLoopForest(dom *cfg.DomTree) error {
 	return nil
 }
 
-// classifyEdges types every CFG edge per §3.3.
+// classifyEdges types every CFG edge per §3.3 and adds the synthetic
+// edges. Every node's In and Out lists are carved from one slice, sized
+// by a first pass that types the edges and counts the synthetic edges
+// each jump adds (an upper bound: duplicates are collapsed later).
 func (g *Graph) classifyEdges() error {
+	nOut := make([]int, 2*len(g.Nodes))
+	nIn := nOut[len(g.Nodes):]
+	var types []EdgeType
+	total := 0
 	for _, b := range g.CFG.Blocks {
-		m := g.byBlock[b]
+		m := g.Nodes[b.ID]
 		for _, sb := range b.Succs {
-			n := g.byBlock[sb]
+			n := g.Nodes[sb.ID]
 			t, err := classify(m, n)
 			if err != nil {
 				return err
 			}
-			e := Edge{From: m, To: n, Type: t}
-			m.Out = append(m.Out, e)
-			n.In = append(n.In, e)
+			types = append(types, t)
+			nOut[m.ID]++
+			nIn[n.ID]++
+			total++
 			switch t {
 			case Entry:
 				if n.EntryHeader != nil && n.EntryHeader != m {
@@ -327,10 +347,41 @@ func (g *Graph) classifyEdges() error {
 				if n.LastChild != m {
 					return fmt.Errorf("interval: cycle edge %v -> %v does not match recorded latch %v", m, n, n.LastChild)
 				}
+			case Jump:
+				for h := m.Parent; leaves(n, h); h = h.Parent {
+					nOut[h.ID]++
+					nIn[n.ID]++
+					total++
+				}
 			}
 		}
 	}
+	edges := make([]Edge, 2*total)
+	for i, n := range g.Nodes {
+		n.Out, edges = edges[:0:nOut[i]], edges[nOut[i]:]
+		n.In, edges = edges[:0:nIn[i]], edges[nIn[i]:]
+	}
+	k := 0
+	for _, b := range g.CFG.Blocks {
+		m := g.Nodes[b.ID]
+		for _, sb := range b.Succs {
+			n := g.Nodes[sb.ID]
+			e := Edge{From: m, To: n, Type: types[k]}
+			k++
+			m.Out = append(m.Out, e)
+			n.In = append(n.In, e)
+		}
+	}
+	g.addSyntheticEdges()
 	return nil
+}
+
+// leaves reports whether a jump to n leaves the interval of the real
+// header h: n ∉ T+(h). Walking h up the Parent chain of the jump's
+// source while leaves holds visits exactly the intervals the jump
+// leaves, innermost first.
+func leaves(n, h *Node) bool {
+	return h != nil && h.Block != nil && n != h && !InInterval(n, h)
 }
 
 func classify(m, n *Node) (EdgeType, error) {
@@ -340,11 +391,10 @@ func classify(m, n *Node) (EdgeType, error) {
 	case m.IsHeader && InInterval(n, m):
 		return Entry, nil
 	default:
-		// Jump if there is a header h with m ∈ T(h) and n ∉ T+(h).
-		for h := m.Parent; h != nil && h.Block != nil; h = h.Parent {
-			if n != h && !InInterval(n, h) {
-				return Jump, nil
-			}
+		// Jump if there is a header h with m ∈ T(h) and n ∉ T+(h);
+		// intervals nest, so if any such h exists, m's own is one.
+		if leaves(n, m.Parent) {
+			return Jump, nil
 		}
 		// Forward requires the same interval memberships.
 		if m.Parent != n.Parent {
@@ -362,20 +412,14 @@ func classify(m, n *Node) (EdgeType, error) {
 // Duplicate synthetic edges (two jumps from one interval to one sink) are
 // collapsed.
 func (g *Graph) addSyntheticEdges() {
-	type key struct{ h, n *Node }
-	seen := map[key]bool{}
 	for _, m := range g.Nodes {
 		for _, e := range m.Out {
 			if e.Type != Jump {
 				continue
 			}
 			n := e.To
-			for h := m.Parent; h != nil && h.Block != nil; h = h.Parent {
-				if n == h || InInterval(n, h) {
-					break
-				}
-				if !seen[key{h, n}] {
-					seen[key{h, n}] = true
+			for h := m.Parent; leaves(n, h); h = h.Parent {
+				if !hasSynthetic(n, h) {
 					se := Edge{From: h, To: n, Type: Synthetic}
 					h.Out = append(h.Out, se)
 					n.In = append(n.In, se)
@@ -383,6 +427,16 @@ func (g *Graph) addSyntheticEdges() {
 			}
 		}
 	}
+}
+
+// hasSynthetic reports whether n already has the synthetic edge h → n.
+func hasSynthetic(n, h *Node) bool {
+	for _, e := range n.In {
+		if e.Type == Synthetic && e.From == h {
+			return true
+		}
+	}
+	return false
 }
 
 // computePreorder orders nodes forward (edge sources before sinks over

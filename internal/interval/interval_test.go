@@ -1,6 +1,7 @@
 package interval
 
 import (
+	"strings"
 	"testing"
 
 	"givetake/internal/cfg"
@@ -334,5 +335,69 @@ func TestSuccsPredsFiltering(t *testing.T) {
 	}
 	if got := n9.Preds(FJ, nil); len(got) != 1 || paperNum(got[0]) != 4 {
 		t.Errorf("PREDS^FJ(jump pad) = %v", got)
+	}
+}
+
+// deadCode has an unreachable labeled statement: cfg.Compact prunes its
+// anchor and its block, which keep their old IDs. Those stale IDs equal
+// the renumbered IDs of the live blocks "9 continue" and "s = 2".
+const deadCode = `
+goto 9
+8 t = 1
+9 continue
+s = 2
+`
+
+// NodeFor answers nil for a pruned block, on the forward and the
+// reversed graph, even though the block's stale ID indexes a live node.
+func TestNodeForPrunedBlock(t *testing.T) {
+	prog, err := frontend.Parse(deadCode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cfg.Build(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := FromCFG(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Reverse(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := c.StmtBlock[prog.Body[1]]
+	if dead == nil {
+		t.Fatal("no block recorded for the dead statement")
+	}
+	if dead.ID < 0 || dead.ID >= len(c.Blocks) || c.Blocks[dead.ID] == dead {
+		t.Fatalf("dead block %v: want a stale ID that indexes a live block of\n%s", dead, c)
+	}
+	for _, gr := range []*Graph{g, r} {
+		if n := gr.NodeFor(dead); n != nil {
+			t.Errorf("reversed=%v: NodeFor(pruned %v) = %v, want nil", gr.Reversed, dead, n)
+		}
+		live := c.Blocks[dead.ID]
+		if n := gr.NodeFor(live); n == nil || n.Block != live {
+			t.Errorf("reversed=%v: NodeFor(%v) = %v, want its node", gr.Reversed, live, n)
+		}
+	}
+}
+
+// FromCFG rejects a graph whose block IDs are not their indices: the
+// node and side tables are indexed by block ID.
+func TestFromCFGRejectsNonDenseIDs(t *testing.T) {
+	prog, err := frontend.Parse(fig11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cfg.Build(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Blocks[1].ID, c.Blocks[2].ID = c.Blocks[2].ID, c.Blocks[1].ID
+	if _, err := FromCFG(c); err == nil || !strings.Contains(err.Error(), "IDs must equal indices") {
+		t.Fatalf("FromCFG with swapped block IDs: err = %v, want the dense-ID error", err)
 	}
 }

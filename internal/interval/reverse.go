@@ -1,10 +1,6 @@
 package interval
 
-import (
-	"fmt"
-
-	"givetake/internal/cfg"
-)
+import "fmt"
 
 // reversedType maps an edge type to its type in the reversed view.
 var reversedType = [...]EdgeType{
@@ -39,7 +35,7 @@ var reversedType = [...]EdgeType{
 // transfer directly; RES_in on the reversed graph is production at the
 // node's *exit* in original orientation, and vice versa.
 func Reverse(g *Graph) (*Graph, error) {
-	r := &Graph{CFG: g.CFG, Reversed: true, byBlock: make(map[*cfg.Block]*Node, len(g.Nodes))}
+	r := &Graph{CFG: g.CFG, Reversed: true}
 	r.Root = &Node{ID: -1, Level: 0, IsHeader: true}
 
 	// The clones and their edge lists are carved from one slice each, so
@@ -68,9 +64,6 @@ func Reverse(g *Graph) (*Graph, error) {
 			In:       carve(len(n.Out)),
 		}
 		clone[i] = &nodes[i]
-		if n.Block != nil {
-			r.byBlock[n.Block] = clone[i]
-		}
 	}
 	get := func(n *Node) *Node {
 		if n == g.Root {
@@ -114,10 +107,7 @@ func Reverse(g *Graph) (*Graph, error) {
 			if e.Type == Jump {
 				// §5.3 guard: every interval the jump leaves loses the
 				// right to hoist consumption out of itself.
-				for h := e.From.Parent; h != nil && h.Block != nil; h = h.Parent {
-					if e.To == h || InInterval(e.To, h) {
-						break
-					}
+				for h := e.From.Parent; leaves(e.To, h); h = h.Parent {
 					clone[h.ID].NoHoist = true
 				}
 			}

@@ -130,3 +130,91 @@ func TestPosString(t *testing.T) {
 		t.Fatal("Pos format wrong")
 	}
 }
+
+// TestExprStringAllKinds pins the printer's output on the edge cases
+// of every expression kind, and on statements whose label is wider than
+// their indentation.
+func TestExprStringAllKinds(t *testing.T) {
+	neg := func(x Expr) Expr { return &UnaryExpr{Op: "-", X: x} }
+	not := func(x Expr) Expr { return &UnaryExpr{Op: ".not.", X: x} }
+	ref := func(name string, subs ...Expr) Expr { return &ArrayRef{Name: name, Subs: subs} }
+	rng := func(lo, hi, stride Expr) Expr { return &RangeExpr{Lo: lo, Hi: hi, Stride: stride} }
+	cases := []struct {
+		e    Expr
+		want string
+	}{
+		{nil, ""},
+		{lit(0), "0"},
+		{lit(-7), "-7"},
+		{lit(-9223372036854775808), "-9223372036854775808"},
+		{neg(neg(id("a"))), "--a"},
+		{neg(lit(-3)), "--3"},
+		{not(not(id("p"))), ".not. .not. p"},
+		{neg(not(id("p"))), "-.not. p"},
+		{not(bin("<", id("i"), id("n"))), ".not. (i < n)"},
+		{neg(bin("+", id("a"), id("b"))), "-(a + b)"},
+		{neg(ref("x", id("i"))), "-x(i)"},
+		{ref("x", ref("a", rng(lit(1), id("n"), nil))), "x(a(1:n))"},
+		{ref("x", ref("a", rng(lit(1), id("n"), lit(2)))), "x(a(1:n:2))"},
+		{ref("x", rng(bin("+", id("k"), lit(1)), bin("*", id("n"), lit(2)), neg(lit(1)))), "x(k + 1:n * 2:-1)"},
+		{ref("x", rng(bin(".and.", id("p"), id("q")), bin("<", id("a"), id("b")), nil)), "x((p .and. q):(a < b))"},
+		{ref("y", id("i"), bin("+", id("j"), lit(1)), &Ellipsis{}), "y(i, j + 1, ...)"},
+		{ref("z"), "z()"},
+		{bin("*", bin("+", id("a"), id("b")), bin("-", id("c"), id("d"))), "(a + b) * (c - d)"},
+		{bin("/", id("a"), bin("*", id("b"), id("c"))), "a / (b * c)"},
+		{bin("-", neg(id("a")), neg(id("b"))), "-a - -b"},
+		{bin(".and.", bin(".or.", id("p"), id("q")), bin(".or.", id("r"), id("s"))), "(p .or. q) .and. (r .or. s)"},
+		{bin(".or.", bin(".and.", id("p"), id("q")), bin(".and.", id("r"), id("s"))), "p .and. q .or. r .and. s"},
+		{bin("<=", bin("+", id("a"), lit(1)), bin("*", id("b"), lit(-2))), "a + 1 <= b * -2"},
+		{bin("==", bin("<", id("a"), id("b")), id("c")), "a < b == c"},
+		{bin("!=", id("a"), bin(">=", id("b"), id("c"))), "a != (b >= c)"},
+	}
+	for _, c := range cases {
+		if got := ExprString(c.e); got != c.want {
+			t.Errorf("ExprString = %q, want %q", got, c.want)
+		}
+	}
+
+	assign := func(label string, lhs Expr) Stmt {
+		s := NewAssign(Pos{}, lhs, lit(0))
+		s.SetLabel(label)
+		return s
+	}
+	inner := NewDo(Pos{}, "j", lit(1), id("n"),
+		assign("123456789", id("t")),
+		assign("7", ref("x", id("j"))),
+		&Comm{Op: "WRITE", Reduce: "SUM", Half: "Recv", Args: []Expr{ref("x", rng(lit(1), id("n"), nil)), id("s")}})
+	inner.SetLabel("12345678")
+	inner.Step = neg(lit(1))
+	outer := NewDo(Pos{}, "i", lit(1), id("n"), assign("1234", id("u")), inner)
+	cont := &Continue{}
+	cont.SetLabel("99")
+	g := NewGoto(Pos{}, "99")
+	g.SetLabel("5")
+	iff := NewIf(Pos{}, not(id("p")), []Stmt{g}, nil)
+	iff.SetLabel("42")
+	p := NewProgram("edges")
+	p.Declare(&ArrayDecl{Name: "x", Dims: []Expr{lit(100)}, Dist: Block})
+	p.Declare(&ArrayDecl{Name: "w", Dims: []Expr{id("n"), bin("+", id("m"), lit(1))}})
+	p.Declare(&ArrayDecl{Name: "e"})
+	p.Body = []Stmt{outer, iff, cont}
+	want := "distributed x(100)\n" +
+		"real w(n, m + 1)\n" +
+		"real e()\n" +
+		"\n" +
+		"do i = 1, n\n" +
+		"1234 u = 0\n" +
+		"12345678 do j = 1, n, -1\n" +
+		"123456789 t = 0\n" +
+		"7       x(j) = 0\n" +
+		"        WRITE_SUM_Recv{x(1:n), s}\n" +
+		"    enddo\n" +
+		"enddo\n" +
+		"42 if (.not. p) then\n" +
+		"5   goto 99\n" +
+		"endif\n" +
+		"99 continue\n"
+	if got := ProgramString(p); got != want {
+		t.Errorf("ProgramString:\n%s\nwant:\n%s", got, want)
+	}
+}

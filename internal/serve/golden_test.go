@@ -102,3 +102,51 @@ func TestServeGoldenIdentity(t *testing.T) {
 		t.Fatalf("serve response digest %s, want %s", got, serveDigest)
 	}
 }
+
+// executeDigest is the SHA-256 of every /analyze response hashed by
+// TestServeExecuteGolden.
+const executeDigest = "0e6b36ac31223f92c0b4093131f9910ac4cb4fbdec690495b3ad621062a28b60"
+
+// TestServeExecuteGolden pins the /analyze answers, annotated text and
+// trace summary, to Execute requests for the testdata corpus and a few
+// generated programs with jumps out of loops: the program the service
+// executes is the one it prints.
+func TestServeExecuteGolden(t *testing.T) {
+	var files []string
+	for _, pat := range []string{"../../testdata/*.f", "../../testdata/kernels/*.f"} {
+		m, err := filepath.Glob(pat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, m...)
+	}
+	if len(files) == 0 {
+		t.Fatal("no corpus files")
+	}
+	h := mustNew(t, Config{CacheBytes: -1}).Handler()
+	sum := sha256.New()
+	traced := 0
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatalf("read %s: %v", file, err)
+		}
+		for _, n := range []int64{0, 5} {
+			resp := hashResponse(t, sum, h, fmt.Sprintf("%s/n=%d", filepath.Base(file), n), Request{Source: string(src), Execute: true, N: n})
+			if resp.Trace != nil {
+				traced++
+			}
+		}
+	}
+	for i := 0; i < 6; i++ {
+		src := progen.GenerateSource(int64(7100+i), progen.Config{Stmts: 60, Arrays: true, PGoto: 0.2})
+		resp := hashResponse(t, sum, h, fmt.Sprintf("progen/%d", i), Request{Source: src, Execute: true, N: 6})
+		if resp.Trace != nil {
+			traced++
+		}
+	}
+	t.Logf("%d responses carry a trace", traced)
+	if got := hex.EncodeToString(sum.Sum(nil)); got != executeDigest {
+		t.Fatalf("execute response digest %s, want %s", got, executeDigest)
+	}
+}

@@ -1,9 +1,6 @@
 package ir
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
 
 // precedence levels for expression printing; higher binds tighter.
 func prec(op string) int {
@@ -23,55 +20,83 @@ func prec(op string) int {
 	}
 }
 
-// ExprString renders an expression in the paper's surface syntax.
+// ExprString renders an expression in the paper's surface syntax. A
+// name or a literal renders without building a buffer.
 func ExprString(e Expr) string {
-	return exprString(e, 0)
-}
-
-func exprString(e Expr, outer int) string {
 	switch e := e.(type) {
-	case nil:
-		return ""
 	case *Ident:
 		return e.Name
 	case *IntLit:
-		return fmt.Sprintf("%d", e.Value)
+		return strconv.FormatInt(e.Value, 10)
+	}
+	return string(appendExpr(make([]byte, 0, 32), e, 0))
+}
+
+// appendExpr appends e to b, parenthesized if it binds looser than
+// outer.
+func appendExpr(b []byte, e Expr, outer int) []byte {
+	switch e := e.(type) {
+	case nil:
+		return b
+	case *Ident:
+		return append(b, e.Name...)
+	case *IntLit:
+		return strconv.AppendInt(b, e.Value, 10)
 	case *Ellipsis:
-		return "..."
+		return append(b, "..."...)
 	case *UnaryExpr:
+		b = append(b, e.Op...)
 		if e.Op == ".not." {
-			return ".not. " + exprString(e.X, 6)
+			b = append(b, ' ')
 		}
-		return e.Op + exprString(e.X, 6)
+		return appendExpr(b, e.X, 6)
 	case *BinExpr:
 		p := prec(e.Op)
-		s := exprString(e.X, p) + " " + e.Op + " " + exprString(e.Y, p+1)
 		if p < outer {
-			return "(" + s + ")"
+			b = append(b, '(')
 		}
-		return s
+		b = appendExpr(b, e.X, p)
+		b = append(b, ' ')
+		b = append(b, e.Op...)
+		b = append(b, ' ')
+		b = appendExpr(b, e.Y, p+1)
+		if p < outer {
+			b = append(b, ')')
+		}
+		return b
 	case *ArrayRef:
-		subs := make([]string, len(e.Subs))
-		for i, x := range e.Subs {
-			subs[i] = exprString(x, 0)
-		}
-		return e.Name + "(" + strings.Join(subs, ", ") + ")"
+		b = append(b, e.Name...)
+		return appendList(append(b, '('), e.Subs, ')')
 	case *RangeExpr:
-		s := exprString(e.Lo, 4) + ":" + exprString(e.Hi, 4)
+		b = appendExpr(b, e.Lo, 4)
+		b = append(b, ':')
+		b = appendExpr(b, e.Hi, 4)
 		if e.Stride != nil {
-			s += ":" + exprString(e.Stride, 4)
+			b = append(b, ':')
+			b = appendExpr(b, e.Stride, 4)
 		}
-		return s
+		return b
 	default:
 		panic("ir: ExprString: unknown expression type")
 	}
+}
+
+// appendList appends es separated by ", ", then close.
+func appendList(b []byte, es []Expr, close byte) []byte {
+	for i, x := range es {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = appendExpr(b, x, 0)
+	}
+	return append(b, close)
 }
 
 // Printer renders programs and statement lists as mini-Fortran text.
 type Printer struct {
 	// Indent is the per-level indentation; defaults to four spaces.
 	Indent string
-	b      strings.Builder
+	b      []byte
 }
 
 // ProgramString renders a whole program, declarations first.
@@ -84,28 +109,45 @@ func ProgramString(p *Program) string {
 func StmtsString(stmts []Stmt) string {
 	var pr Printer
 	pr.stmts(stmts, 0)
-	return pr.b.String()
+	return string(pr.b)
 }
+
+// bytesPerStmt sizes a program's output buffer: about what one
+// statement of a generated program prints as, indentation included.
+const bytesPerStmt = 24
 
 // Program renders a whole program.
 func (pr *Printer) Program(p *Program) string {
-	pr.b.Reset()
+	pr.b = make([]byte, 0, bytesPerStmt*(len(p.Decls)+countStmts(p.Body)))
 	for _, d := range p.Decls {
-		kw := "real"
 		if d.Dist != Local {
-			kw = "distributed"
+			pr.b = append(pr.b, "distributed "...)
+		} else {
+			pr.b = append(pr.b, "real "...)
 		}
-		dims := make([]string, len(d.Dims))
-		for i, dim := range d.Dims {
-			dims[i] = ExprString(dim)
-		}
-		fmt.Fprintf(&pr.b, "%s %s(%s)\n", kw, d.Name, strings.Join(dims, ", "))
+		pr.b = append(pr.b, d.Name...)
+		pr.b = appendList(append(pr.b, '('), d.Dims, ')')
+		pr.b = append(pr.b, '\n')
 	}
 	if len(p.Decls) > 0 {
-		pr.b.WriteByte('\n')
+		pr.b = append(pr.b, '\n')
 	}
 	pr.stmts(p.Body, 0)
-	return pr.b.String()
+	return string(pr.b)
+}
+
+// countStmts counts the statements of a list and of every nested list.
+func countStmts(stmts []Stmt) int {
+	n := len(stmts)
+	for _, s := range stmts {
+		switch s := s.(type) {
+		case *Do:
+			n += 1 + countStmts(s.Body)
+		case *If:
+			n += 2 + countStmts(s.Then) + countStmts(s.Else)
+		}
+	}
+	return n
 }
 
 func (pr *Printer) indent() string {
@@ -115,19 +157,28 @@ func (pr *Printer) indent() string {
 	return pr.Indent
 }
 
-func (pr *Printer) line(level int, label, text string) {
-	if label != "" {
-		// Fortran-style: label flush left, then indentation.
-		pr.b.WriteString(label)
-		pr.b.WriteByte(' ')
-		if pad := len(pr.indent())*level - len(label) - 1; pad > 0 {
-			pr.b.WriteString(strings.Repeat(" ", pad))
+// lead starts a line at the given level: the label flush left
+// (Fortran-style) then padding, or plain indentation.
+func (pr *Printer) lead(level int, label string) {
+	ind := pr.indent()
+	if label == "" {
+		for i := 0; i < level; i++ {
+			pr.b = append(pr.b, ind...)
 		}
-	} else {
-		pr.b.WriteString(strings.Repeat(pr.indent(), level))
+		return
 	}
-	pr.b.WriteString(text)
-	pr.b.WriteByte('\n')
+	pr.b = append(pr.b, label...)
+	pr.b = append(pr.b, ' ')
+	for pad := len(ind)*level - len(label) - 1; pad > 0; pad-- {
+		pr.b = append(pr.b, ' ')
+	}
+}
+
+// line appends a whole line holding text.
+func (pr *Printer) line(level int, label, text string) {
+	pr.lead(level, label)
+	pr.b = append(pr.b, text...)
+	pr.b = append(pr.b, '\n')
 }
 
 func (pr *Printer) stmts(stmts []Stmt, level int) {
@@ -139,23 +190,39 @@ func (pr *Printer) stmts(stmts []Stmt, level int) {
 func (pr *Printer) stmt(s Stmt, level int) {
 	switch s := s.(type) {
 	case *Assign:
-		pr.line(level, s.Label(), ExprString(s.LHS)+" = "+ExprString(s.RHS))
+		pr.lead(level, s.Label())
+		pr.b = appendExpr(pr.b, s.LHS, 0)
+		pr.b = append(pr.b, " = "...)
+		pr.b = appendExpr(pr.b, s.RHS, 0)
+		pr.b = append(pr.b, '\n')
 	case *Do:
-		hdr := fmt.Sprintf("do %s = %s, %s", s.Var, ExprString(s.Lo), ExprString(s.Hi))
+		pr.lead(level, s.Label())
+		pr.b = append(pr.b, "do "...)
+		pr.b = append(pr.b, s.Var...)
+		pr.b = append(pr.b, " = "...)
+		pr.b = appendExpr(pr.b, s.Lo, 0)
+		pr.b = append(pr.b, ", "...)
+		pr.b = appendExpr(pr.b, s.Hi, 0)
 		if s.Step != nil {
-			hdr += ", " + ExprString(s.Step)
+			pr.b = append(pr.b, ", "...)
+			pr.b = appendExpr(pr.b, s.Step, 0)
 		}
-		pr.line(level, s.Label(), hdr)
+		pr.b = append(pr.b, '\n')
 		pr.stmts(s.Body, level+1)
 		pr.line(level, "", "enddo")
 	case *If:
+		pr.lead(level, s.Label())
+		pr.b = append(pr.b, "if ("...)
+		pr.b = appendExpr(pr.b, s.Cond, 0)
 		if len(s.Else) == 0 && len(s.Then) == 1 {
 			if g, ok := s.Then[0].(*Goto); ok && s.Then[0].Label() == "" {
-				pr.line(level, s.Label(), fmt.Sprintf("if (%s) goto %s", ExprString(s.Cond), g.Target))
+				pr.b = append(pr.b, ") goto "...)
+				pr.b = append(pr.b, g.Target...)
+				pr.b = append(pr.b, '\n')
 				return
 			}
 		}
-		pr.line(level, s.Label(), fmt.Sprintf("if (%s) then", ExprString(s.Cond)))
+		pr.b = append(pr.b, ") then\n"...)
 		pr.stmts(s.Then, level+1)
 		if len(s.Else) > 0 {
 			pr.line(level, "", "else")
@@ -163,22 +230,25 @@ func (pr *Printer) stmt(s Stmt, level int) {
 		}
 		pr.line(level, "", "endif")
 	case *Goto:
-		pr.line(level, s.Label(), "goto "+s.Target)
+		pr.lead(level, s.Label())
+		pr.b = append(pr.b, "goto "...)
+		pr.b = append(pr.b, s.Target...)
+		pr.b = append(pr.b, '\n')
 	case *Continue:
 		pr.line(level, s.Label(), "continue")
 	case *Comm:
-		args := make([]string, len(s.Args))
-		for i, a := range s.Args {
-			args[i] = ExprString(a)
-		}
-		name := s.Op
+		pr.lead(level, s.Label())
+		pr.b = append(pr.b, s.Op...)
 		if s.Reduce != "" {
-			name += "_" + s.Reduce
+			pr.b = append(pr.b, '_')
+			pr.b = append(pr.b, s.Reduce...)
 		}
 		if s.Half != "" {
-			name += "_" + s.Half
+			pr.b = append(pr.b, '_')
+			pr.b = append(pr.b, s.Half...)
 		}
-		pr.line(level, s.Label(), name+"{"+strings.Join(args, ", ")+"}")
+		pr.b = appendList(append(pr.b, '{'), s.Args, '}')
+		pr.b = append(pr.b, '\n')
 	default:
 		panic("ir: Printer: unknown statement type")
 	}

@@ -158,26 +158,25 @@ func AnalyzeSource(src string) (*Analysis, error) {
 // Annotate inserts PREFETCH_Send (the eager issue point) and
 // PREFETCH_Recv (the lazy demand fence: the latest point the data must
 // be resident) into the program; the pair delimits the production region
-// available for hiding the miss latency.
+// available for hiding the miss latency. The returned program is
+// read-only: its PREFETCH statements share one section expression per
+// item, and its unchanged statements are shared with a.Prog.
 func (a *Analysis) Annotate() *ir.Program {
-	return place.Annotate(a.Prog, a.CFG, func(b *cfg.Block, entry bool) []ir.Stmt {
-		if b == nil {
-			return nil
-		}
+	table := a.Universe.SectionTable()
+	return place.Annotate(a.Prog, a.CFG, func(dst []ir.Stmt, b *cfg.Block, entry bool) []ir.Stmt {
 		n := a.Graph.NodeFor(b)
 		if n == nil {
-			return nil
+			return dst
 		}
-		var out []ir.Stmt
 		add := func(half string, set *bitset.Set) {
 			if set.IsEmpty() {
 				return
 			}
-			c := &ir.Comm{Op: "PREFETCH", Half: half}
+			c := &ir.Comm{Op: "PREFETCH", Half: half, Args: make([]ir.Expr, 0, set.Count())}
 			set.ForEach(func(i int) {
-				c.Args = append(c.Args, a.Universe.Items[i].SectionExpr())
+				c.Args = append(c.Args, table.Expr(i))
 			})
-			out = append(out, c)
+			dst = append(dst, c)
 		}
 		if entry {
 			add("Send", a.Solution.Eager.ResIn.At(n.ID))
@@ -186,7 +185,7 @@ func (a *Analysis) Annotate() *ir.Program {
 			add("Send", a.Solution.Eager.ResOut.At(n.ID))
 			add("Recv", a.Solution.Lazy.ResOut.At(n.ID))
 		}
-		return out
+		return dst
 	})
 }
 

@@ -12,15 +12,15 @@ import (
 // mark returns an emitter that inserts "m = <blockID>*2[+1]" markers at
 // the entry/exit of the blocks whose description matches.
 func mark(g *cfg.Graph, substr string) EmitFunc {
-	return func(b *cfg.Block, entry bool) []ir.Stmt {
-		if b == nil || !strings.Contains(b.String(), substr) {
-			return nil
+	return func(dst []ir.Stmt, b *cfg.Block, entry bool) []ir.Stmt {
+		if !strings.Contains(b.String(), substr) {
+			return dst
 		}
 		v := int64(b.ID * 2)
 		if !entry {
 			v++
 		}
-		return []ir.Stmt{ir.NewAssign(ir.Pos{}, &ir.Ident{Name: "m"}, &ir.IntLit{Value: v})}
+		return append(dst, ir.NewAssign(ir.Pos{}, &ir.Ident{Name: "m"}, &ir.IntLit{Value: v}))
 	}
 }
 

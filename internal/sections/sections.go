@@ -285,6 +285,30 @@ func (it *Item) SectionExpr() ir.Expr {
 	return &ir.ArrayRef{Name: it.Array, Subs: subs}
 }
 
+// SectionTable memoizes SectionExpr by item ID for one rendering pass:
+// each item's expression is derived on first use and the same Expr is
+// returned after that, so every statement that names the item shares
+// it. A table belongs to one pass and is not safe for concurrent use.
+type SectionTable struct {
+	items []*Item
+	exprs []ir.Expr
+}
+
+// SectionTable returns an empty table over the universe's items.
+func (u *Universe) SectionTable() *SectionTable {
+	return &SectionTable{items: u.Items, exprs: make([]ir.Expr, len(u.Items))}
+}
+
+// Expr returns item id's section expression.
+func (t *SectionTable) Expr(id int) ir.Expr {
+	e := t.exprs[id]
+	if e == nil {
+		e = t.items[id].SectionExpr()
+		t.exprs[id] = e
+	}
+	return e
+}
+
 // substitute replaces each ranged variable with a RangeExpr over its
 // bounds, so x(a(k)) becomes x(a(1:n)) with the triplet inside the
 // indirection, as the paper prints it.

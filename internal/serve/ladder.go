@@ -341,12 +341,13 @@ func (s *Server) ladder(ctx context.Context, prog *ir.Program, req *Request, res
 }
 
 // finish renders the successful placement into the response and
-// optionally executes it.
+// optionally executes it: the program it prints is the program it runs.
 func (s *Server) finish(ctx context.Context, a *comm.Analysis, opt comm.Options,
 	rung int, req *Request, resp *Response, res *check.Result, col obs.Collector) {
 	resp.OK = true
 	resp.Rung, resp.RungName = rung, RungName(rung)
-	resp.Annotated = a.AnnotatedSource(opt)
+	annotated := a.Annotate(opt)
+	resp.Annotated = ir.ProgramString(annotated)
 	resp.Check = summarize(res)
 	if !req.Execute {
 		return
@@ -355,7 +356,7 @@ func (s *Server) finish(ctx context.Context, a *comm.Analysis, opt comm.Options,
 	if n <= 0 {
 		n = 8
 	}
-	tr, err := interp.RunCtx(ctx, a.Annotate(opt), interp.Config{
+	tr, err := interp.RunCtx(ctx, annotated, interp.Config{
 		N: n, MaxSteps: s.cfg.MaxSteps, Collector: col,
 	})
 	if tr != nil {

@@ -3,11 +3,13 @@ package comm
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"givetake/internal/core"
 	"givetake/internal/frontend"
 	"givetake/internal/interp"
+	"givetake/internal/ir"
 )
 
 // analyzeSource parses and analyzes program text with no collector and
@@ -262,6 +264,51 @@ func TestAnnotationDeterministic(t *testing.T) {
 	}
 	if a1.AnnotatedSource(DefaultOptions) != a2.AnnotatedSource(DefaultOptions) {
 		t.Fatal("annotation is not deterministic")
+	}
+}
+
+// TestConcurrentAnnotate renders one analysis from several goroutines
+// at once: annotated programs share statements with the input program
+// and each render owns its section table, so the renders must neither
+// race nor differ, and the input program, labels included, must not
+// change. Run it under -race.
+func TestConcurrentAnnotate(t *testing.T) {
+	const labeledSrc = `
+distributed x(100)
+do i = 1, n
+    if (c) goto 9
+    t = x(i)
+enddo
+9 t = x(1)
+goto 8
+8 continue
+`
+	for _, src := range []string{fig11Src, labeledSrc} {
+		a, err := analyzeSource(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := ir.ProgramString(a.Prog)
+		want := map[string]string{}
+		for _, o := range goldenOptions {
+			want[o.name] = a.AnnotatedSource(o.opt)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, o := range goldenOptions {
+					if got := ir.ProgramString(a.Annotate(o.opt)); got != want[o.name] {
+						t.Errorf("%s: concurrent render differs:\n%s\nwant:\n%s", o.name, got, want[o.name])
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if got := ir.ProgramString(a.Prog); got != before {
+			t.Errorf("rendering changed the input program:\n%s\nwas:\n%s", got, before)
+		}
 	}
 }
 

@@ -819,7 +819,6 @@ func sweepEngine(ctx context.Context, e *engine.Engine, sources []string) error 
 			errs[i] = err
 			return
 		}
-		defer res.Release()
 		if !res.Check.Ok() {
 			errs[i] = fmt.Errorf("verification failed: %s", res.Check.Errors()[0])
 			return

@@ -1,9 +1,9 @@
 // Command gntlint machine-checks this repository's concurrency and
 // resource invariants: the conventions that were previously enforced
-// only by review — arena lease/release pairing, context polls in
-// unbounded loops, no time.After in loops, stats mutated under their
-// lock, goroutine errors routed somewhere, canonical obs names — each
-// traceable to a real historical bug or a documented contract.
+// only by review — context polls in unbounded loops, no time.After in
+// loops, stats mutated under their lock, goroutine errors routed
+// somewhere, canonical obs names — each traceable to a real historical
+// bug or a documented contract.
 //
 // Usage:
 //

@@ -17,7 +17,7 @@ func TestListCatalog(t *testing.T) {
 		t.Fatalf("gntlint -list exited %d: %s", code, errb.String())
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	want := []string{"arenarelease", "ctxpoll", "errdrop", "obsnames", "statslock", "timerleak"}
+	want := []string{"ctxpoll", "errdrop", "obsnames", "statslock", "timerleak"}
 	if len(lines) != len(want) {
 		t.Fatalf("want %d catalog lines, got %d:\n%s", len(want), len(lines), out.String())
 	}

@@ -291,7 +291,7 @@ func AtomicFallbackComm(p *Program, col Collector) (*CommGen, error) {
 
 // Engine schedules analyses on a bounded stage pipeline: the
 // independent READ and WRITE halves of each request solve in parallel
-// on arena-backed bit-vector slabs, repeated requests are served from a
+// on fresh bit-vector slabs, repeated requests are served from a
 // content-addressed LRU result cache with single-flight deduplication,
 // and concurrent analyses overlap stage-wise.
 type Engine = engine.Engine
@@ -308,8 +308,8 @@ type EngineStats = engine.Stats
 // EngineJob is one analysis to schedule on an Engine.
 type EngineJob = engine.Job
 
-// EngineResult is one completed engine analysis; its solutions alias
-// leased arena memory — call Release after rendering.
+// EngineResult is one completed engine analysis: its placements and
+// their verification. It shares no memory with later jobs.
 type EngineResult = engine.Result
 
 // NewEngine builds an engine and starts its stage pipeline.

@@ -15,15 +15,11 @@ type Slab struct {
 
 // NewSlab returns count empty rows over an n-item universe.
 func NewSlab(count, n int) Slab {
-	w := slabWords(count, n)
-	return Slab{rows: count, n: n, w: w, words: make([]uint64, count*w)}
-}
-
-func slabWords(count, n int) int {
 	if count < 0 || n < 0 {
 		panic("bitset: negative slab dimensions")
 	}
-	return (n + wordBits - 1) / wordBits
+	w := (n + wordBits - 1) / wordBits
+	return Slab{rows: count, n: n, w: w, words: make([]uint64, count*w)}
 }
 
 // Rows returns the number of rows.

@@ -241,11 +241,10 @@ func (a *Analysis) ApplyOpts(opt Opts) {
 }
 
 // SolveRead solves the READ/BEFORE placement problem on the forward
-// graph. A non-nil arena backs the solution's slabs (core.SolveIn);
-// the solution then aliases it and dies with its next Reset.
-func (a *Analysis) SolveRead(ctx context.Context, ocol obs.Collector, ar *bitset.Arena) error {
+// graph. The third argument is ignored; pass nil (see bitset.Arena).
+func (a *Analysis) SolveRead(ctx context.Context, ocol obs.Collector, _ *bitset.Arena) error {
 	end := obs.Begin(ocol, obs.SpanSolveRead)
-	read, err := core.SolveIn(ctx, a.Graph, a.Universe.Size(), a.ReadInit, ar)
+	read, err := core.SolveCtx(ctx, a.Graph, a.Universe.Size(), a.ReadInit)
 	if err != nil {
 		end()
 		return err
@@ -257,8 +256,9 @@ func (a *Analysis) SolveRead(ctx context.Context, ocol obs.Collector, ar *bitset
 
 // SolveWrite reverses the graph and solves the WRITE/AFTER placement
 // problem on it. Independent of SolveRead: interval.Reverse clones the
-// nodes it reads, so the two solves may run concurrently.
-func (a *Analysis) SolveWrite(ctx context.Context, ocol obs.Collector, ar *bitset.Arena) error {
+// nodes it reads, so the two solves may run concurrently. The third
+// argument is ignored, as in SolveRead.
+func (a *Analysis) SolveWrite(ctx context.Context, ocol obs.Collector, _ *bitset.Arena) error {
 	end := obs.Begin(ocol, obs.SpanReverseGraph)
 	rev, err := interval.Reverse(a.Graph)
 	if err != nil {
@@ -269,7 +269,7 @@ func (a *Analysis) SolveWrite(ctx context.Context, ocol obs.Collector, ar *bitse
 	end()
 
 	end = obs.Begin(ocol, obs.SpanSolveWrite)
-	write, err := core.SolveIn(ctx, rev, a.Universe.Size(), a.WriteInit, ar)
+	write, err := core.SolveCtx(ctx, rev, a.Universe.Size(), a.WriteInit)
 	if err != nil {
 		end()
 		return err

@@ -2,9 +2,9 @@ package core
 
 import (
 	"context"
+	"runtime/debug"
 	"testing"
 
-	"givetake/internal/bitset"
 	"givetake/internal/cfg"
 	"givetake/internal/interval"
 	"givetake/internal/progen"
@@ -35,22 +35,25 @@ func scalingProblem(t testing.TB, stmts int) (*interval.Graph, *Init, int) {
 	return g, init, universe
 }
 
-// With a warmed arena, a solve allocates a fixed number of headers and
-// nothing per node: every variable is one slab carved from the arena,
-// and the equations' temporaries are scratch rows.
+// A solve allocates a fixed number of objects whatever the program
+// size: every variable is one slab, the equations' temporaries are
+// scratch rows of one more, and nothing is allocated per node. The count
+// must be equal at both sizes; a per-node allocation makes it grow.
+//
+// Each solve allocates its slabs afresh, so the measured runs would
+// trigger collections, and a collection in the middle of a run can
+// shift the runtime's malloc accounting by one object. The collector is
+// off while measuring, so the count is exact.
 func TestSolveAllocsFlat(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := map[int]float64{}
 	for _, stmts := range []int{100, 1600} {
 		g, init, u := scalingProblem(t, stmts)
-		var ar bitset.Arena
-		solve := func() {
-			if _, err := SolveIn(context.Background(), g, u, init, &ar); err != nil {
+		allocs[stmts] = testing.AllocsPerRun(5, func() {
+			if _, err := SolveCtx(context.Background(), g, u, init); err != nil {
 				t.Fatal(err)
 			}
-			ar.Reset()
-		}
-		solve() // size the arena
-		allocs[stmts] = testing.AllocsPerRun(5, solve)
+		})
 		t.Logf("%d statements, %d nodes: %.0f allocs per solve", stmts, len(g.Nodes), allocs[stmts])
 	}
 	if allocs[100] != allocs[1600] {

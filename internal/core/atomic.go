@@ -31,7 +31,7 @@ import (
 // never fails; it is the bottom rung of the serve degradation ladder.
 func Atomic(g *interval.Graph, universe int, init *Init) (*Solution, *Init) {
 	n := len(g.Nodes)
-	s := newSolution(g, universe, nil)
+	s := newSolution(g, universe)
 	fb := NewInit(n, universe)
 	for id := 0; id < n; id++ {
 		t := init.Take.Row(id)

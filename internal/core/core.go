@@ -241,16 +241,7 @@ func MustSolve(g *interval.Graph, universe int, init *Init) *Solution {
 // consistent — the solver polls ctx and abandons the solve with
 // ctx.Err(). The check is a single channel poll per node, so an
 // uncancelable context costs nothing measurable.
-func SolveCtx(ctx context.Context, g *interval.Graph, universe int, init *Init) (*Solution, error) {
-	return SolveIn(ctx, g, universe, init, nil)
-}
-
-// SolveIn is SolveCtx with slab reuse: when ar is non-nil every
-// variable's slab is carved from it instead of freshly allocated, so a
-// worker that leases one arena per solve allocates only a few fixed
-// headers per solve, whatever the graph size. The returned Solution aliases the
-// arena's buffer and must not be used after the arena is Reset.
-func SolveIn(ctx context.Context, g *interval.Graph, universe int, init *Init, ar *bitset.Arena) (sol *Solution, err error) {
+func SolveCtx(ctx context.Context, g *interval.Graph, universe int, init *Init) (sol *Solution, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			inv, ok := r.(*InvariantError)
@@ -276,12 +267,12 @@ func SolveIn(ctx context.Context, g *interval.Graph, universe int, init *Init, a
 	if !init.fits(n, universe) {
 		return nil, fmt.Errorf("core: initial variables do not fit %d nodes over %d items", n, universe)
 	}
-	s := newSolution(g, universe, ar)
+	s := newSolution(g, universe)
 	evals := make([]uint8, grpCount*n)
 	for grp := range s.evals {
 		s.evals[grp] = evals[grp*n : (grp+1)*n]
 	}
-	s.tmp = ar.NewSlab(3, universe)
+	s.tmp = bitset.NewSlab(3, universe)
 
 	// ----- Pass 1: S1 (Eqs. 1–8) in REVERSEPREORDER, with S2 (Eqs. 9–10)
 	// for each header's children, in FORWARD order, evaluated first
@@ -326,15 +317,15 @@ func SolveIn(ctx context.Context, g *interval.Graph, universe int, init *Init, a
 }
 
 // newSolution returns a Solution over g with an empty slab per
-// variable, carved from ar when it is non-nil.
-func newSolution(g *interval.Graph, universe int, ar *bitset.Arena) *Solution {
+// variable.
+func newSolution(g *interval.Graph, universe int) *Solution {
 	n := len(g.Nodes)
 	s := &Solution{Graph: g, Universe: universe}
 	s.Stats.Nodes = n
 	s.Stats.Universe = universe
 	s.Stats.Words = (universe + 63) / 64
 	s.Stats.MaxLevel, s.Stats.NodesPerLevel = g.LevelStats()
-	alloc := func() bitset.Slab { return ar.NewSlab(n, universe) }
+	alloc := func() bitset.Slab { return bitset.NewSlab(n, universe) }
 	s.Steal, s.Give, s.Block = alloc(), alloc(), alloc()
 	s.TakenOut, s.Take, s.TakenIn = alloc(), alloc(), alloc()
 	s.BlockLoc, s.TakeLoc = alloc(), alloc()

@@ -13,10 +13,8 @@
 // production-shaped:
 //
 //   - bounded stages with panic isolation: each stage has its own
-//     workers and a bounded input queue, a panicking stage body is
-//     returned as a structured *PanicError, and per-task bit-vector
-//     slabs are carved from leased bitset.Arena buffers so steady-state
-//     allocation stays flat across requests;
+//     workers and a bounded input queue, and a panicking stage body is
+//     returned as a structured *PanicError;
 //
 //   - a content-addressed result cache: rendered response bytes keyed
 //     by SHA-256 of source + canonicalized options (CacheKey), bounded
@@ -36,7 +34,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"givetake/internal/bitset"
 	"givetake/internal/check"
 	"givetake/internal/comm"
 	"givetake/internal/ir"
@@ -74,9 +71,8 @@ type Config struct {
 // requests from a content-addressed cache. Create with New; an Engine
 // is safe for concurrent use and runs until Close.
 type Engine struct {
-	cfg    Config
-	arenas sync.Pool
-	pipe   *pipeline
+	cfg  Config
+	pipe *pipeline
 
 	mu      sync.Mutex
 	flights map[string]*flight
@@ -108,7 +104,6 @@ func newEngine(cfg Config, widths [numStages]int, queue int) *Engine {
 		flights: map[string]*flight{},
 		cache:   newCache(cfg.CacheBytes),
 	}
-	e.arenas.New = func() any { return new(bitset.Arena) }
 	e.pipe = newPipeline(e, widths, queue)
 	return e
 }
@@ -154,31 +149,11 @@ type Job struct {
 }
 
 // Result is one completed analysis: the solved placements and their
-// merged static verification. Its solutions alias arena memory leased
-// from the engine — call Release when done with Analysis (typically
-// after rendering a response) to return the slabs; using Analysis
-// after Release is a data race with the next request.
+// static verification. It shares no memory with the engine or with
+// other jobs; the caller may keep it as long as it likes.
 type Result struct {
 	Analysis *comm.Analysis
 	Check    *check.Result
-
-	eng      *Engine
-	arenas   []*bitset.Arena
-	released bool
-}
-
-// Release returns the result's arenas to the engine pool. Idempotent;
-// nil-safe.
-func (r *Result) Release() {
-	if r == nil || r.released || r.eng == nil {
-		return
-	}
-	r.released = true
-	for _, ar := range r.arenas {
-		ar.Reset()
-		r.eng.arenas.Put(ar)
-	}
-	r.arenas = nil
 }
 
 // Analyze runs one program through the stage pipeline and returns its

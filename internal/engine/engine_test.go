@@ -13,6 +13,7 @@ import (
 	"givetake/internal/comm"
 	"givetake/internal/frontend"
 	"givetake/internal/obs"
+	"givetake/internal/progen"
 )
 
 const loopSrc = `distributed x(1000)
@@ -89,43 +90,42 @@ func TestAnalyzeMatchesSequential(t *testing.T) {
 					path, i, res.Check.Diagnostics[i], seqCheck.Diagnostics[i])
 			}
 		}
-		res.Release()
 	}
 }
 
-// TestArenaReuseAcrossJobs runs the same program repeatedly through one
-// engine, releasing between runs, and asserts results stay correct —
-// stale arena bits leaking into a later solve would corrupt the
-// annotation or the verification.
-func TestArenaReuseAcrossJobs(t *testing.T) {
-	e := New(Config{Workers: 1}) // one worker: maximal arena reuse
+// TestResultOutlivesLaterJobs keeps the first job's Result while eight
+// more programs of other shapes run through the same one-worker engine,
+// then renders it again: a result shares no memory with later jobs, so
+// its annotation must not change.
+func TestResultOutlivesLaterJobs(t *testing.T) {
+	e := New(Config{Workers: 1})
 	defer e.Close()
-	var want string
-	for i := 0; i < 8; i++ {
-		prog, err := frontend.Parse(loopSrc)
-		if err != nil {
-			t.Fatal(err)
+	prog, err := frontend.Parse(loopSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := e.Analyze(context.Background(), Job{Prog: prog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := first.Analysis.AnnotatedSource(comm.DefaultOptions)
+	for seed := int64(0); seed < 8; seed++ {
+		prog := progen.Generate(seed, progen.Config{Stmts: 20 + int(seed)*10, MaxDepth: 3, Arrays: true})
+		if _, err := e.Analyze(context.Background(), Job{Prog: prog}); err != nil {
+			t.Fatalf("job %d: %v", seed+1, err)
 		}
-		res, err := e.Analyze(context.Background(), Job{Prog: prog})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := res.Analysis.AnnotatedSource(comm.DefaultOptions)
-		if !res.Check.Ok() {
-			t.Fatalf("run %d failed verification: %v", i, res.Check.Errors())
-		}
-		res.Release()
-		if i == 0 {
-			want = got
-		} else if got != want {
-			t.Fatalf("run %d annotation drifted after arena reuse:\n%s\nwant:\n%s", i, got, want)
-		}
+	}
+	if got := first.Analysis.AnnotatedSource(comm.DefaultOptions); got != want {
+		t.Fatalf("first result's annotation changed after later jobs:\n%s\nwant:\n%s", got, want)
+	}
+	if !first.Check.Ok() {
+		t.Fatalf("first result failed verification: %v", first.Check.Errors())
 	}
 }
 
 // TestPostSolvePanicPropagates: a panic in the PostSolve hook reaches
 // the caller as a *PanicError with no result (the solve stage recovers
-// it), and does not leak arenas or wedge the engine.
+// it), and does not wedge the engine.
 func TestPostSolvePanicPropagates(t *testing.T) {
 	e := New(Config{Workers: 2})
 	defer e.Close()
@@ -150,7 +150,6 @@ func TestPostSolvePanicPropagates(t *testing.T) {
 	if err != nil || !res.Check.Ok() {
 		t.Fatalf("engine wedged after hook panic: %v", err)
 	}
-	res.Release()
 }
 
 // TestPoolPanicBecomesError: a panicking stage body surfaces as a
@@ -183,7 +182,6 @@ func TestPoolPanicBecomesError(t *testing.T) {
 	if err != nil || !res.Check.Ok() {
 		t.Fatalf("stage worker died after panic: %v", err)
 	}
-	res.Release()
 }
 
 // TestMapBoundsFanOut: Map never runs more than Workers bodies at once.

@@ -144,8 +144,7 @@ func TestRegisterMetrics(t *testing.T) {
 	heldProg, queued := parseLoop(t), parseLoop(t)
 	ran := make(chan error, 1)
 	go func() {
-		res, err := e.Analyze(context.Background(), Job{Prog: heldProg})
-		res.Release()
+		_, err := e.Analyze(context.Background(), Job{Prog: heldProg})
 		ran <- err
 	}()
 	<-entered

@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"givetake/internal/bitset"
 	"givetake/internal/comm"
 	"givetake/internal/ir"
 	"givetake/internal/obs"
@@ -189,12 +188,11 @@ func (p *pipeline) work(idx int, st *pstage) {
 	}
 }
 
-// complete finishes a task: a failed task releases its leased arenas
-// and surfaces only its error (the same contract as Analyze), the
-// engine.analyze span closes, and the submitter wakes.
+// complete finishes a task: a failed task surfaces only its error (the
+// same contract as Analyze), the engine.analyze span closes, and the
+// submitter wakes.
 func (p *pipeline) complete(t *pipeTask) {
-	if t.err != nil && t.res != nil {
-		t.res.Release()
+	if t.err != nil {
 		t.res = nil
 	}
 	if t.endAnalyze != nil {
@@ -226,7 +224,7 @@ func (p *pipeline) runStage(idx int, t *pipeTask) {
 			t.err = err
 			return
 		}
-		t.res = &Result{Analysis: a, eng: p.eng}
+		t.res = &Result{Analysis: a}
 	case stageIntervals:
 		t.err = t.res.Analysis.StageIntervals(t.ctx, t.col)
 	case stageUniverse:
@@ -242,29 +240,25 @@ func (p *pipeline) runStage(idx int, t *pipeTask) {
 	}
 }
 
-// runSolve leases the task's arenas and runs the READ and WRITE solve
-// halves concurrently, so the halves' independence (comm.Analyze
-// documents it) keeps paying off per program; a READ failure wins over
-// a WRITE failure. Once both join without error the job's PostSolve
-// hook runs here, before the task moves to check; a panic in it is
-// recovered by runStage like any other stage panic.
+// runSolve runs the READ and WRITE solve halves concurrently, so the
+// halves' independence (comm.Analyze documents it) keeps paying off per
+// program; a READ failure wins over a WRITE failure. Once both join
+// without error the job's PostSolve hook runs here, before the task
+// moves to check; a panic in it is recovered by runStage like any other
+// stage panic.
 func (p *pipeline) runSolve(t *pipeTask) {
 	a := t.res.Analysis
-	t.res.arenas = []*bitset.Arena{
-		p.eng.arenas.Get().(*bitset.Arena),
-		p.eng.arenas.Get().(*bitset.Arena),
-	}
 	writeErr := make(chan error, 1)
 	go func() {
 		var err error
 		defer func() { writeErr <- err }()
 		defer p.recoverTo(&err)
-		err = a.SolveWrite(t.ctx, t.col, t.res.arenas[1])
+		err = a.SolveWrite(t.ctx, t.col, nil)
 	}()
 	var readErr error
 	func() {
 		defer p.recoverTo(&readErr)
-		readErr = a.SolveRead(t.ctx, t.col, t.res.arenas[0])
+		readErr = a.SolveRead(t.ctx, t.col, nil)
 	}()
 	werr := <-writeErr
 	if readErr != nil {

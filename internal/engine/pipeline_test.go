@@ -98,8 +98,7 @@ func TestAnalyzeCancelShedsInFlight(t *testing.T) {
 	defer cancel()
 	errs := make(chan error, n)
 	analyze := func(prog *ir.Program) {
-		res, err := e.Analyze(ctx, Job{Prog: prog, Collector: col})
-		res.Release()
+		_, err := e.Analyze(ctx, Job{Prog: prog, Collector: col})
 		errs <- err
 	}
 	go analyze(parseLoop(t))
@@ -212,9 +211,7 @@ func TestPipelineThroughputTracksSlowestStage(t *testing.T) {
 	for i := range progs {
 		go func() {
 			defer wg.Done()
-			var res *Result
-			res, errs[i] = e.Analyze(context.Background(), Job{Prog: progs[i]})
-			res.Release()
+			_, errs[i] = e.Analyze(context.Background(), Job{Prog: progs[i]})
 		}()
 	}
 	wg.Wait()

@@ -25,6 +25,11 @@ import (
 // zero: 10 million statements.
 const DefaultMaxSteps = 10_000_000
 
+// maxCells caps the elements of all declared arrays of one run
+// together (2^24 int64s, 128 MB); RunCtx rejects a program whose
+// declarations exceed it before allocating any array.
+const maxCells = 1 << 24
+
 // ErrStepLimit is returned (wrapped) when execution exceeds the step
 // budget; detect it with errors.Is(err, ErrStepLimit).
 var ErrStepLimit = errors.New("interp: step budget exhausted")
@@ -187,7 +192,11 @@ func RunCtx(ctx context.Context, prog *ir.Program, cfg Config) (*Trace, error) {
 	for k, v := range cfg.Scalars {
 		ex.scalars[k] = v
 	}
-	for _, d := range prog.Decls {
+	// Size every declaration before allocating any: the cap bounds the
+	// element count of all arrays together, not of each one.
+	totals := make([]int64, len(prog.Decls))
+	var cells int64
+	for i, d := range prog.Decls {
 		total := int64(1)
 		var dims []int64
 		for _, dim := range d.Dims {
@@ -196,16 +205,22 @@ func RunCtx(ctx context.Context, prog *ir.Program, cfg Config) (*Trace, error) {
 				size = 1
 			}
 			dims = append(dims, size)
-			total *= size + 1 // 1-based per dimension
+			// 1-based per dimension; saturate past the cap so the
+			// product cannot overflow
+			total = min(total*(min(size, maxCells)+1), maxCells+1)
 		}
 		if len(dims) == 0 {
 			dims, total = []int64{1}, 2
 		}
-		if total > 1<<24 {
-			return nil, fmt.Errorf("interp: array %s too large (%d)", d.Name, total)
+		cells += total
+		if cells > maxCells {
+			return nil, fmt.Errorf("interp: array %s too large (%d)", d.Name, cells)
 		}
-		ex.arrays[d.Name] = make([]int64, total)
+		totals[i] = total
 		ex.dims[d.Name] = dims
+	}
+	for i, d := range prog.Decls {
+		ex.arrays[d.Name] = make([]int64, totals[i])
 	}
 	_, err := ex.exec(prog.Body)
 	// finalize the trace even when execution was truncated: a partial

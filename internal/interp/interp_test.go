@@ -3,6 +3,7 @@ package interp
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -243,6 +244,24 @@ func TestDivisionByZeroSafe(t *testing.T) {
 	tr := run(t, "s = 10 / z", Config{})
 	if tr.Steps != 1 {
 		t.Fatalf("steps = %d", tr.Steps)
+	}
+}
+
+// The array cap bounds all declarations of a run together: two arrays
+// of about 9M elements each fit it alone but not side by side, and the
+// run fails before allocating either.
+func TestArrayCapCoversAllDeclarations(t *testing.T) {
+	prog, err := frontend.Parse(`
+real a(3000, 3000)
+real b(3000, 3000)
+a(1, 1) = 1
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := Run(prog, Config{})
+	if err == nil || !strings.Contains(err.Error(), "interp: array b too large") {
+		t.Fatalf("want the array cap to reject b, got trace %v, err %v", tr != nil, err)
 	}
 }
 

@@ -95,7 +95,7 @@ func TestSuppressions(t *testing.T) {
 // TestCatalog pins the registered analyzer set: the CI gate and the
 // docs both promise exactly these checks exist.
 func TestCatalog(t *testing.T) {
-	want := []string{"arenarelease", "ctxpoll", "errdrop", "obsnames", "statslock", "timerleak"}
+	want := []string{"ctxpoll", "errdrop", "obsnames", "statslock", "timerleak"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("want %d analyzers, got %d", len(want), len(all))

@@ -70,7 +70,6 @@ func (f Finding) String() string {
 // encodes one invariant of this repository; see each analyzer's Doc.
 func All() []*Analyzer {
 	return []*Analyzer{
-		ArenaRelease,
 		CtxPoll,
 		ErrDrop,
 		ObsNames,

@@ -451,3 +451,17 @@ func (p *Pass) mutexOp(call *ast.CallExpr, recv types.Object) (mu, op string, ok
 func isMutexType(t types.Type) bool {
 	return isNamedType(t, "sync", "Mutex") || isNamedType(t, "sync", "RWMutex")
 }
+
+// isPanicCall reports whether e is a call of the panic builtin.
+func isPanicCall(p *Pass, e ast.Expr) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := p.Info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == "panic"
+}

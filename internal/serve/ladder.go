@@ -288,13 +288,11 @@ func (s *Server) ladder(ctx context.Context, prog *ir.Program, req *Request, res
 			att.Outcome = "check-failed"
 			att.Detail = res.Errors()[0].String()
 			s.noteAttempt(resp, att)
-			eres.Release()
 			continue
 		}
 		att.Outcome = "ok"
 		s.noteAttempt(resp, att)
 		s.finish(ctx, a, comm.DefaultOptions, r.rung, req, resp, res, rec)
-		eres.Release()
 		return
 	}
 

@@ -25,6 +25,11 @@
 //	-probe-ms N     health-probe interval in ms for -mode route (default 250)
 //	-workers N      engine worker count for -mode serve, sizing its stage pipeline (0: GOMAXPROCS)
 //	-cache-mb N     result-cache budget in MiB for -mode serve (0: default, -1: off)
+//	-journal-dir d  durable result journal for -mode serve; a group commit
+//	                seals at 64 records or 1 MiB of payload
+//	-journal-flush-ms N  max wait before a group commit, in ms (default 50)
+//	-pprof addr     serve net/http/pprof on addr for -mode serve
+//	-access-log-every N  log every Nth analysis request as JSON to stderr (0: off)
 //	-atomic         emit atomic READ/WRITE instead of Send/Recv halves
 //	-explain node   why communication is placed at that node (or "all")
 //	-trace out.json write a Chrome trace-event profile of the pipeline
@@ -97,7 +102,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	cacheMB := fs.Int64("cache-mb", 0, "result-cache budget in MiB for -mode serve (0: default, -1: off)")
 	journalDir := fs.String("journal-dir", "", "durable result journal directory for -mode serve (empty: no journal)")
 	journalFlushMS := fs.Int64("journal-flush-ms", 0, "max time a result waits for group commit, in ms (0: default 50)")
-	journalMaxBatch := fs.Int("journal-max-batch", 0, "max results per journal group commit (0: default 64)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address for -mode serve (empty: off)")
 	accessLogEvery := fs.Int("access-log-every", 0, "log every nth analysis request as a JSON line to stderr (0: off, 1: all)")
 	atomic := fs.Bool("atomic", false, "emit atomic READ/WRITE instead of Send/Recv halves")
@@ -125,9 +129,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return runServe(serveFlags{
 			addr: *addr, workers: *workers, cacheMB: *cacheMB,
 			journalDir: *journalDir, journalFlushMS: *journalFlushMS,
-			journalMaxBatch: *journalMaxBatch,
-			pprofAddr:       *pprofAddr,
-			accessLogEvery:  *accessLogEvery,
+			pprofAddr:      *pprofAddr,
+			accessLogEvery: *accessLogEvery,
 		}, stderr)
 	}
 
@@ -187,14 +190,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 
 // serveFlags carries the -mode serve flag values into runServe.
 type serveFlags struct {
-	addr            string
-	workers         int
-	cacheMB         int64
-	journalDir      string
-	journalFlushMS  int64
-	journalMaxBatch int
-	pprofAddr       string
-	accessLogEvery  int
+	addr           string
+	workers        int
+	cacheMB        int64
+	journalDir     string
+	journalFlushMS int64
+	pprofAddr      string
+	accessLogEvery int
 }
 
 // runServe starts the hardened analysis service (internal/serve) and
@@ -215,7 +217,6 @@ func runServe(f serveFlags, stderr io.Writer) error {
 		Addr: f.addr, Workers: f.workers, CacheBytes: cacheBytes,
 		JournalDir:       f.journalDir,
 		JournalFlushWait: time.Duration(f.journalFlushMS) * time.Millisecond,
-		JournalMaxBatch:  f.journalMaxBatch,
 		PprofAddr:        f.pprofAddr,
 		AccessLog:        accessLog,
 		AccessLogEvery:   f.accessLogEvery,

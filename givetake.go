@@ -24,10 +24,10 @@ package givetake
 import (
 	"context"
 
+	"givetake/internal/cfg"
 	"givetake/internal/check"
 	"givetake/internal/comm"
 	"givetake/internal/core"
-	"givetake/internal/engine"
 	"givetake/internal/frontend"
 	"givetake/internal/interp"
 	"givetake/internal/interval"
@@ -35,7 +35,6 @@ import (
 	"givetake/internal/machine"
 	"givetake/internal/netsim"
 	"givetake/internal/obs"
-	"givetake/internal/serve"
 )
 
 // Program is a parsed mini-Fortran compilation unit.
@@ -100,7 +99,7 @@ const (
 // one node per statement, critical edges split, loops discovered, edges
 // classified ENTRY/CYCLE/JUMP/FORWARD/SYNTHETIC.
 func BuildGraph(p *Program) (*Graph, error) {
-	c, err := cfgBuild(p)
+	c, err := cfg.Build(p)
 	if err != nil {
 		return nil, err
 	}
@@ -239,8 +238,7 @@ var DefaultFaultConfig = netsim.Default
 
 // Collector receives phase spans from the pipeline. All instrumented
 // entry points accept a nil Collector, which records nothing and costs
-// nothing. Work counts come back as values instead (SolverCounters,
-// EngineStats).
+// nothing. Work counts come back as values instead (SolverCounters).
 type Collector = obs.Collector
 
 // Recorder is the standard Collector: it accumulates spans (a start
@@ -286,60 +284,3 @@ func GenerateCommOpts(ctx context.Context, p *Program, col Collector, opt CommOp
 func AtomicFallbackComm(p *Program, col Collector) (*CommGen, error) {
 	return comm.AtomicFallback(p, col)
 }
-
-// Concurrent analysis engine ---------------------------------------------
-
-// Engine schedules analyses on a bounded stage pipeline: the
-// independent READ and WRITE halves of each request solve in parallel
-// on fresh bit-vector slabs, repeated requests are served from a
-// content-addressed LRU result cache with single-flight deduplication,
-// and concurrent analyses overlap stage-wise.
-type Engine = engine.Engine
-
-// EngineConfig parameterizes an Engine: worker count (which sizes the
-// stage pipeline), cache byte budget, and an optional journal.
-type EngineConfig = engine.Config
-
-// EngineStats is an Engine's observable state: worker count, stage
-// panic and admission counters, cache hit/miss/follower/eviction
-// counters, and per-stage pipeline accounting.
-type EngineStats = engine.Stats
-
-// EngineJob is one analysis to schedule on an Engine.
-type EngineJob = engine.Job
-
-// EngineResult is one completed engine analysis: its placements and
-// their verification. It shares no memory with later jobs.
-type EngineResult = engine.Result
-
-// NewEngine builds an engine and starts its stage pipeline.
-func NewEngine(cfg EngineConfig) *Engine { return engine.New(cfg) }
-
-// CacheKey derives the content address of one analysis request — a
-// SHA-256 over a versioned canonical encoding of source, options, and
-// caller extras. Identical keys are guaranteed byte-identical results.
-func CacheKey(source string, opt CommOpts, extra ...string) string {
-	return engine.CacheKey(source, opt, extra...)
-}
-
-// Analysis service --------------------------------------------------------
-
-// ServeConfig parameterizes the hardened analysis service: listen
-// address, admission control (bounded in-flight pool with a queue
-// timeout), per-request deadlines, and execution/source budgets.
-type ServeConfig = serve.Config
-
-// ServeRequest is one analysis job posted to the service.
-type ServeRequest = serve.Request
-
-// ServeResponse is the structured result: the winning degradation
-// rung, the full ladder of attempts, the annotated program, and the
-// verification summary.
-type ServeResponse = serve.Response
-
-// NewServer builds the analysis service; mount its Handler or call
-// ListenAndServe. Every request descends the degradation ladder —
-// full placement, no-hoist retry, atomic floor — behind per-request
-// panic isolation, so the process survives any input. The error covers
-// journal storage that cannot be opened (ServeConfig.JournalDir).
-func NewServer(cfg ServeConfig) (*serve.Server, error) { return serve.New(cfg) }

@@ -176,13 +176,6 @@ func (g *Graph) AddEdge(from, to *Block) {
 	to.Preds = append(to.Preds, from)
 }
 
-// RemoveEdge deletes the edge from → to; it must exist.
-func (g *Graph) RemoveEdge(from, to *Block) {
-	if !removeFrom(&from.Succs, to) || !removeFrom(&to.Preds, from) {
-		panic(fmt.Sprintf("cfg: RemoveEdge(%v, %v): edge not present", from, to))
-	}
-}
-
 func removeFrom(list *[]*Block, b *Block) bool {
 	for i, x := range *list {
 		if x == b {

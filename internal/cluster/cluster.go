@@ -64,7 +64,9 @@ import (
 // router state.
 const RouteHeader = "X-Gnt-Route"
 
-// Defaults for the zero Config.
+// Defaults for the zero Config. DefaultProbeTimeout,
+// DefaultRecoverThreshold and DefaultHedgeMax are not configurable:
+// every router uses them as they are.
 const (
 	DefaultReplicas         = 2
 	DefaultProbeInterval    = 250 * time.Millisecond
@@ -89,14 +91,11 @@ type Config struct {
 	// Addr is the router's listen address for ListenAndServe.
 	Addr string
 
-	// ProbeInterval / ProbeTimeout shape the active health prober.
+	// ProbeInterval is the active health prober's period.
 	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
 	// FailThreshold opens a node's breaker after that many consecutive
-	// failures (probe or in-band); RecoverThreshold closes a half-open
-	// breaker after that many consecutive successes.
-	FailThreshold    int
-	RecoverThreshold int
+	// failures (probe or in-band).
+	FailThreshold int
 
 	// AttemptTimeout caps each forwarded attempt's wall clock.
 	AttemptTimeout time.Duration
@@ -105,10 +104,9 @@ type Config struct {
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 
-	// HedgeMin / HedgeMax clamp the hedge trigger delay around the
+	// HedgeMin is the floor of the hedge trigger delay around the
 	// rolling p99; DisableHedge turns hedging off entirely.
 	HedgeMin     time.Duration
-	HedgeMax     time.Duration
 	DisableHedge bool
 
 	// MaxBodyBytes caps a routed request body (413 beyond it).
@@ -125,10 +123,8 @@ type Config struct {
 	Seed int64
 
 	// Metrics, when set, is the registry the router's families register
-	// on; nil creates a private one. TraceRingSize bounds the
-	// /debug/requests ring (zero: telemetry.DefaultTraceRing).
-	Metrics       *telemetry.Registry
-	TraceRingSize int
+	// on; nil creates a private one.
+	Metrics *telemetry.Registry
 }
 
 func (c Config) withDefaults() Config {
@@ -141,14 +137,8 @@ func (c Config) withDefaults() Config {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = DefaultProbeInterval
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = DefaultProbeTimeout
-	}
 	if c.FailThreshold <= 0 {
 		c.FailThreshold = DefaultFailThreshold
-	}
-	if c.RecoverThreshold <= 0 {
-		c.RecoverThreshold = DefaultRecoverThreshold
 	}
 	if c.AttemptTimeout <= 0 {
 		c.AttemptTimeout = DefaultAttemptTimeout
@@ -161,9 +151,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HedgeMin <= 0 {
 		c.HedgeMin = DefaultHedgeMin
-	}
-	if c.HedgeMax <= 0 {
-		c.HedgeMax = DefaultHedgeMax
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = DefaultMaxBodyBytes
@@ -214,7 +201,7 @@ func New(cfg Config) (*Router, error) {
 	r := &Router{
 		cfg:    cfg,
 		client: &http.Client{},
-		inst:   newInstruments(reg, telemetry.NewTraceRing(cfg.TraceRingSize)),
+		inst:   newInstruments(reg, telemetry.NewTraceRing(telemetry.DefaultTraceRing)),
 		lat:    &latTracker{},
 		rng:    newLockedRand(cfg.Seed),
 	}
@@ -230,7 +217,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	reg.GaugeFunc(obs.MetricRouteHedgeDelay,
 		"Current hedge trigger delay in seconds (rolling p99, clamped).",
-		func() float64 { return r.lat.hedgeDelay(r.cfg.HedgeMin, r.cfg.HedgeMax).Seconds() })
+		func() float64 { return r.lat.hedgeDelay(r.cfg.HedgeMin, DefaultHedgeMax).Seconds() })
 	r.mux = http.NewServeMux()
 	r.mux.HandleFunc("/analyze", r.handleProxy)
 	r.mux.HandleFunc("/batch", r.handleProxy)
@@ -363,7 +350,7 @@ func (r *Router) probeAll(ctx context.Context) {
 //	503 {"reason":"warming"}     → same (alive, will be back)
 //	anything else / no answer    → failure (feeds the breaker)
 func (r *Router) probeNode(ctx context.Context, n *node) string {
-	pctx, cancel := context.WithTimeout(ctx, r.cfg.ProbeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, DefaultProbeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, n.base+"/readyz", nil)
 	if err != nil {
@@ -380,7 +367,7 @@ func (r *Router) probeNode(ctx context.Context, n *node) string {
 	switch {
 	case resp.StatusCode == http.StatusOK:
 		n.clearPolite()
-		n.noteSuccess(r.cfg.RecoverThreshold)
+		n.noteSuccess(DefaultRecoverThreshold)
 		return "ok"
 	case resp.StatusCode == http.StatusServiceUnavailable:
 		var rd serve.Readiness
@@ -555,7 +542,7 @@ func (r *Router) forward(ctx context.Context, route string, body []byte, set []*
 			switch out.outcome {
 			case "ok":
 				r.lat.observe(out.dur)
-				if out.node.noteSuccess(r.cfg.RecoverThreshold) {
+				if out.node.noteSuccess(DefaultRecoverThreshold) {
 					r.refreshNodeGauge(out.node)
 				}
 				if out.hedge {
@@ -568,7 +555,7 @@ func (r *Router) forward(ctx context.Context, route string, body []byte, set []*
 				return res
 			case "shed":
 				// alive and explicit: resets the failure streak
-				if out.node.noteSuccess(r.cfg.RecoverThreshold) {
+				if out.node.noteSuccess(DefaultRecoverThreshold) {
 					r.refreshNodeGauge(out.node)
 				}
 				lastShed = out
@@ -759,7 +746,7 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 		HedgesLaunched: r.hedgesLaunched.Load(),
 		HedgesWon:      r.hedgesWon.Load(),
 		Exhausted:      r.exhausted.Load(),
-		HedgeDelayMS:   float64(r.lat.hedgeDelay(r.cfg.HedgeMin, r.cfg.HedgeMax).Microseconds()) / 1000,
+		HedgeDelayMS:   float64(r.lat.hedgeDelay(r.cfg.HedgeMin, DefaultHedgeMax).Microseconds()) / 1000,
 	})
 }
 

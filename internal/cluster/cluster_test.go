@@ -280,7 +280,6 @@ func TestProbesDriveBreakerOpenAndRecovery(t *testing.T) {
 
 	r := newTestRouter(t, func(c *Config) {
 		c.FailThreshold = 3
-		c.RecoverThreshold = 2
 	}, fake.URL)
 	ctx := context.Background()
 

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -51,7 +51,7 @@ func (l *latTracker) p99() (time.Duration, bool) {
 	if n < minHedgeSamples {
 		return 0, false
 	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
+	slices.Sort(buf)
 	return buf[(n-1)*99/100], true
 }
 
@@ -76,7 +76,7 @@ func (l *latTracker) hedgeDelay(min, max time.Duration) time.Duration {
 // Config.Seed produce identical delay sequences — reproducibility the
 // simulation harness and the determinism tests both rely on.
 func (r *Router) nextHedgeDelay() time.Duration {
-	base := r.lat.hedgeDelay(r.cfg.HedgeMin, r.cfg.HedgeMax)
+	base := r.lat.hedgeDelay(r.cfg.HedgeMin, DefaultHedgeMax)
 	return base + time.Duration(r.rng.Int63n(int64(base)/4+1))
 }
 

@@ -145,7 +145,7 @@ func TestHedgeJitterDeterministic(t *testing.T) {
 	}
 	// jitter stays within [base, base+base/4]
 	r := mk(7)
-	base := r.lat.hedgeDelay(r.cfg.HedgeMin, r.cfg.HedgeMax)
+	base := r.lat.hedgeDelay(r.cfg.HedgeMin, DefaultHedgeMax)
 	for i := 0; i < 50; i++ {
 		d := r.nextHedgeDelay()
 		if d < base || d > base+base/4 {

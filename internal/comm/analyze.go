@@ -250,7 +250,7 @@ func (a *Analysis) SolveRead(ctx context.Context, ocol obs.Collector, _ *bitset.
 		return err
 	}
 	a.Read = read
-	end("eq-evals", read.EquationEvals, "set-ops", read.Stats.SetOps)
+	end("eq-evals", read.Stats.EquationEvals, "set-ops", read.Stats.SetOps)
 	return nil
 }
 
@@ -275,7 +275,7 @@ func (a *Analysis) SolveWrite(ctx context.Context, ocol obs.Collector, _ *bitset
 		return err
 	}
 	a.Write = write
-	end("eq-evals", write.EquationEvals, "set-ops", write.Stats.SetOps)
+	end("eq-evals", write.Stats.EquationEvals, "set-ops", write.Stats.SetOps)
 	return nil
 }
 

@@ -150,10 +150,6 @@ type Solution struct {
 	// Eager and Lazy placements (Eqs. 11–15).
 	Eager, Lazy Placement
 
-	// EquationEvals counts individual equation evaluations, for the
-	// O(E) complexity experiment.
-	EquationEvals int
-
 	// Stats carries the solver work counters (equation evaluations,
 	// bitvector set/word operations, interval levels); see Counters.
 	Stats obs.SolverCounters
@@ -195,7 +191,6 @@ func (s *Solution) enter(grp, id int) {
 	if s.evals[grp][id]++; s.evals[grp][id] > 1 {
 		panic(&InvariantError{Group: grpName[grp], Node: id})
 	}
-	s.EquationEvals += grpEqs[grp]
 	s.Stats.EquationEvals += int64(grpEqs[grp])
 }
 

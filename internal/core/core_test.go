@@ -413,13 +413,11 @@ enddo
 	}
 	s := MustSolve(rev, sc.u, sc.init)
 	// Correctness (C1 balance, C3 sufficiency) must hold. Optimality O1
-	// may not: the paper itself notes its §5.3 treatment "prevents unsafe
-	// code generation [but] may miss some otherwise legal optimizations",
-	// and the re-entrant jump path indeed sees a redundant production.
+	// is not judged here: the paper itself notes its §5.3 treatment
+	// "prevents unsafe code generation [but] may miss some otherwise
+	// legal optimizations".
 	for _, v := range Verify(s, sc.init, VerifyConfig{}) {
-		if v.Criterion != "O1" {
-			t.Errorf("violation: %v", v)
-		}
+		t.Errorf("violation: %v", v)
 	}
 }
 
@@ -464,7 +462,7 @@ s = x(1)
 	vs := Verify(s, sc.init, VerifyConfig{})
 	found := false
 	for _, v := range vs {
-		if v.Criterion == "C1" || v.Criterion == "O1" {
+		if v.Criterion == "C1" {
 			found = true
 		}
 	}

@@ -290,8 +290,8 @@ func TestFig12GoldenValues(t *testing.T) {
 func TestFig12EquationEvalsLinear(t *testing.T) {
 	g, m := fig12(t)
 	s := MustSolve(g, universeSize, fig12Init(g, m))
-	want := 20 * len(g.Nodes)
-	if s.EquationEvals != want {
-		t.Fatalf("equation evaluations = %d, want %d", s.EquationEvals, want)
+	want := int64(20 * len(g.Nodes))
+	if s.Stats.EquationEvals != want {
+		t.Fatalf("equation evaluations = %d, want %d", s.Stats.EquationEvals, want)
 	}
 }

@@ -17,7 +17,7 @@ func TestRegressionNoHoistBalance(t *testing.T) {
 		n.NoHoist = true
 	}
 	s := MustSolve(g, u, init)
-	vs := filterViolations(Verify(s, init, VerifyConfig{CheckSafety: true, MaxPaths: 1500}), "O1")
+	vs := Verify(s, init, VerifyConfig{CheckSafety: true, MaxPaths: 1500})
 	for i, v := range vs {
 		if i > 1 {
 			break

@@ -20,9 +20,7 @@ import (
 //	                  every loop runs at least once, since GIVE-N-TAKE
 //	                  deliberately hoists out of zero-trip loops);
 //	C3 (sufficiency): every consumer sees its item available — produced
-//	                  or given on this path, not stolen since;
-//	O1 (no re-production): production never targets an item that is
-//	                  still available
+//	                  or given on this path, not stolen since
 //
 // are reported. The verifier is the oracle behind the property tests: it
 // knows nothing about the fifteen equations, only about what a correct
@@ -30,7 +28,7 @@ import (
 
 // Violation describes one criterion failure on one path.
 type Violation struct {
-	Criterion string // "C1", "C2", "C3", "O1"
+	Criterion string // "C1", "C2", "C3"
 	Mode      Mode
 	Item      int
 	Node      *interval.Node // where the failure manifested
@@ -49,21 +47,14 @@ type VerifyConfig struct {
 	Trips []int
 	// MaxPaths caps the number of complete paths examined (default 4096).
 	MaxPaths int
-	// MaxLen caps the length of a single path (default 10000 events).
-	MaxLen int
 	// CheckSafety enables C2 checking; it is checked only on paths whose
 	// every loop runs at least once, because hoisting out of zero-trip
 	// loops deliberately trades safety for motion (paper §2).
 	CheckSafety bool
-	// CheckO1 enables the no-re-production check. O1 is not a pure path
-	// property — at merge points the framework's availability knowledge
-	// is the meet over all joining paths, so production that looks
-	// redundant along one path can be required for another (exactly as
-	// in classical PRE). The check is therefore exact only on acyclic,
-	// fully-consuming scenarios and is opt-in; the paper itself treats
-	// the optimality criteria as guidelines (§3.2).
-	CheckO1 bool
 }
+
+// maxPathLen caps the length of a single path, in events.
+const maxPathLen = 10000
 
 func (c *VerifyConfig) fill() {
 	if len(c.Trips) == 0 {
@@ -71,9 +62,6 @@ func (c *VerifyConfig) fill() {
 	}
 	if c.MaxPaths == 0 {
 		c.MaxPaths = 4096
-	}
-	if c.MaxLen == 0 {
-		c.MaxLen = 10000
 	}
 }
 
@@ -96,18 +84,10 @@ type verifier struct {
 	path []*interval.Node
 
 	// per-mode item state, see reset()
-	open    [2]*bitset.Set // C1: eager production started, not stopped
-	avail   [2]*bitset.Set // C3: available (produced/given, not stolen)
-	pending [2]*bitset.Set // C2: produced, not consumed yet
-	// availO1 tracks availability as the *framework* can know it: like
-	// avail, but reset to the loop-entry state at every back edge, since
-	// interval analysis does not propagate GIVEN around cycle edges. O1
-	// (no re-production) is judged against this set; re-production of an
-	// item the framework cannot know to be available is not a violation
-	// (the paper's optimality criteria are explicit guidelines, §3.2).
-	availO1   [2]*bitset.Set
-	availFrom [2][]int // O1: node that made each item available (-1: a GIVE)
-	zeroTrips bool     // some loop on this path ran zero times
+	open      [2]*bitset.Set // C1: eager production started, not stopped
+	avail     [2]*bitset.Set // C3: available (produced/given, not stolen)
+	pending   [2]*bitset.Set // C2: produced, not consumed yet
+	zeroTrips bool           // some loop on this path ran zero times
 }
 
 func (v *verifier) reset() {
@@ -116,8 +96,6 @@ func (v *verifier) reset() {
 		v.open[m] = bitset.New(u)
 		v.avail[m] = bitset.New(u)
 		v.pending[m] = bitset.New(u)
-		v.availO1[m] = bitset.New(u)
-		v.availFrom[m] = make([]int, u)
 	}
 	v.zeroTrips = false
 	v.path = v.path[:0]
@@ -154,16 +132,14 @@ func (v *verifier) walk() {
 
 type loopFrame struct {
 	header *interval.Node
-	left   int            // iterations still to run
-	entry  [2]*bitset.Set // availO1 snapshot at loop entry
+	left   int // iterations still to run
 }
 
 // snapshot/restore of simulation state for backtracking.
 type simState struct {
-	open, avail, pending, availO1 [2]*bitset.Set
-	availFrom                     [2][]int
-	zeroTrips                     bool
-	pathLen                       int
+	open, avail, pending [2]*bitset.Set
+	zeroTrips            bool
+	pathLen              int
 }
 
 func (v *verifier) save() simState {
@@ -172,8 +148,6 @@ func (v *verifier) save() simState {
 		st.open[m] = v.open[m].Clone()
 		st.avail[m] = v.avail[m].Clone()
 		st.pending[m] = v.pending[m].Clone()
-		st.availO1[m] = v.availO1[m].Clone()
-		st.availFrom[m] = append([]int(nil), v.availFrom[m]...)
 	}
 	return st
 }
@@ -185,15 +159,13 @@ func (v *verifier) restore(st simState) {
 		v.open[m] = st.open[m]
 		v.avail[m] = st.avail[m]
 		v.pending[m] = st.pending[m]
-		v.availO1[m] = st.availO1[m]
-		v.availFrom[m] = st.availFrom[m]
 	}
 }
 
 // step simulates node n (arriving from outside the loop if fromOutside)
 // and recurses over successors. loops is the active loop stack.
 func (v *verifier) step(n *interval.Node, fromOutside bool, loops []loopFrame) {
-	if v.paths >= v.cfg.MaxPaths || len(v.path) >= v.cfg.MaxLen {
+	if v.paths >= v.cfg.MaxPaths || len(v.path) >= maxPathLen {
 		return
 	}
 	v.path = append(v.path, n)
@@ -236,28 +208,17 @@ func (v *verifier) step(n *interval.Node, fromOutside bool, loops []loopFrame) {
 					skipped := bitset.Subtract(v.s.Give.At(n.ID), v.s.Steal.At(n.ID))
 					for m := Eager; m <= Lazy; m++ {
 						v.avail[m].UnionWith(skipped)
-						v.availO1[m].UnionWith(skipped)
-						skipped.ForEach(func(i int) { v.availFrom[m][i] = -1 })
 					}
 					v.exitLoop(n, loops)
 				} else {
-					fr := loopFrame{header: n, left: t - 1}
-					fr.entry[0] = v.availO1[0].Clone()
-					fr.entry[1] = v.availO1[1].Clone()
-					v.enterBody(n, append(loops, fr))
+					v.enterBody(n, append(loops, loopFrame{header: n, left: t - 1}))
 				}
 				v.restore(st)
 			}
 			return
 		}
-		// Arrived via the cycle edge: the framework's availability
-		// knowledge at each iteration start is what held at loop entry.
+		// Arrived via the cycle edge: iterate again or leave the loop.
 		fr := loops[len(loops)-1]
-		for m := 0; m < 2; m++ {
-			if fr.entry[m] != nil {
-				v.availO1[m].IntersectWith(fr.entry[m])
-			}
-		}
 		if fr.left > 0 {
 			nf := fr
 			nf.left--
@@ -349,8 +310,7 @@ func (v *verifier) finishPath(last *interval.Node) {
 // produce handles RES_in events for both modes.
 func (v *verifier) produce(n *interval.Node) {
 	for m := Eager; m <= Lazy; m++ {
-		res := v.s.Place(m).ResIn.At(n.ID)
-		v.applyProduction(m, n, res)
+		v.applyProduction(m, v.s.Place(m).ResIn.At(n.ID))
 	}
 	// C1 balance: eager opens, lazy closes.
 	v.s.Eager.ResIn.At(n.ID).ForEach(func(i int) {
@@ -371,8 +331,7 @@ func (v *verifier) produce(n *interval.Node) {
 // succ (RES_out is production on the exit side).
 func (v *verifier) produceExit(n, succ *interval.Node) {
 	for m := Eager; m <= Lazy; m++ {
-		res := v.s.Place(m).ResOut.At(n.ID)
-		v.applyProduction(m, n, res)
+		v.applyProduction(m, v.s.Place(m).ResOut.At(n.ID))
 	}
 	v.s.Eager.ResOut.At(n.ID).ForEach(func(i int) {
 		if v.open[Eager].Has(i) {
@@ -388,24 +347,15 @@ func (v *verifier) produceExit(n, succ *interval.Node) {
 	})
 }
 
-func (v *verifier) applyProduction(m Mode, n *interval.Node, res *bitset.Set) {
-	res.ForEach(func(i int) {
-		if v.cfg.CheckO1 && v.availO1[m].Has(i) && v.availFrom[m][i] != n.ID {
-			v.violate("O1", m, i, n, "item produced while still available")
-		}
-		v.avail[m].Add(i)
-		v.availO1[m].Add(i)
-		v.availFrom[m][i] = n.ID
-		v.pending[m].Add(i)
-	})
+func (v *verifier) applyProduction(m Mode, res *bitset.Set) {
+	v.avail[m].UnionWith(res)
+	v.pending[m].UnionWith(res)
 }
 
 func (v *verifier) give(n *interval.Node) {
 	g := v.init.Give.At(n.ID)
 	for m := Eager; m <= Lazy; m++ {
 		v.avail[m].UnionWith(g)
-		v.availO1[m].UnionWith(g)
-		g.ForEach(func(i int) { v.availFrom[m][i] = -1 })
 	}
 }
 
@@ -430,7 +380,6 @@ func (v *verifier) steal(n *interval.Node) {
 			})
 		}
 		v.avail[m].SubtractWith(st)
-		v.availO1[m].SubtractWith(st)
 		v.pending[m].SubtractWith(st)
 	}
 }

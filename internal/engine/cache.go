@@ -89,14 +89,6 @@ type CacheStats struct {
 	MaxBytes int64 `json:"max_bytes"`
 }
 
-// HitRate is hits/(hits+misses), 0 when nothing was looked up.
-func (s CacheStats) HitRate() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
-}
-
 // cache is a byte-bounded LRU over Cached values. A zero-capacity
 // cache (caching disabled) stores nothing but still counts hits,
 // misses and followers.

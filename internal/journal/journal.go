@@ -26,7 +26,7 @@
 //
 // Writes are group-committed by a write-behind batcher: Append
 // enqueues and returns immediately, and a background flusher seals a
-// batch when it reaches MaxBatch records (or MaxBatchBytes) or when
+// batch when it reaches MaxBatch records (or 1 MiB of payload) or when
 // the oldest pending record has waited MaxWait. The request path
 // therefore never waits on fsync; the price is a bounded window of
 // recent results (the unflushed batch) lost on crash, which for a
@@ -66,10 +66,13 @@ func (r Record) size() int64 { return int64(len(r.Key)) + int64(len(r.Body)) + 8
 // Defaults for the zero Config.
 const (
 	DefaultMaxBatch        = 64
-	DefaultMaxBatchBytes   = 1 << 20
 	DefaultMaxWait         = 50 * time.Millisecond
 	DefaultMaxSegmentBytes = 64 << 20
 )
+
+// maxBatchBytes seals a batch when the pending payload reaches it,
+// whatever MaxBatch says.
+const maxBatchBytes = 1 << 20
 
 // Config parameterizes a Journal.
 type Config struct {
@@ -77,8 +80,6 @@ type Config struct {
 	Backend Backend
 	// MaxBatch seals a batch when this many records are pending.
 	MaxBatch int
-	// MaxBatchBytes seals a batch when the pending payload reaches it.
-	MaxBatchBytes int64
 	// MaxWait bounds how long a pending record waits before its batch
 	// is sealed regardless of size (the journal-lag bound).
 	MaxWait time.Duration
@@ -92,9 +93,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = DefaultMaxBatch
-	}
-	if c.MaxBatchBytes <= 0 {
-		c.MaxBatchBytes = DefaultMaxBatchBytes
 	}
 	if c.MaxWait <= 0 {
 		c.MaxWait = DefaultMaxWait
@@ -188,7 +186,7 @@ func (j *Journal) Append(rec Record) {
 	j.pending = append(j.pending, rec)
 	j.pendingBytes += rec.size()
 	j.stats.Appended++
-	full := len(j.pending) >= j.cfg.MaxBatch || j.pendingBytes >= j.cfg.MaxBatchBytes
+	full := len(j.pending) >= j.cfg.MaxBatch || j.pendingBytes >= maxBatchBytes
 	j.mu.Unlock()
 	if full {
 		select {

@@ -147,30 +147,46 @@ func TestFileBackendRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSizeTriggeredFlush: reaching MaxBatch seals without Flush or
-// timer help.
+// TestSizeTriggeredFlush: reaching MaxBatch records, or 1 MiB of
+// pending payload, seals without Flush, Close or timer help.
 func TestSizeTriggeredFlush(t *testing.T) {
-	mb := NewMemBackend()
-	j, err := Open(Config{Backend: mb, MaxBatch: 8, MaxWait: time.Hour})
-	if err != nil {
-		t.Fatal(err)
+	big := func(i int) Record {
+		return Record{Key: fmt.Sprintf("key-%04d", i), Status: 200, Body: bytes.Repeat([]byte{'a'}, 64<<10)}
 	}
-	defer j.Close()
-	for i := 0; i < 8; i++ {
-		j.Append(rec(i))
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if st := j.Stats(); st.SealedBatches >= 1 {
-			if st.SealedRecords != 8 || st.PendingRecords != 0 {
-				t.Fatalf("stats after size-triggered seal: %+v", st)
+	for _, tc := range []struct {
+		name        string
+		maxBatch, n int
+		rec         func(int) Record
+	}{
+		{"records", 8, 8, rec},
+		// 16 records of 64 KiB plus key and status reach 1 MiB only with
+		// the last one.
+		{"bytes", 1 << 20, 16, big},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mb := NewMemBackend()
+			j, err := Open(Config{Backend: mb, MaxBatch: tc.maxBatch, MaxWait: time.Hour})
+			if err != nil {
+				t.Fatal(err)
 			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("size trigger never flushed: %+v", j.Stats())
-		}
-		time.Sleep(time.Millisecond)
+			defer j.Close()
+			for i := 0; i < tc.n; i++ {
+				j.Append(tc.rec(i))
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				if st := j.Stats(); st.SealedBatches >= 1 {
+					if st.SealedRecords != int64(tc.n) || st.PendingRecords != 0 {
+						t.Fatalf("stats after size-triggered seal: %+v", st)
+					}
+					return
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("size trigger never flushed: %+v", j.Stats())
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }
 
@@ -304,10 +320,27 @@ func TestJournalLag(t *testing.T) {
 	}
 }
 
-// TestMerkleProof: O(log n) membership proofs verify for every leaf,
-// across tree sizes including the odd-promotion shapes, and fail for
-// tampered payloads.
-func TestMerkleProof(t *testing.T) {
+// refMerkleRoot is the seal's definition written recursively: pair the
+// level left to right, promote an odd last node, recurse until one
+// hash is left.
+func refMerkleRoot(level [][32]byte) [32]byte {
+	if len(level) == 1 {
+		return level[0]
+	}
+	var next [][32]byte
+	for i := 0; i+1 < len(level); i += 2 {
+		next = append(next, nodeHash(level[i], level[i+1]))
+	}
+	if len(level)%2 == 1 {
+		next = append(next, level[len(level)-1])
+	}
+	return refMerkleRoot(next)
+}
+
+// TestMerkleRoot: the in-place level fold agrees with the recursive
+// definition across tree sizes including the odd-promotion shapes, and
+// flipping one byte of any payload changes the root.
+func TestMerkleRoot(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 13} {
 		payloads := make([][]byte, n)
 		leaves := make([][32]byte, n)
@@ -316,15 +349,16 @@ func TestMerkleProof(t *testing.T) {
 			leaves[i] = leafHash(payloads[i])
 		}
 		root := merkleRoot(leaves)
+		if want := refMerkleRoot(leaves); root != want {
+			t.Fatalf("n=%d: merkleRoot %x, recursive definition %x", n, root, want)
+		}
 		for i := 0; i < n; i++ {
-			proof := Proof(leaves, i)
-			if !VerifyProof(root, payloads[i], proof) {
-				t.Fatalf("n=%d: proof for leaf %d does not verify", n, i)
-			}
-			tampered := append([]byte(nil), payloads[i]...)
-			tampered[0] ^= 1
-			if VerifyProof(root, tampered, proof) {
-				t.Fatalf("n=%d: tampered leaf %d verified", n, i)
+			tampered := append([][32]byte(nil), leaves...)
+			flipped := append([]byte(nil), payloads[i]...)
+			flipped[0] ^= 1
+			tampered[i] = leafHash(flipped)
+			if merkleRoot(tampered) == root {
+				t.Fatalf("n=%d: flipping a byte of payload %d left the root unchanged", n, i)
 			}
 		}
 	}

@@ -12,9 +12,7 @@ import "crypto/sha256"
 // The root makes batch admission all-or-nothing under adversarial
 // corruption: a record CRC is a 32-bit check against random bit rot,
 // but the 256-bit root also rules out reordering, splicing records
-// between batches, and CRC-colliding payload rewrites. It is also what
-// lets a future shared-cache node hand a peer an O(log n) membership
-// proof (Proof / VerifyProof) instead of the whole batch.
+// between batches, and CRC-colliding payload rewrites.
 
 const (
 	leafPrefix = 0x00
@@ -63,54 +61,4 @@ func merkleRoot(leaves [][32]byte) [32]byte {
 		level = next
 	}
 	return level[0]
-}
-
-// ProofStep is one level of a membership proof: the sibling hash and
-// which side it sits on. The side travels with the hash because a
-// promoted (unpaired) level contributes no step, so the verifier
-// cannot reconstruct parity from the leaf index alone.
-type ProofStep struct {
-	Hash [32]byte
-	Left bool // sibling is the left child
-}
-
-// Proof returns the sibling path proving leaves[i] under the root, at
-// most one step per level (O(log n)).
-func Proof(leaves [][32]byte, i int) []ProofStep {
-	if i < 0 || i >= len(leaves) {
-		return nil
-	}
-	var path []ProofStep
-	level := make([][32]byte, len(leaves))
-	copy(level, leaves)
-	for len(level) > 1 {
-		if sib := i ^ 1; sib < len(level) {
-			path = append(path, ProofStep{Hash: level[sib], Left: sib < i})
-		}
-		next := level[: 0 : len(level)/2+1]
-		for k := 0; k < len(level); k += 2 {
-			if k+1 < len(level) {
-				next = append(next, nodeHash(level[k], level[k+1]))
-			} else {
-				next = append(next, level[k])
-			}
-		}
-		level = next
-		i /= 2
-	}
-	return path
-}
-
-// VerifyProof checks that the payload is a leaf of the tree with the
-// given root, using the sibling path from Proof.
-func VerifyProof(root [32]byte, payload []byte, path []ProofStep) bool {
-	h := leafHash(payload)
-	for _, step := range path {
-		if step.Left {
-			h = nodeHash(step.Hash, h)
-		} else {
-			h = nodeHash(h, step.Hash)
-		}
-	}
-	return h == root
 }

@@ -160,17 +160,3 @@ func isNamedType(t types.Type, pkgPath, name string) bool {
 	obj := named.Obj()
 	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
 }
-
-// enclosingFunc returns the innermost function declaration or literal
-// on the stack, together with its body.
-func enclosingFunc(stack []ast.Node) (node ast.Node, body *ast.BlockStmt) {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch fn := stack[i].(type) {
-		case *ast.FuncDecl:
-			return fn, fn.Body
-		case *ast.FuncLit:
-			return fn, fn.Body
-		}
-	}
-	return nil, nil
-}

@@ -34,8 +34,10 @@ const (
 	DefaultMaxRetries  = 3
 	DefaultBackoffBase = 8
 	DefaultBackoffMax  = 256
-	DefaultReorderMax  = 8
 )
+
+// reorderMax is the largest reorder slip, in steps.
+const reorderMax = 8
 
 // FaultConfig parameterizes fault injection and the recovery protocol.
 // The zero value describes a perfectly reliable transport; Enabled
@@ -45,7 +47,7 @@ type FaultConfig struct {
 	Drop    float64 // transmission lost in flight
 	Dup     float64 // delivered twice (second copy suppressed)
 	Delay   float64 // delivery delayed by 1..DelayMax extra steps
-	Reorder float64 // queueing slip of 1..ReorderMax extra steps
+	Reorder float64 // queueing slip of 1..reorderMax extra steps
 
 	// Protocol parameters, in interpreter steps; zero means default.
 	Timeout     int64 // ack wait before the sender retransmits
@@ -53,7 +55,6 @@ type FaultConfig struct {
 	BackoffBase int64 // first backoff, doubling per retry
 	BackoffMax  int64 // backoff cap
 	DelayMax    int64 // largest injected delay (default 2×Timeout)
-	ReorderMax  int64 // largest reorder slip
 }
 
 // Enabled reports whether any fault can fire; a disabled config lets
@@ -84,9 +85,6 @@ func (c FaultConfig) withDefaults() FaultConfig {
 	}
 	if c.DelayMax <= 0 {
 		c.DelayMax = 2 * c.Timeout
-	}
-	if c.ReorderMax <= 0 {
-		c.ReorderMax = DefaultReorderMax
 	}
 	return c
 }
@@ -259,7 +257,7 @@ func (t *Transport) resolve(step int64) resolution {
 				t.rep.Delays++
 			}
 			if t.rng.Float64() < c.Reorder {
-				flight += 1 + t.rng.Int63n(c.ReorderMax)
+				flight += 1 + t.rng.Int63n(reorderMax)
 				t.rep.Reorders++
 			}
 			arr := at + flight

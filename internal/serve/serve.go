@@ -93,9 +93,6 @@ type Config struct {
 	// unsealed before the group commit fires; zero means the journal
 	// default (50ms).
 	JournalFlushWait time.Duration
-	// JournalMaxBatch bounds records per group commit; zero means the
-	// journal default (64).
-	JournalMaxBatch int
 
 	// Metrics, when set, is the registry the server's metric families
 	// register on; nil creates a private registry. Either way /metrics
@@ -103,9 +100,6 @@ type Config struct {
 	// state at scrape time, so a second server registering on the same
 	// registry takes those families over.
 	Metrics *telemetry.Registry
-	// TraceRingSize bounds the /debug/requests ring; zero means
-	// telemetry.DefaultTraceRing (128).
-	TraceRingSize int
 	// AccessLog, when set, receives one structured JSON line per
 	// sampled analysis request; nil disables access logging.
 	AccessLog io.Writer
@@ -186,7 +180,7 @@ func New(cfg Config) (*Server, error) {
 		reg = telemetry.NewRegistry()
 	}
 	inst := newInstruments(reg,
-		telemetry.NewTraceRing(cfg.TraceRingSize),
+		telemetry.NewTraceRing(telemetry.DefaultTraceRing),
 		telemetry.NewAccessLog(cfg.AccessLog, cfg.AccessLogEvery))
 
 	backend := cfg.JournalBackend
@@ -201,7 +195,6 @@ func New(cfg Config) (*Server, error) {
 	if backend != nil {
 		j, err := journal.Open(journal.Config{
 			Backend:   backend,
-			MaxBatch:  cfg.JournalMaxBatch,
 			MaxWait:   cfg.JournalFlushWait,
 			Collector: inst.bridge,
 		})
@@ -472,14 +465,15 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, Readiness{Ready: true, Replayed: replayed})
 }
 
-// decodeRequest reads and validates one Request body. It runs BEFORE
-// admission on every path: a client trickling its body byte-by-byte
-// must burn its own connection, not an analysis slot. (The service once
-// acquired the slot first, which let a handful of slowloris uploads
-// starve every fast request behind them.)
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, maxBytes int64, req *Request) bool {
+// decodeBody decodes a JSON request body of at most maxBytes into v,
+// answering 400 (bad-json) or 413 (too-large) itself when it cannot.
+// It runs BEFORE admission on every path: a client trickling its body
+// byte-by-byte must burn its own connection, not an analysis slot. (The
+// service once acquired the slot first, which let a handful of
+// slowloris uploads starve every fast request behind them.)
+func decodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) bool {
 	body := http.MaxBytesReader(w, r.Body, maxBytes)
-	if err := json.NewDecoder(body).Decode(req); err != nil {
+	if err := json.NewDecoder(body).Decode(v); err != nil {
 		status, code := http.StatusBadRequest, "bad-json"
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -505,6 +499,18 @@ func (s *Server) validate(req *Request) (int, *Response) {
 		}
 	}
 	return 0, nil
+}
+
+// requestTimeout is the analysis deadline of one request: the client's
+// timeout_ms when it is set and shorter than RequestTimeout.
+func (s *Server) requestTimeout(req *Request) time.Duration {
+	timeout := s.cfg.RequestTimeout
+	if req.TimeoutMS > 0 {
+		if t := time.Duration(req.TimeoutMS) * time.Millisecond; t < timeout {
+			timeout = t
+		}
+	}
+	return timeout
 }
 
 // admit waits for an analysis slot, bounded by the queue timeout.
@@ -633,7 +639,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 	// decode and validate before competing for a slot
 	var req Request
-	if !s.decodeRequest(w, r, s.cfg.MaxSourceBytes, &req) {
+	if !decodeBody(w, r, s.cfg.MaxSourceBytes, &req) {
 		return
 	}
 	if status, errResp := s.validate(&req); errResp != nil {
@@ -651,13 +657,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
 
-	timeout := s.cfg.RequestTimeout
-	if req.TimeoutMS > 0 {
-		if t := time.Duration(req.TimeoutMS) * time.Millisecond; t < timeout {
-			timeout = t
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(&req))
 	defer cancel()
 
 	cached, src, err := s.analyzeCached(ctx, &req)
@@ -711,14 +711,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// decode before admission, same as /analyze: the batch body cap
 	// scales with how many programs a batch may carry
 	var breq BatchRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxSourceBytes*int64(s.cfg.MaxBatch))
-	if err := json.NewDecoder(body).Decode(&breq); err != nil {
-		status, code := http.StatusBadRequest, "bad-json"
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status, code = http.StatusRequestEntityTooLarge, "too-large"
-		}
-		writeJSON(w, status, &Response{Error: err.Error(), Code: code})
+	if !decodeBody(w, r, s.cfg.MaxSourceBytes*int64(s.cfg.MaxBatch), &breq) {
 		return
 	}
 	if len(breq.Requests) == 0 {
@@ -757,13 +750,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			render(errResp, engine.CacheBypass)
 			return
 		}
-		timeout := s.cfg.RequestTimeout
-		if req.TimeoutMS > 0 {
-			if t := time.Duration(req.TimeoutMS) * time.Millisecond; t < timeout {
-				timeout = t
-			}
-		}
-		ictx, cancel := context.WithTimeout(ctx, timeout)
+		ictx, cancel := context.WithTimeout(ctx, s.requestTimeout(req))
 		defer cancel()
 		cached, src, err := s.analyzeCached(ictx, req)
 		if err != nil {

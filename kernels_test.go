@@ -81,10 +81,8 @@ func TestKernelCorpus(t *testing.T) {
 			if vs := core.Verify(a.Read, a.ReadInit, core.VerifyConfig{CheckSafety: true, MaxPaths: 1000}); len(vs) > 0 {
 				t.Fatalf("READ: %v", vs[0])
 			}
-			for _, v := range core.Verify(a.Write, a.WriteInit, core.VerifyConfig{MaxPaths: 1000}) {
-				if v.Criterion != "O1" {
-					t.Fatalf("WRITE: %v", v)
-				}
+			if vs := core.Verify(a.Write, a.WriteInit, core.VerifyConfig{MaxPaths: 1000}); len(vs) > 0 {
+				t.Fatalf("WRITE: %v", vs[0])
 			}
 
 			annotated := a.AnnotatedSource(comm.DefaultOptions)

@@ -763,7 +763,6 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 			})
 			e := engine.New(engine.Config{Workers: 4})
 			parallel := timed(func() error { return sweepEngine(ctx, e, sources) })
-			e.Close()
 			pairs = append(pairs, float64(serial)/float64(parallel))
 		}
 	}
@@ -799,7 +798,7 @@ func sweepSerial(ctx context.Context, src string) error {
 	return nil
 }
 
-// sweepEngine runs every program through e's stage pipeline with
+// sweepEngine runs every program through e.Analyze with
 // fan-out bounded by its worker count; any failure fails the sweep.
 func sweepEngine(ctx context.Context, e *engine.Engine, sources []string) error {
 	errs := make([]error, len(sources))

@@ -41,7 +41,6 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 // bytes are identical in all of them.
 func TestDoHitMissFollow(t *testing.T) {
 	e := New(Config{Workers: 2})
-	defer e.Close()
 	key := CacheKey(loopSrc, comm.Opts{})
 	var computes atomic.Int64
 	compute := func(ctx context.Context) (Cached, bool, error) {
@@ -74,7 +73,6 @@ func TestDoHitMissFollow(t *testing.T) {
 // stragglers hit the cache — and every request gets identical bytes.
 func TestSingleFlight(t *testing.T) {
 	e := New(Config{Workers: 4})
-	defer e.Close()
 	key := CacheKey("herd", comm.Opts{})
 	leaderIn := make(chan struct{})
 	gate := make(chan struct{})
@@ -127,7 +125,6 @@ func TestSingleFlight(t *testing.T) {
 // inheriting the cancellation.
 func TestFollowerTakesOverCanceledLeader(t *testing.T) {
 	e := New(Config{Workers: 2})
-	defer e.Close()
 	key := CacheKey("takeover", comm.Opts{})
 	leaderIn := make(chan struct{})
 	var calls atomic.Int64
@@ -173,7 +170,6 @@ func TestFollowerTakesOverCanceledLeader(t *testing.T) {
 func TestCacheEvictionBound(t *testing.T) {
 	const maxBytes = 4096
 	e := New(Config{Workers: 1, CacheBytes: maxBytes})
-	defer e.Close()
 	body := bytes.Repeat([]byte("x"), 900)
 	for i := 0; i < 12; i++ {
 		key := CacheKey(fmt.Sprintf("prog-%d", i), comm.Opts{})
@@ -212,7 +208,6 @@ func TestCacheEvictionBound(t *testing.T) {
 // responses) while still deduplicating concurrent identical requests.
 func TestDoNotCacheable(t *testing.T) {
 	e := New(Config{Workers: 1})
-	defer e.Close()
 	key := CacheKey("veto", comm.Opts{})
 	var computes atomic.Int64
 	compute := func(ctx context.Context) (Cached, bool, error) {

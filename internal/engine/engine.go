@@ -1,6 +1,7 @@
 // Package engine is the concurrent analysis engine behind the serving
-// path. Every program travels one stage pipeline (pipeline.go), whose
-// stages follow the data dependences of the analysis:
+// path. Analyze runs one program to completion on the calling
+// goroutine, through the stages that follow the data dependences of
+// the analysis (stages.go):
 //
 //	cfg-build → interval-reduce → section-universe ─┬─ solve READ  ─┬─ check
 //	                                                └─ solve WRITE ─┘
@@ -12,9 +13,9 @@
 // call every sequential caller makes. Three mechanisms make the engine
 // production-shaped:
 //
-//   - bounded stages with panic isolation: each stage has its own
-//     workers and a bounded input queue, and a panicking stage body is
-//     returned as a structured *PanicError;
+//   - bounded concurrency with panic isolation: at most Workers
+//     programs run at once, each on one of the engine's slots, and a
+//     panicking stage body is returned as a structured *PanicError;
 //
 //   - a content-addressed result cache: rendered response bytes keyed
 //     by SHA-256 of source + canonicalized options (CacheKey), bounded
@@ -22,9 +23,9 @@
 //     thundering herd of identical requests costs one analysis;
 //
 //   - bounded fan-out: Map runs request bodies (serve's /batch items)
-//     with bounded concurrency, and concurrent Analyze calls overlap
-//     stage-wise, so corpus throughput scales with cores instead of
-//     being pinned to one sequential pipeline.
+//     with bounded concurrency, and concurrent Analyze calls run on
+//     separate slots, so corpus throughput scales with cores instead of
+//     being pinned to one sequential analysis.
 package engine
 
 import (
@@ -48,10 +49,8 @@ const DefaultCacheBytes int64 = 32 << 20
 
 // Config parameterizes an Engine.
 type Config struct {
-	// Workers sizes the stage pipeline — the solve and check stages get
-	// Workers workers each, the three front-half stages Workers/2 (at
-	// least one), and every inter-stage queue holds max(4, 2*Workers)
-	// tasks — and bounds the fan-out of Map; zero means GOMAXPROCS.
+	// Workers is the number of programs Analyze runs at once (its
+	// slots) and the fan-out bound of Map; zero means GOMAXPROCS.
 	Workers int
 	// CacheBytes bounds the result cache; zero means DefaultCacheBytes,
 	// negative disables caching: the cache has zero capacity, stores
@@ -67,12 +66,21 @@ type Config struct {
 	Journal *journal.Journal
 }
 
-// Engine schedules analyses on its stage pipeline and serves repeated
-// requests from a content-addressed cache. Create with New; an Engine
-// is safe for concurrent use and runs until Close.
+// Engine runs analyses on a bounded number of slots and serves
+// repeated requests from a content-addressed cache. Create with New;
+// an Engine is safe for concurrent use and owns no goroutine, so there
+// is nothing to stop.
 type Engine struct {
-	cfg  Config
-	pipe *pipeline
+	cfg Config
+
+	// slots holds one token per running Analyze; waiting counts the
+	// calls blocked on a full slots.
+	slots   chan struct{}
+	waiting atomic.Int64
+	stages  [numStages]pstage
+	// shed counts Analyze calls that gave up, because their context
+	// died, while waiting for a slot or at a stage boundary.
+	shed atomic.Int64
 
 	mu      sync.Mutex
 	flights map[string]*flight
@@ -81,38 +89,21 @@ type Engine struct {
 	taskPanics atomic.Int64
 	admitWon   atomic.Int64
 	admitShed  atomic.Int64
-	closed     atomic.Bool
 }
 
-// New builds an Engine and starts its stage pipeline, with stage widths
-// and queue bounds derived from cfg.Workers.
+// New builds an Engine with cfg.Workers slots.
 func New(cfg Config) *Engine {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	return newEngine(cfg, stageWidths(cfg.Workers), max(4, 2*cfg.Workers))
-}
-
-// newEngine is New with explicit per-stage worker counts and an explicit
-// inter-stage queue bound; cfg.Workers must be positive.
-func newEngine(cfg Config, widths [numStages]int, queue int) *Engine {
 	if cfg.CacheBytes == 0 {
 		cfg.CacheBytes = DefaultCacheBytes
 	}
-	e := &Engine{
+	return &Engine{
 		cfg:     cfg,
+		slots:   make(chan struct{}, cfg.Workers),
 		flights: map[string]*flight{},
 		cache:   newCache(cfg.CacheBytes),
-	}
-	e.pipe = newPipeline(e, widths, queue)
-	return e
-}
-
-// Close stops the stage pipeline after draining queued tasks. Only
-// useful in tests; a serving engine lives for the process.
-func (e *Engine) Close() {
-	if e.closed.CompareAndSwap(false, true) {
-		e.pipe.close()
 	}
 }
 
@@ -156,32 +147,45 @@ type Result struct {
 	Check    *check.Result
 }
 
-// Analyze runs one program through the stage pipeline and returns its
-// solved placements with their static verification, which the check
-// stage computes with comm.CheckPlacementCtx. Concurrent Analyze calls
-// overlap stage-wise.
+// Analyze runs one program through every stage and returns its solved
+// placements with their static verification, which the check stage
+// computes with comm.CheckPlacementCtx. It waits for one of the
+// engine's Workers slots and then runs the stages in order on the
+// calling goroutine. A call whose ctx is dead on entry returns
+// ctx.Err() at once; a call whose ctx dies while it waits for a slot,
+// or before a stage begins, returns ctx.Err() and counts as shed.
 func (e *Engine) Analyze(ctx context.Context, job Job) (*Result, error) {
-	t := &pipeTask{
-		ctx:       ctx,
-		col:       job.Collector,
-		prog:      job.Prog,
-		opts:      job.Opts,
-		postSolve: job.PostSolve,
-		done:      make(chan struct{}),
+	defer obs.Begin(job.Collector, obs.SpanEngineAnalyze)()
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	t.endAnalyze = obs.Begin(job.Collector, obs.SpanEngineAnalyze)
-	if !e.pipe.submit(stageCFG, t) {
-		t.endAnalyze()
+	e.waiting.Add(1)
+	select {
+	case e.slots <- struct{}{}:
+		e.waiting.Add(-1)
+	case <-ctx.Done():
+		e.waiting.Add(-1)
+		e.shed.Add(1)
 		return nil, ctx.Err()
 	}
-	<-t.done
-	return t.res, t.err
+	defer func() { <-e.slots }()
+	res := &Result{}
+	for idx := range numStages {
+		if err := ctx.Err(); err != nil {
+			e.shed.Add(1)
+			return nil, err
+		}
+		if err := e.runStage(ctx, idx, &job, res); err != nil {
+			return nil, err
+		}
+	}
+	return res, nil
 }
 
 // Map runs f for every index in [0, n) with fan-out bounded by the
 // worker count, in index-launch order. Bodies run on dedicated
-// goroutines, not stage workers, so they may themselves submit to the
-// pipeline (Analyze). Cancellation sheds before each launch: once ctx
+// goroutines and hold no Analyze slot, so they may themselves call
+// Analyze. Cancellation sheds before each launch: once ctx
 // is observed done, no further body starts (not even one already
 // holding a semaphore slot), and Map returns after every launched body
 // has finished. The return value is how many bodies launched — indices
@@ -227,8 +231,8 @@ type Stats struct {
 	Pool     PoolStats    `json:"pool"`
 	Cache    CacheStats   `json:"cache"`
 	Pipeline []StageStats `json:"pipeline"`
-	// PipelineShed counts tasks that left the stage pipeline because
-	// their context died in-flight.
+	// PipelineShed counts Analyze calls that gave up, because their
+	// context died, while waiting for a slot or at a stage boundary.
 	PipelineShed int64 `json:"pipeline_shed"`
 }
 
@@ -237,7 +241,7 @@ type Stats struct {
 func (e *Engine) Stats() Stats {
 	return Stats{
 		Pipeline:     e.PipelineStats(),
-		PipelineShed: e.pipe.shed.Load(),
+		PipelineShed: e.shed.Load(),
 		Pool: PoolStats{
 			Workers: e.cfg.Workers,
 			Panics:  e.taskPanics.Load(),
@@ -261,14 +265,15 @@ func (e *Engine) NoteAdmission(won bool) {
 }
 
 // RegisterMetrics installs the engine's /metrics families on reg. Each
-// reads Stats or PipelineStats at scrape time, so /metrics reports the
+// reads Stats or PipelineStats at scrape time (the counters' HELP
+// texts are pinned by serve's TestCounterGolden), so /metrics reports the
 // same counts /healthz does and no event is counted twice: the worker,
-// cache-entry and cache-byte gauges, the per-stage queue-depth,
-// occupancy and worker gauges, and the admission, cache-event,
+// cache-entry and cache-byte gauges, the per-stage queue-depth and
+// occupancy gauges, and the admission, cache-event,
 // stage-panic, pipeline-item and pipeline-shed counters.
 func (e *Engine) RegisterMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc(obs.MetricPoolWorkers,
-		"Engine worker count, which sizes the stage pipeline.",
+		"Engine worker count: the Analyze slots and the Map fan-out bound.",
 		func() float64 { return float64(e.cfg.Workers) })
 	reg.GaugeFunc(obs.MetricCacheEntries,
 		"Resident result-cache entries.",
@@ -300,7 +305,7 @@ func (e *Engine) RegisterMetrics(reg *telemetry.Registry) {
 		func() float64 { return float64(e.taskPanics.Load()) })
 	reg.CounterFunc(obs.MetricPipelineShed,
 		"Pipeline tasks shed because their context died in-flight.",
-		func() float64 { return float64(e.pipe.shed.Load()) })
+		func() float64 { return float64(e.shed.Load()) })
 	perStage := func(field func(StageStats) int64) func() []telemetry.SeriesSample {
 		return func() []telemetry.SeriesSample {
 			stats := e.PipelineStats()
@@ -315,12 +320,9 @@ func (e *Engine) RegisterMetrics(reg *telemetry.Registry) {
 		"Programs serviced per pipeline stage.", []string{"stage"},
 		perStage(func(st StageStats) int64 { return st.Items }))
 	reg.GaugeSeriesFunc(obs.MetricPipelineQueueDepth,
-		"Tasks waiting in each pipeline stage's bounded input queue.", []string{"stage"},
+		"Analyze calls waiting for a slot, on cfg-build; 0 on every other stage.", []string{"stage"},
 		perStage(func(st StageStats) int64 { return int64(st.QueueDepth) }))
 	reg.GaugeSeriesFunc(obs.MetricPipelineOccupancy,
-		"Pipeline stage workers executing a task right now.", []string{"stage"},
+		"Programs inside each stage right now.", []string{"stage"},
 		perStage(func(st StageStats) int64 { return st.Busy }))
-	reg.GaugeSeriesFunc(obs.MetricPipelineWorkers,
-		"Configured worker count of each pipeline stage.", []string{"stage"},
-		perStage(func(st StageStats) int64 { return int64(st.Workers) }))
 }

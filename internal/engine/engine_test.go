@@ -7,12 +7,10 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"givetake/internal/comm"
 	"givetake/internal/frontend"
-	"givetake/internal/obs"
 	"givetake/internal/progen"
 )
 
@@ -54,7 +52,6 @@ func corpusSources(t *testing.T) map[string]string {
 // same annotated source, same verification verdict and diagnostics.
 func TestAnalyzeMatchesSequential(t *testing.T) {
 	e := New(Config{Workers: 4})
-	defer e.Close()
 	for path, src := range corpusSources(t) {
 		prog1, err := frontend.Parse(src)
 		if err != nil {
@@ -99,7 +96,6 @@ func TestAnalyzeMatchesSequential(t *testing.T) {
 // its annotation must not change.
 func TestResultOutlivesLaterJobs(t *testing.T) {
 	e := New(Config{Workers: 1})
-	defer e.Close()
 	prog, err := frontend.Parse(loopSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +124,6 @@ func TestResultOutlivesLaterJobs(t *testing.T) {
 // it), and does not wedge the engine.
 func TestPostSolvePanicPropagates(t *testing.T) {
 	e := New(Config{Workers: 2})
-	defer e.Close()
 	prog, err := frontend.Parse(loopSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -153,23 +148,14 @@ func TestPostSolvePanicPropagates(t *testing.T) {
 }
 
 // TestPoolPanicBecomesError: a panicking stage body surfaces as a
-// *PanicError, not a process crash, the panic counter records it, and
-// the stage's only worker survives to run the next job.
+// *PanicError, not a process crash. The panic comes from the collector
+// as the interval-reduce span begins, inside that stage's body, so the
+// stage's own recover catches it: the panic counter records it, the
+// stage counts the item, no later stage runs, and the engine's only
+// slot is free for the next job.
 func TestPoolPanicBecomesError(t *testing.T) {
-	e := newEngine(Config{Workers: 1}, [numStages]int{1, 1, 1, 1, 1}, 1)
-	defer e.Close()
-	var armed atomic.Bool
-	armed.Store(true)
-	e.pipe.delay = func(stage string) {
-		if stage == obs.SpanIntervalReduce && armed.CompareAndSwap(true, false) {
-			panic("boom")
-		}
-	}
-	prog, err := frontend.Parse(loopSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Analyze(context.Background(), Job{Prog: prog})
+	e := New(Config{Workers: 1})
+	res, err := e.Analyze(context.Background(), Job{Prog: parseLoop(t), Collector: panicCollector{}})
 	var pe *PanicError
 	if res != nil || !errors.As(err, &pe) || pe.Value != "boom" {
 		t.Fatalf("want nil result and *PanicError(boom), got %v, %v", res, err)
@@ -177,17 +163,19 @@ func TestPoolPanicBecomesError(t *testing.T) {
 	if n := e.Stats().Pool.Panics; n != 1 {
 		t.Fatalf("panic counter = %d, want 1", n)
 	}
-	prog2, _ := frontend.Parse(loopSrc)
-	res, err = e.Analyze(context.Background(), Job{Prog: prog2})
+	st := e.PipelineStats()
+	if st[stageIntervals].Items != 1 || st[stageIntervals].Busy != 0 || st[stageUniverse].Items != 0 {
+		t.Fatalf("stages after the panic: %+v; want interval-reduce to count it and section-universe never to run", st)
+	}
+	res, err = e.Analyze(context.Background(), Job{Prog: parseLoop(t)})
 	if err != nil || !res.Check.Ok() {
-		t.Fatalf("stage worker died after panic: %v", err)
+		t.Fatalf("engine wedged after a stage panic: %v", err)
 	}
 }
 
 // TestMapBoundsFanOut: Map never runs more than Workers bodies at once.
 func TestMapBoundsFanOut(t *testing.T) {
 	e := New(Config{Workers: 3})
-	defer e.Close()
 	var mu sync.Mutex
 	cur, peak := 0, 0
 	e.Map(context.Background(), 20, func(ctx context.Context, i int) {

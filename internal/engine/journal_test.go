@@ -35,7 +35,6 @@ func TestJournalRestartByteIdentity(t *testing.T) {
 		}
 		want[key] = val
 	}
-	e1.Close()
 	if err := j.Close(); err != nil { // graceful drain: pending batch seals
 		t.Fatal(err)
 	}
@@ -46,7 +45,6 @@ func TestJournalRestartByteIdentity(t *testing.T) {
 	}
 	defer j2.Close()
 	e2 := New(Config{Workers: 2, Journal: j2})
-	defer e2.Close()
 	rs, err := e2.WarmFromJournal(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +79,6 @@ func TestJournalBypassesNonCacheable(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(Config{Workers: 2, Journal: j})
-	defer e.Close()
 
 	e.Do(context.Background(), CacheKey("chaos", comm.Opts{}), func(context.Context) (Cached, bool, error) {
 		return Cached{Status: 500, Body: []byte("chaos")}, false, nil
@@ -121,7 +118,6 @@ func TestCacheStatsInvariantUnderHammer(t *testing.T) {
 	defer j.Close()
 	// small cache bound forces constant eviction alongside the fills
 	e := New(Config{Workers: 4, CacheBytes: 16 << 10, Journal: j})
-	defer e.Close()
 
 	stop := make(chan struct{})
 	var snapErr error
@@ -186,7 +182,6 @@ func TestCacheStatsInvariantUnderHammer(t *testing.T) {
 // TestWarmFromJournalNil: warming without a journal is a clean no-op.
 func TestWarmFromJournalNil(t *testing.T) {
 	e := New(Config{Workers: 1})
-	defer e.Close()
 	rs, err := e.WarmFromJournal(context.Background())
 	if err != nil || rs.Records != 0 {
 		t.Fatalf("nil journal warm: %+v, %v", rs, err)

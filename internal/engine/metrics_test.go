@@ -6,9 +6,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"givetake/internal/frontend"
 	"givetake/internal/ir"
@@ -99,12 +97,11 @@ func parseLoop(t *testing.T) *ir.Program {
 // TestRegisterMetrics drives every event an engine family counts, each
 // an exact number of times, and reads them back from /metrics: the
 // admission outcomes, a cache miss with its single-flight follower, a
-// hit and an eviction, a stage panic, and a task shed while it waited
-// in a stage queue. The serve counter golden covers the same families
-// end to end but cannot time a follower or a stage panic.
+// hit and an eviction, a stage panic, and a job shed while it waited
+// for the engine's only slot. The serve counter golden covers the same
+// families end to end but cannot time a follower or a stage panic.
 func TestRegisterMetrics(t *testing.T) {
-	e := newEngine(Config{Workers: 1, CacheBytes: 200}, [numStages]int{1, 1, 1, 1, 1}, 1)
-	defer e.Close()
+	e := New(Config{Workers: 1, CacheBytes: 200})
 	reg := telemetry.NewRegistry()
 	e.RegisterMetrics(reg)
 
@@ -121,47 +118,30 @@ func TestRegisterMetrics(t *testing.T) {
 		return Cached{Status: 200, Body: bytes.Repeat([]byte("b"), 100)}, true, nil
 	})
 
-	// the first interval-reduce body panics; the first cfg-build body
-	// waits for hold, so a second job queues behind it and is shed
-	var armed atomic.Bool
-	armed.Store(true)
-	entered, hold := make(chan struct{}), make(chan struct{})
-	var held atomic.Bool
-	e.pipe.delay = func(stage string) {
-		switch {
-		case stage == obs.SpanIntervalReduce && armed.CompareAndSwap(true, false):
-			panic("boom")
-		case stage == obs.SpanCFGBuild && !armed.Load() && held.CompareAndSwap(false, true):
-			close(entered)
-			<-hold
-		}
-	}
+	// the first job's interval-reduce body panics; the second job is
+	// held inside cfg-build, so a third waits for the slot and is shed
 	var pe *PanicError
-	if _, err := e.Analyze(context.Background(), Job{Prog: parseLoop(t)}); !errors.As(err, &pe) {
+	if _, err := e.Analyze(context.Background(), Job{Prog: parseLoop(t), Collector: panicCollector{}}); !errors.As(err, &pe) {
 		t.Fatalf("want *PanicError, got %v", err)
 	}
 
+	col := newGateCollector()
 	heldProg, queued := parseLoop(t), parseLoop(t)
 	ran := make(chan error, 1)
 	go func() {
-		_, err := e.Analyze(context.Background(), Job{Prog: heldProg})
+		_, err := e.Analyze(context.Background(), Job{Prog: heldProg, Collector: col})
 		ran <- err
 	}()
-	<-entered
+	<-col.started
 	ctx, cancel := context.WithCancel(context.Background())
 	shed := make(chan error, 1)
 	go func() {
 		_, err := e.Analyze(ctx, Job{Prog: queued})
 		shed <- err
 	}()
-	for deadline := time.Now().Add(5 * time.Second); len(e.pipe.stages[stageCFG].in) == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("second job never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitQueueDepth(t, e, 1)
 	cancel()
-	close(hold)
+	close(col.gate)
 	if err := <-shed; !errors.Is(err, context.Canceled) {
 		t.Fatalf("queued job: %v, want context.Canceled", err)
 	}
@@ -176,7 +156,6 @@ func TestRegisterMetrics(t *testing.T) {
 		obs.MetricPipelineShed: "counter", obs.MetricPoolWorkers: "gauge",
 		obs.MetricCacheEntries: "gauge", obs.MetricCacheBytes: "gauge",
 		obs.MetricPipelineQueueDepth: "gauge", obs.MetricPipelineOccupancy: "gauge",
-		obs.MetricPipelineWorkers: "gauge",
 	} {
 		if f := fams[name]; f == nil || f.Type != typ {
 			t.Errorf("%s: family %+v, want TYPE %s", name, f, typ)
@@ -200,7 +179,6 @@ func TestRegisterMetrics(t *testing.T) {
 		{obs.MetricPoolWorkers, nil, 1},
 		{obs.MetricCacheEntries, nil, 1},
 		{obs.MetricCacheBytes, nil, 165},
-		{obs.MetricPipelineWorkers, stage(obs.SpanCFGBuild), 1},
 		{obs.MetricPipelineQueueDepth, stage(obs.SpanCFGBuild), 0},
 		{obs.MetricPipelineOccupancy, stage(obs.SpanCheck), 0},
 	})
@@ -211,7 +189,6 @@ func TestRegisterMetrics(t *testing.T) {
 // counted in Stats and on /metrics all the same.
 func TestDisabledCacheStillCounts(t *testing.T) {
 	e := New(Config{Workers: 1, CacheBytes: -1})
-	defer e.Close()
 	reg := telemetry.NewRegistry()
 	e.RegisterMetrics(reg)
 

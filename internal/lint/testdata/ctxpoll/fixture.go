@@ -91,10 +91,10 @@ func (ex *executor) spin(n int) {
 	}
 }
 
-// stageLoop is the engine pipeline's bounded-queue idiom: an unbounded
-// stage loop whose every iteration selects between its input queue and
-// the context. The select mentions ctx, so the loop passes without
-// suppression — the convention the stage workers rely on.
+// stageLoop is the bounded-queue worker idiom: an unbounded stage
+// loop whose every iteration selects between its input queue and the
+// context. The select mentions ctx, so the loop passes without
+// suppression — the convention any queue worker can rely on.
 func stageLoop(ctx context.Context, in <-chan int, out chan<- int) {
 	for {
 		select {

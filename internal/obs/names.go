@@ -35,15 +35,15 @@ const (
 )
 
 // Canonical span names of the concurrent analysis engine
-// (internal/engine). They live here, next to the pipeline's own span
+// (internal/engine). They live here, next to the analysis's own span
 // names, so every consumer of a Report or trace matches on one
 // vocabulary instead of scattered string literals.
 const (
-	// SpanEngineAnalyze wraps one engine-scheduled analysis:
-	// cfg-build → interval-reduce → section-universe →
-	// {solve-read ∥ solve-write} → check. Its interval contains those
-	// comm stage spans, and the concurrent READ and WRITE solve spans
-	// can overlap each other.
+	// SpanEngineAnalyze wraps one engine.Analyze call: its wait for one
+	// of the engine's slots, then cfg-build → interval-reduce →
+	// section-universe → {solve-read ∥ solve-write} → check on that
+	// slot. Its interval contains those comm stage spans, and the
+	// concurrent READ and WRITE solve spans can overlap each other.
 	SpanEngineAnalyze = "engine.analyze"
 )
 
@@ -84,8 +84,8 @@ const (
 	// (rung, outcome).
 	MetricLadderAttempts = "gnt_ladder_attempts_total"
 
-	// MetricStageDuration is the per-pipeline-stage wall-time histogram
-	// by (stage), bridged from the span vocabulary above.
+	// MetricStageDuration is the per-stage wall-time histogram by
+	// (stage), bridged from the span vocabulary above.
 	MetricStageDuration = "gnt_stage_duration_seconds"
 
 	// Engine workers, stage panics and result cache.
@@ -104,17 +104,18 @@ const (
 	MetricJournalTornTails     = "gnt_journal_torn_tails_total"
 	MetricJournalPending       = "gnt_journal_pending_records"
 
-	// Engine stage pipeline. MetricPipelineItems counts programs
-	// serviced per stage by (stage); MetricPipelineShed counts tasks
-	// whose context died inside the pipeline. The queue-depth and
-	// occupancy gauges are sampled live at scrape time by (stage), and
-	// MetricPipelineWorkers exposes the per-stage worker budget so
-	// occupancy is readable as a utilization ratio.
+	// Engine stages. MetricPipelineItems counts programs serviced per
+	// stage by (stage); MetricPipelineShed counts Analyze calls whose
+	// context died while they waited for an engine slot or at a stage
+	// boundary. The gauges are sampled live at scrape time by (stage):
+	// occupancy is the programs inside each stage, and queue depth is
+	// the calls waiting for a slot, reported on cfg-build (0 on every
+	// other stage). Occupancy reads as a utilization ratio against
+	// MetricPoolWorkers, the slot count every stage shares.
 	MetricPipelineItems      = "gnt_pipeline_items_total"
 	MetricPipelineShed       = "gnt_pipeline_shed_total"
 	MetricPipelineQueueDepth = "gnt_pipeline_queue_depth"
 	MetricPipelineOccupancy  = "gnt_pipeline_occupancy"
-	MetricPipelineWorkers    = "gnt_pipeline_stage_workers"
 
 	// Cluster router (internal/cluster). The router fronts N serve
 	// nodes; its families account for every forwarded attempt, every
@@ -176,7 +177,7 @@ func Metrics() []string {
 		MetricJournalReplayed, MetricJournalCorrupt, MetricJournalTornTails,
 		MetricJournalPending,
 		MetricPipelineItems, MetricPipelineShed, MetricPipelineQueueDepth,
-		MetricPipelineOccupancy, MetricPipelineWorkers,
+		MetricPipelineOccupancy,
 		MetricRouteRequests, MetricRouteDuration, MetricRouteAttempts,
 		MetricRouteFailovers, MetricRouteHedges, MetricRouteProbes,
 		MetricRouteNodeState, MetricRouteHedgeDelay,

@@ -80,7 +80,6 @@ func TestCrashRestartWarmServe(t *testing.T) {
 	}
 	ts1.Close()
 	srv1.Journal().Abort()
-	srv1.Engine().Close()
 	mb.Crash()
 
 	srv2 := mustNew(t, Config{JournalBackend: mb})
@@ -124,7 +123,6 @@ func TestCrashLosesOnlyUnsealedTail(t *testing.T) {
 	}
 	ts1.Close()
 	srv1.Journal().Abort()
-	srv1.Engine().Close()
 	mb.Crash()
 
 	srv2 := mustNew(t, Config{JournalBackend: mb})

@@ -72,7 +72,8 @@ type Config struct {
 	MaxSourceBytes int64
 	// MaxBatch bounds the programs accepted in one /batch request.
 	MaxBatch int
-	// Workers sizes the engine's stage pipeline; zero means GOMAXPROCS.
+	// Workers is how many programs the engine analyzes at once, and the
+	// fan-out bound of a /batch; zero means GOMAXPROCS.
 	Workers int
 	// CacheBytes bounds the engine's result cache; zero means the engine
 	// default, negative disables caching.
@@ -244,12 +245,12 @@ func (s *Server) warm() {
 	s.ready.Store(true)
 }
 
-// Close stops the engine workers and drains the journal: the pending
-// batch group-commits before the process exits, so a graceful shutdown
-// loses nothing. (A crash loses at most the unsealed tail — that is
-// the durability contract.)
+// Close drains the journal: the pending batch group-commits before the
+// process exits, so a graceful shutdown loses nothing. (A crash loses
+// at most the unsealed tail — that is the durability contract.) The
+// engine owns no goroutine, so a request after Close is still analyzed
+// and served; only its journal append is dropped.
 func (s *Server) Close() error {
-	s.engine.Close()
 	return s.journal.Close()
 }
 

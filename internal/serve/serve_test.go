@@ -160,3 +160,25 @@ func TestHTTPAdmissionControl(t *testing.T) {
 		t.Fatal("shed counter should have recorded the 429")
 	}
 }
+
+// TestAnalyzeAfterClose: Close only drains the journal, so a request
+// that arrives after it is still analyzed and served on rung 1, with
+// no panic on its ladder.
+func TestAnalyzeAfterClose(t *testing.T) {
+	srv := mustNew(t, Config{})
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	hr, resp := postJSON(t, ts.URL, Request{Source: goodSrc})
+	if hr.StatusCode != http.StatusOK || resp.Rung != RungFull {
+		t.Errorf("status %d, rung %d; want 200 at rung %d", hr.StatusCode, resp.Rung, RungFull)
+	}
+	for _, att := range resp.Ladder {
+		if att.Outcome == "panic" {
+			t.Errorf("rung %d (%s) panicked after Close: %s", att.Rung, att.Name, att.Detail)
+		}
+	}
+}

@@ -75,11 +75,9 @@ type Analysis struct {
 // as core.ErrInvariant rather than a panic.
 //
 // The same steps are exported one by one (StageCFG, StageIntervals,
-// StageUniverse, ApplyOpts, SolveRead, SolveWrite) for a stage
-// scheduler. The two solves share no mutable state — SolveRead touches
-// only Read, SolveWrite only RevGraph and Write, and neither mutates
-// the graph — so a scheduler may run them concurrently
-// (internal/engine does).
+// StageUniverse, ApplyOpts, SolveRead, SolveWrite) so a caller can
+// account and span each stage; internal/engine runs them in this
+// order.
 func Analyze(ctx context.Context, prog *ir.Program, ocol obs.Collector, opts Opts) (*Analysis, error) {
 	a, err := build(ctx, prog, ocol)
 	if err != nil {
@@ -98,10 +96,8 @@ func Analyze(ctx context.Context, prog *ir.Program, ocol obs.Collector, opts Opt
 // build runs the solver-free front half of the pipeline: CFG, interval
 // reduction, section universe, event collection, and the READ/WRITE
 // initial variables. Both the full analysis and the atomic fallback
-// start from exactly this state. The three stages are exported
-// individually (StageCFG, StageIntervals, StageUniverse) so a stage
-// scheduler can run each program's front half as separate tasks;
-// build is their sequential composition.
+// start from exactly this state. build is the composition of the
+// three exported stages StageCFG, StageIntervals and StageUniverse.
 func build(ctx context.Context, prog *ir.Program, ocol obs.Collector) (*Analysis, error) {
 	a, err := StageCFG(ctx, prog, ocol)
 	if err != nil {
@@ -255,9 +251,8 @@ func (a *Analysis) SolveRead(ctx context.Context, ocol obs.Collector, _ *bitset.
 }
 
 // SolveWrite reverses the graph and solves the WRITE/AFTER placement
-// problem on it. Independent of SolveRead: interval.Reverse clones the
-// nodes it reads, so the two solves may run concurrently. The third
-// argument is ignored, as in SolveRead.
+// problem on it. It reads nothing SolveRead writes; every caller runs
+// it after SolveRead. The third argument is ignored, as in SolveRead.
 func (a *Analysis) SolveWrite(ctx context.Context, ocol obs.Collector, _ *bitset.Arena) error {
 	end := obs.Begin(ocol, obs.SpanReverseGraph)
 	rev, err := interval.Reverse(a.Graph)

@@ -1,17 +1,14 @@
 // Package engine is the concurrent analysis engine behind the serving
 // path. Analyze runs one program to completion on the calling
-// goroutine, through the stages that follow the data dependences of
-// the analysis (stages.go):
+// goroutine, through the stages of the analysis in order (stages.go):
 //
-//	cfg-build → interval-reduce → section-universe ─┬─ solve READ  ─┬─ check
-//	                                                └─ solve WRITE ─┘
+//	cfg-build → interval-reduce → section-universe → solve → check
 //
-// READ runs on the forward graph and WRITE on the reversed one; the two
-// share no mutable state (comm.Analyze documents why), so the solve
-// stage runs them concurrently. The check stage runs the static
-// verifier once per program through comm.CheckPlacementCtx, the same
-// call every sequential caller makes. Three mechanisms make the engine
-// production-shaped:
+// The solve stage solves READ on the forward graph and then WRITE on
+// the reversed one, as comm.Analyze does. The check stage runs the
+// static verifier once per program through comm.CheckPlacementCtx, the
+// same call every other caller makes. Concurrency is across programs,
+// never within one. Three mechanisms make the engine production-shaped:
 //
 //   - bounded concurrency with panic isolation: at most Workers
 //     programs run at once, each on one of the engine's slots, and a
@@ -128,12 +125,11 @@ type Job struct {
 	// Opts tunes the placement analysis (rung 2 of the serve ladder
 	// sets SuppressHoist).
 	Opts comm.Opts
-	// Collector receives the job's stage spans; nil records nothing.
-	// It must be safe for concurrent use: the READ and WRITE solve
-	// spans come from two goroutines and can overlap in time.
+	// Collector receives the job's stage spans, all from the calling
+	// goroutine and one after another; nil records nothing.
 	Collector obs.Collector
 	// PostSolve, when non-nil, runs in the solve stage after both
-	// solves join without error and before verification — the hook the
+	// solves succeed and before verification — the hook the
 	// chaos harness uses to corrupt solutions. A panic inside it is
 	// returned as a *PanicError, like any stage panic.
 	PostSolve func(*comm.Analysis)

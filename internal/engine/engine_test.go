@@ -3,8 +3,10 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -47,44 +49,61 @@ func corpusSources(t *testing.T) map[string]string {
 	return out
 }
 
-// TestAnalyzeMatchesSequential proves the task-parallel pipeline is
-// observationally identical to the sequential one on the whole corpus:
-// same annotated source, same verification verdict and diagnostics.
+// TestAnalyzeMatchesSequential proves the engine is observationally
+// identical to the library's comm.Analyze on the whole corpus and on
+// progen programs with jumps out of loops, under the options of rungs
+// 1 and 2 of the serve ladder: same annotated source, same READ and
+// WRITE solver counters, same verification verdict and diagnostics.
 func TestAnalyzeMatchesSequential(t *testing.T) {
 	e := New(Config{Workers: 4})
-	for path, src := range corpusSources(t) {
-		prog1, err := frontend.Parse(src)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		prog2, _ := frontend.Parse(src)
+	srcs := corpusSources(t)
+	for seed := int64(0); seed < 6; seed++ {
+		srcs[fmt.Sprintf("progen-%d", seed)] = progen.GenerateSource(seed,
+			progen.Config{Stmts: 40 + int(seed)*30, MaxDepth: 3, Arrays: true, PGoto: 0.2})
+	}
+	for path, src := range srcs {
+		for _, opts := range []comm.Opts{{}, {SuppressHoist: true}} {
+			name := fmt.Sprintf("%s %+v", path, opts)
+			prog1, err := frontend.Parse(src)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			prog2, _ := frontend.Parse(src)
 
-		seq, err := comm.Analyze(context.Background(), prog1, nil, comm.Opts{})
-		if err != nil {
-			t.Fatalf("%s: sequential: %v", path, err)
-		}
-		seqCheck, err := seq.CheckPlacementCtx(context.Background(), nil)
-		if err != nil {
-			t.Fatalf("%s: sequential check: %v", path, err)
-		}
+			seq, err := comm.Analyze(context.Background(), prog1, nil, opts)
+			if err != nil {
+				t.Fatalf("%s: sequential: %v", name, err)
+			}
+			seqCheck, err := seq.CheckPlacementCtx(context.Background(), nil)
+			if err != nil {
+				t.Fatalf("%s: sequential check: %v", name, err)
+			}
 
-		res, err := e.Analyze(context.Background(), Job{Prog: prog2})
-		if err != nil {
-			t.Fatalf("%s: engine: %v", path, err)
-		}
-		gotAnn := res.Analysis.AnnotatedSource(comm.DefaultOptions)
-		wantAnn := seq.AnnotatedSource(comm.DefaultOptions)
-		if gotAnn != wantAnn {
-			t.Errorf("%s: parallel annotation differs from sequential:\n--- got\n%s\n--- want\n%s",
-				path, gotAnn, wantAnn)
-		}
-		if got, want := len(res.Check.Diagnostics), len(seqCheck.Diagnostics); got != want {
-			t.Errorf("%s: diagnostics %d != sequential %d", path, got, want)
-		}
-		for i := range res.Check.Diagnostics {
-			if res.Check.Diagnostics[i].String() != seqCheck.Diagnostics[i].String() {
-				t.Errorf("%s: diagnostic %d differs: %s vs %s",
-					path, i, res.Check.Diagnostics[i], seqCheck.Diagnostics[i])
+			res, err := e.Analyze(context.Background(), Job{Prog: prog2, Opts: opts})
+			if err != nil {
+				t.Fatalf("%s: engine: %v", name, err)
+			}
+			gotAnn := res.Analysis.AnnotatedSource(comm.DefaultOptions)
+			wantAnn := seq.AnnotatedSource(comm.DefaultOptions)
+			if gotAnn != wantAnn {
+				t.Errorf("%s: engine annotation differs from sequential:\n--- got\n%s\n--- want\n%s",
+					name, gotAnn, wantAnn)
+			}
+			if got, want := res.Analysis.Read.Stats, seq.Read.Stats; !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: READ counters %+v, sequential %+v", name, got, want)
+			}
+			if got, want := res.Analysis.Write.Stats, seq.Write.Stats; !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: WRITE counters %+v, sequential %+v", name, got, want)
+			}
+			if got, want := len(res.Check.Diagnostics), len(seqCheck.Diagnostics); got != want {
+				t.Errorf("%s: diagnostics %d != sequential %d", name, got, want)
+				continue
+			}
+			for i := range res.Check.Diagnostics {
+				if res.Check.Diagnostics[i].String() != seqCheck.Diagnostics[i].String() {
+					t.Errorf("%s: diagnostic %d differs: %s vs %s",
+						name, i, res.Check.Diagnostics[i], seqCheck.Diagnostics[i])
+				}
 			}
 		}
 	}

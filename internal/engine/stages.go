@@ -2,10 +2,10 @@
 // calling goroutine: cfg-build → interval-reduce → section-universe →
 // solve → check. Each stage is one call into comm and keeps its own
 // accounting (items, busy, busy time), which PipelineStats, /healthz
-// and the gnt_pipeline_* families report. The READ and WRITE solve
-// halves run concurrently within a program (the solve stage runs them
-// as two goroutines); the check stage verifies both through the same
-// comm.CheckPlacementCtx every other caller uses.
+// and the gnt_pipeline_* families report. The solve stage solves READ
+// and then WRITE, in the order comm.Analyze does; the check stage
+// verifies both through the same comm.CheckPlacementCtx every other
+// caller uses.
 package engine
 
 import (
@@ -42,27 +42,23 @@ type pstage struct {
 	busyNS atomic.Int64
 }
 
-// recoverTo converts a stage-body panic into a *PanicError: one
-// poisoned program degrades, the engine and its caller survive.
-func (e *Engine) recoverTo(dst *error) {
-	if r := recover(); r != nil {
-		e.taskPanics.Add(1)
-		*dst = &PanicError{Value: r, Stack: debug.Stack()}
-	}
-}
-
 // runStage executes stage idx's body for job, filling res, and
-// accounts it as one item of that stage whatever the outcome.
+// accounts it as one item of that stage whatever the outcome. A panic
+// in the body is returned as a *PanicError: one poisoned program
+// degrades, the engine and its caller survive.
 func (e *Engine) runStage(ctx context.Context, idx int, job *Job, res *Result) (err error) {
 	st := &e.stages[idx]
 	start := time.Now()
 	st.busy.Add(1)
 	defer func() {
+		if r := recover(); r != nil {
+			e.taskPanics.Add(1)
+			err = &PanicError{Value: r, Stack: debug.Stack()}
+		}
 		st.busy.Add(-1)
 		st.busyNS.Add(time.Since(start).Nanoseconds())
 		st.items.Add(1)
 	}()
-	defer e.recoverTo(&err)
 	a := res.Analysis
 	switch idx {
 	case stageCFG:
@@ -74,42 +70,15 @@ func (e *Engine) runStage(ctx context.Context, idx int, job *Job, res *Result) (
 			a.ApplyOpts(job.Opts)
 		}
 	case stageSolve:
-		err = e.runSolve(ctx, job, a)
+		if err = a.SolveRead(ctx, job.Collector, nil); err == nil {
+			if err = a.SolveWrite(ctx, job.Collector, nil); err == nil && job.PostSolve != nil {
+				job.PostSolve(a)
+			}
+		}
 	case stageCheck:
 		res.Check, err = a.CheckPlacementCtx(ctx, job.Collector)
 	}
 	return err
-}
-
-// runSolve runs the READ and WRITE solve halves concurrently, so the
-// halves' independence (comm.Analyze documents it) keeps paying off per
-// program; a READ failure wins over a WRITE failure. Once both join
-// without error the job's PostSolve hook runs here, before check; a
-// panic in it is recovered by runStage like any other stage panic.
-func (e *Engine) runSolve(ctx context.Context, job *Job, a *comm.Analysis) error {
-	writeErr := make(chan error, 1)
-	go func() {
-		var err error
-		defer func() { writeErr <- err }()
-		defer e.recoverTo(&err)
-		err = a.SolveWrite(ctx, job.Collector, nil)
-	}()
-	var readErr error
-	func() {
-		defer e.recoverTo(&readErr)
-		readErr = a.SolveRead(ctx, job.Collector, nil)
-	}()
-	werr := <-writeErr
-	if readErr != nil {
-		return readErr
-	}
-	if werr != nil {
-		return werr
-	}
-	if job.PostSolve != nil {
-		job.PostSolve(a)
-	}
-	return nil
 }
 
 // StageStats is one stage's point-in-time accounting. Busy is live

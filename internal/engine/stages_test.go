@@ -11,6 +11,7 @@ import (
 	"givetake/internal/frontend"
 	"givetake/internal/ir"
 	"givetake/internal/obs"
+	"givetake/internal/progen"
 )
 
 // gateCollector blocks every cfg-build span until released and counts
@@ -230,6 +231,50 @@ func TestAnalyzeBoundsConcurrency(t *testing.T) {
 	for _, st := range e.PipelineStats() {
 		if st.Items != n || st.Busy != 0 || st.QueueDepth != 0 || st.Workers != workers {
 			t.Errorf("stage %+v, want %d items, none busy or waiting, %d workers", st, n, workers)
+		}
+	}
+}
+
+// TestStageSpansRunInOrder: one program's stages run on the calling
+// goroutine one after another, READ before WRITE included. Over 20
+// progen programs of 1000 statements each recorded span lies inside
+// engine.analyze, the stage spans come in run order, and no two of them
+// overlap in time.
+func TestStageSpansRunInOrder(t *testing.T) {
+	want := []string{
+		obs.SpanCFGBuild, obs.SpanIntervalReduce, obs.SpanSectionUniverse,
+		obs.SpanSolveRead, obs.SpanReverseGraph, obs.SpanSolveWrite, obs.SpanCheck,
+	}
+	e := New(Config{Workers: 2})
+	for seed := int64(0); seed < 20; seed++ {
+		prog := progen.Generate(seed, progen.Config{Stmts: 1000, MaxDepth: 3, Arrays: true})
+		rec := obs.NewRecorder()
+		if _, err := e.Analyze(context.Background(), Job{Prog: prog, Collector: rec}); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		spans := rec.Spans()
+		var names []string
+		for _, sp := range spans {
+			names = append(names, sp.Name)
+		}
+		if len(spans) != len(want)+1 || spans[0].Name != obs.SpanEngineAnalyze {
+			t.Fatalf("seed %d: spans %v, want %s around %v", seed, names, obs.SpanEngineAnalyze, want)
+		}
+		outer, stages := spans[0], spans[1:]
+		for i, sp := range stages {
+			if sp.Name != want[i] {
+				t.Fatalf("seed %d: stage spans %v, want %v", seed, names[1:], want)
+			}
+			if sp.Start < outer.Start || sp.Start+sp.Dur > outer.Start+outer.Dur {
+				t.Errorf("seed %d: %s [%v, %v) outside %s [%v, %v)", seed, sp.Name,
+					sp.Start, sp.Start+sp.Dur, outer.Name, outer.Start, outer.Start+outer.Dur)
+			}
+			if i > 0 {
+				if prev := stages[i-1]; prev.Start+prev.Dur > sp.Start {
+					t.Errorf("seed %d: %s ends at %v, after %s starts at %v",
+						seed, prev.Name, prev.Start+prev.Dur, sp.Name, sp.Start)
+				}
+			}
 		}
 	}
 }

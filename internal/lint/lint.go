@@ -128,13 +128,15 @@ func (p *Pass) calleeFunc(call *ast.CallExpr) *types.Func {
 
 // isPkgFunc reports whether obj is the function name declared in the
 // package with import path pkgPath. Exact object identity through
-// go/types: aliased imports, shadowed names, and same-named functions
-// in other packages all resolve correctly.
+// go/types: aliased imports, shadowed names, same-named functions in
+// other packages and same-named methods (time.Time.After is not
+// time.After) all resolve correctly.
 func isPkgFunc(obj *types.Func, pkgPath, name string) bool {
 	if obj == nil || obj.Pkg() == nil {
 		return false
 	}
-	return obj.Pkg().Path() == pkgPath && obj.Name() == name
+	return obj.Pkg().Path() == pkgPath && obj.Name() == name &&
+		obj.Type().(*types.Signature).Recv() == nil
 }
 
 // namedOrPointee unwraps pointers and returns the named type under t,

@@ -41,9 +41,9 @@ const (
 const (
 	// SpanEngineAnalyze wraps one engine.Analyze call: its wait for one
 	// of the engine's slots, then cfg-build → interval-reduce →
-	// section-universe → {solve-read ∥ solve-write} → check on that
-	// slot. Its interval contains those comm stage spans, and the
-	// concurrent READ and WRITE solve spans can overlap each other.
+	// section-universe → solve-read → reverse-graph → solve-write →
+	// check on that slot. Its interval contains those comm stage spans,
+	// which follow one another without overlap.
 	SpanEngineAnalyze = "engine.analyze"
 )
 

@@ -19,18 +19,19 @@
 //     loops; per-equation and per-message detail is carried by cheap
 //     integer counters that the solver and interpreter maintain anyway
 //     and hand over wholesale (SolverCounters, RuntimeStats). A span
-//     has no nesting depth (concurrent stages overlap) and no
-//     allocation deltas (their stop-the-world reads distort timings).
+//     has no nesting depth (an enclosing span is one whose interval
+//     contains the others) and no allocation deltas (their
+//     stop-the-world reads distort timings).
 package obs
 
-// Collector is the sink for pipeline spans. Implementations must be
-// safe for concurrent use: the engine's stages run on their own
-// goroutines and open and close spans that can overlap in time (the
-// READ and WRITE solves run in parallel). A nil Collector is the
-// universal "off switch": call sites go through Begin below, which
-// short-circuits on nil. Event counts are not collected here: the
-// component that counts an event keeps the count (engine and journal
-// stats), and /metrics reads it there.
+// Collector is the sink for pipeline spans. One analysis, in the
+// library or in the engine, opens and closes its spans on the calling
+// goroutine, one stage after another; a collector shared by concurrent
+// callers must be safe for concurrent use (Recorder is). A nil
+// Collector is the universal "off switch": call sites go through Begin
+// below, which short-circuits on nil. Event counts are not collected
+// here: the component that counts an event keeps the count (engine and
+// journal stats), and /metrics reads it there.
 type Collector interface {
 	// BeginSpan opens a named span and returns the function that closes
 	// it. Key/value pairs (alternating string key, any value) annotate

@@ -45,9 +45,9 @@ func TestRecorderSpans(t *testing.T) {
 	}
 }
 
-// TestRecorderOverlappingSpans drives the shape the engine's READ ∥
-// WRITE solve produces: two goroutines interleave begin A, begin B,
-// end A, end B on one recorder. Both spans come back in start order,
+// TestRecorderOverlappingSpans drives the shape two concurrent callers
+// sharing a recorder produce: two goroutines interleave begin A, begin
+// B, end A, end B on it. Both spans come back in start order,
 // each with its own duration and end args, as two overlapping
 // intervals: B starts inside A and ends after it, so it is not A's
 // child and reports no nesting.
@@ -165,7 +165,8 @@ func TestWriteTrace(t *testing.T) {
 	}
 
 	// Overlapping spans must not share a thread: Perfetto nests events
-	// on one thread by time, and READ ∥ WRITE overlap without nesting.
+	// on one thread by time, and spans of concurrent callers sharing a
+	// recorder can overlap without nesting.
 	ms := time.Millisecond
 	r = NewRecorder()
 	r.spans = []Span{

@@ -16,9 +16,9 @@ type Arg struct {
 }
 
 // Span is one recorded phase: a named [start, start+dur) interval with
-// its annotations. Spans carry no nesting: concurrent stages (the
-// engine's READ ∥ WRITE solve) overlap freely, and an enclosing span is
-// simply one whose interval contains the others.
+// its annotations. Spans carry no nesting: an enclosing span (such as
+// engine.analyze) is simply one whose interval contains the others, and
+// spans from concurrent callers sharing a recorder overlap freely.
 type Span struct {
 	Name  string
 	Start time.Duration // offset from the recorder's epoch
@@ -124,9 +124,9 @@ type traceFile struct {
 
 // WriteTrace renders the recording as Chrome trace-event JSON. Each
 // span goes on the lowest thread (lane) whose previous span has ended,
-// so a thread never holds two overlapping events: the engine's
-// concurrent READ and WRITE solves, and the stages inside its
-// engine.analyze span, get lanes of their own.
+// so a thread never holds two overlapping events: the stages inside an
+// engine.analyze span, and the spans of concurrent callers sharing the
+// recorder, get lanes of their own.
 func (r *Recorder) WriteTrace(w io.Writer) error {
 	r.mu.Lock()
 	spans := make([]Span, len(r.spans))

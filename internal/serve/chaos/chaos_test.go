@@ -117,7 +117,9 @@ func TestChaos(t *testing.T) {
 				}
 				var resp serve.Response
 				decErr := json.NewDecoder(hr.Body).Decode(&resp)
-				hr.Body.Close()
+				if err := hr.Body.Close(); err != nil {
+					t.Errorf("%s: closing the response body: %v", j.kind, err)
+				}
 				if decErr != nil {
 					t.Errorf("%s: status %d body is not structured JSON: %v",
 						j.kind, hr.StatusCode, decErr)

@@ -241,10 +241,10 @@ func (s *Server) ladder(ctx context.Context, prog *ir.Program, req *Request, res
 		start := time.Now()
 		// Rungs 1 and 2 run through engine.Analyze, which waits for one
 		// of the engine's slots and runs every stage on this goroutine:
-		// the READ and WRITE halves solve concurrently in the solve
-		// stage, the check stage verifies both, and the chaos mutation
-		// rides the PostSolve hook — inside the solve stage after both
-		// solves join, before verification.
+		// the solve stage solves READ then WRITE, the check stage
+		// verifies both, and the chaos mutation rides the PostSolve
+		// hook — inside the solve stage after both solves, before
+		// verification.
 		eres, err := isolate(func() (*engine.Result, error) {
 			if chaos != nil && chaos.PanicRung == att.Name {
 				panic(fmt.Sprintf("chaos: injected panic at rung %q", att.Name))

@@ -667,12 +667,18 @@ enddo
 }
 
 // speedupPairs is how many interleaved serial/parallel sweep pairs one
-// iteration of BenchmarkParallelSpeedup measures. One sweep of the
-// corpus is a few milliseconds of work, and one such measurement on a
+// iteration of BenchmarkParallelSpeedup measures. One measurement on a
 // small shared machine can land anywhere; alternating the two kinds
 // exposes both to the same drift. Odd, so the median is one of the
 // pairs.
 const speedupPairs = 5
+
+// speedupPasses is how many passes over the corpus one timed sweep
+// makes. One serial pass is about a millisecond of work on a 2-vCPU
+// machine, short enough for a burst of other load to swing one pair's
+// ratio on its own; many passes per sweep let each pair ride such a
+// burst out.
+const speedupPasses = 16
 
 // minSpeedup is the gate: parallel must be no slower than serial, with
 // 10% scheduling-noise tolerance.
@@ -722,8 +728,9 @@ func TestSpeedupGate(t *testing.T) {
 // BenchmarkParallelSpeedup gates the engine's concurrent path against
 // the sequential library path on the testdata corpus (top level and
 // kernels). Each pair times one serial sweep, then one sweep through a
-// fresh engine on 4 workers; both sides do the same work per program:
-// parse, analyze, verify (must be Ok) and render the annotated body.
+// fresh engine on 4 workers, each sweep speedupPasses passes over the
+// corpus; both sides do the same work per program: parse, analyze,
+// verify (must be Ok) and render the annotated body.
 // The heap is settled with runtime.GC before each timed sweep, outside
 // the timer, so the ratio does not measure where GC cycles land. The
 // benchmark fails when the median of the pairs' serial/parallel ratios
@@ -738,7 +745,9 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sources = append(sources, string(src))
+		for range speedupPasses {
+			sources = append(sources, string(src))
+		}
 	}
 	ctx := context.Background()
 	timed := func(sweep func() error) time.Duration {
@@ -798,9 +807,15 @@ func sweepSerial(ctx context.Context, src string) error {
 	return nil
 }
 
-// sweepEngine runs every program through e.Analyze with
-// fan-out bounded by its worker count; any failure fails the sweep.
+// sweepEngine runs every program through e.Analyze the way serve runs
+// a /batch: admitted to one of e's slots, then fanned out by e.Map onto
+// that slot and whichever others free up; any failure fails the sweep.
 func sweepEngine(ctx context.Context, e *engine.Engine, sources []string) error {
+	release, err := e.Admit(ctx, time.Minute)
+	if err != nil {
+		return err
+	}
+	defer release()
 	errs := make([]error, len(sources))
 	bodies := make([]string, len(sources))
 	e.Map(ctx, len(sources), func(ctx context.Context, i int) {

@@ -23,7 +23,7 @@
 //	-nodes a,b,c    comma-separated serve node addresses for -mode route
 //	-replicas K     replica-set size per key for -mode route (default 2)
 //	-probe-ms N     health-probe interval in ms for -mode route (default 250)
-//	-workers N      engine worker count for -mode serve: programs analyzed at once, and the /batch fan-out (0: GOMAXPROCS)
+//	-workers N      engine slots for -mode serve, the admission width: requests in flight and programs analyzed at once, /batch items included (0: GOMAXPROCS)
 //	-cache-mb N     result-cache budget in MiB for -mode serve (0: default, -1: off)
 //	-journal-dir d  durable result journal for -mode serve; a group commit
 //	                seals at 64 records or 1 MiB of payload
@@ -98,7 +98,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	nodes := fs.String("nodes", "", "comma-separated serve node addresses for -mode route")
 	replicas := fs.Int("replicas", 0, "replica-set size per key for -mode route (0: default 2)")
 	probeMS := fs.Int64("probe-ms", 0, "health-probe interval in ms for -mode route (0: default 250)")
-	workers := fs.Int("workers", 0, "engine worker count for -mode serve: programs analyzed at once, and the /batch fan-out (0: GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "engine slots for -mode serve, the admission width: requests in flight and programs analyzed at once, /batch items included (0: GOMAXPROCS)")
 	cacheMB := fs.Int64("cache-mb", 0, "result-cache budget in MiB for -mode serve (0: default, -1: off)")
 	journalDir := fs.String("journal-dir", "", "durable result journal directory for -mode serve (empty: no journal)")
 	journalFlushMS := fs.Int64("journal-flush-ms", 0, "max time a result waits for group commit, in ms (0: default 50)")
@@ -234,7 +234,7 @@ func runServe(f serveFlags, stderr io.Writer) error {
 		profiling = fmt.Sprintf("; pprof %s", f.pprofAddr)
 	}
 	fmt.Fprintf(stderr, "gnt: serving on %s (POST /analyze, POST /batch, GET /healthz, GET /readyz, GET /metrics, GET /debug/requests; %d workers%s%s)\n",
-		f.addr, s.Engine().Workers(), durable, profiling)
+		f.addr, s.Engine().Stats().Pool.Workers, durable, profiling)
 	err = s.ListenAndServe(ctx)
 	if errors.Is(err, http.ErrServerClosed) {
 		return nil

@@ -1,6 +1,7 @@
 // Package engine is the concurrent analysis engine behind the serving
-// path. Analyze runs one program to completion on the calling
-// goroutine, through the stages of the analysis in order (stages.go):
+// path. Its Workers slots are the service's one admission queue
+// (Admit), and Analyze runs one program to completion on a calling
+// goroutine that holds a slot, through the stages in order (stages.go):
 //
 //	cfg-build → interval-reduce → section-universe → solve → check
 //
@@ -8,29 +9,27 @@
 // the reversed one, as comm.Analyze does. The check stage runs the
 // static verifier once per program through comm.CheckPlacementCtx, the
 // same call every other caller makes. Concurrency is across programs,
-// never within one. Three mechanisms make the engine production-shaped:
+// never within one. Two mechanisms make the engine production-shaped:
 //
 //   - bounded concurrency with panic isolation: at most Workers
-//     programs run at once, each on one of the engine's slots, and a
-//     panicking stage body is returned as a structured *PanicError;
+//     programs run at once, each on one of the engine's slots (Map fans
+//     serve's /batch items out over free slots), and a panicking stage
+//     body is returned as a structured *PanicError;
 //
 //   - a content-addressed result cache: rendered response bytes keyed
 //     by SHA-256 of source + canonicalized options (CacheKey), bounded
 //     in bytes with LRU eviction, with single-flight deduplication so a
-//     thundering herd of identical requests costs one analysis;
-//
-//   - bounded fan-out: Map runs request bodies (serve's /batch items)
-//     with bounded concurrency, and concurrent Analyze calls run on
-//     separate slots, so corpus throughput scales with cores instead of
-//     being pinned to one sequential analysis.
+//     thundering herd of identical requests costs one analysis.
 package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"givetake/internal/check"
 	"givetake/internal/comm"
@@ -46,8 +45,8 @@ const DefaultCacheBytes int64 = 32 << 20
 
 // Config parameterizes an Engine.
 type Config struct {
-	// Workers is the number of programs Analyze runs at once (its
-	// slots) and the fan-out bound of Map; zero means GOMAXPROCS.
+	// Workers is the number of slots: the callers Admit lets in, and
+	// so the programs analyzed, at once; zero means GOMAXPROCS.
 	Workers int
 	// CacheBytes bounds the result cache; zero means DefaultCacheBytes,
 	// negative disables caching: the cache has zero capacity, stores
@@ -70,13 +69,13 @@ type Config struct {
 type Engine struct {
 	cfg Config
 
-	// slots holds one token per running Analyze; waiting counts the
-	// calls blocked on a full slots.
+	// slots holds one token per admitted caller and per further Map
+	// body; waiting counts the Admit calls blocked on a full slots.
 	slots   chan struct{}
 	waiting atomic.Int64
 	stages  [numStages]pstage
-	// shed counts Analyze calls that gave up, because their context
-	// died, while waiting for a slot or at a stage boundary.
+	// shed counts callers that gave up, because their context died,
+	// while waiting in Admit or at an Analyze stage boundary.
 	shed atomic.Int64
 
 	mu      sync.Mutex
@@ -103,9 +102,6 @@ func New(cfg Config) *Engine {
 		cache:   newCache(cfg.CacheBytes),
 	}
 }
-
-// Workers reports the configured worker count.
-func (e *Engine) Workers() int { return e.cfg.Workers }
 
 // PanicError is a stage-body panic converted to an error at the
 // stage's isolation boundary, so one poisoned request degrades instead
@@ -143,28 +139,50 @@ type Result struct {
 	Check    *check.Result
 }
 
+// ErrOverloaded is Admit's error when no slot frees within its timeout.
+var ErrOverloaded = errors.New("engine: no slot free within the admission timeout")
+
+// Admit waits at most timeout for a slot and returns the func that
+// gives it back, to be called once. A dead ctx on entry returns
+// ctx.Err(); a timeout returns ErrOverloaded and counts as an admission
+// shed; a ctx that dies while waiting returns ctx.Err() and counts as
+// shed. Its waiters are the queue depth PipelineStats reports.
+func (e *Engine) Admit(ctx context.Context, timeout time.Duration) (release func(), err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	select {
+	case e.slots <- struct{}{}: // a free slot needs no timer, so timeout 0 means "if free now"
+	default:
+		e.waiting.Add(1)
+		defer e.waiting.Add(-1)
+		timer := time.NewTimer(timeout)
+		defer timer.Stop()
+		select {
+		case e.slots <- struct{}{}:
+		case <-timer.C:
+			e.admitShed.Add(1)
+			return nil, ErrOverloaded
+		case <-ctx.Done():
+			e.shed.Add(1)
+			return nil, ctx.Err()
+		}
+	}
+	e.admitWon.Add(1)
+	return func() { <-e.slots }, nil
+}
+
 // Analyze runs one program through every stage and returns its solved
 // placements with their static verification, which the check stage
-// computes with comm.CheckPlacementCtx. It waits for one of the
-// engine's Workers slots and then runs the stages in order on the
-// calling goroutine. A call whose ctx is dead on entry returns
-// ctx.Err() at once; a call whose ctx dies while it waits for a slot,
-// or before a stage begins, returns ctx.Err() and counts as shed.
+// computes with comm.CheckPlacementCtx. The caller holds a slot, so it
+// waits for nothing and runs the stages in order on this goroutine. A
+// ctx dead on entry returns ctx.Err() at once; a ctx that dies before a
+// stage begins returns ctx.Err() and counts as shed.
 func (e *Engine) Analyze(ctx context.Context, job Job) (*Result, error) {
 	defer obs.Begin(job.Collector, obs.SpanEngineAnalyze)()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	e.waiting.Add(1)
-	select {
-	case e.slots <- struct{}{}:
-		e.waiting.Add(-1)
-	case <-ctx.Done():
-		e.waiting.Add(-1)
-		e.shed.Add(1)
-		return nil, ctx.Err()
-	}
-	defer func() { <-e.slots }()
 	res := &Result{}
 	for idx := range numStages {
 		if err := ctx.Err(); err != nil {
@@ -178,43 +196,52 @@ func (e *Engine) Analyze(ctx context.Context, job Job) (*Result, error) {
 	return res, nil
 }
 
-// Map runs f for every index in [0, n) with fan-out bounded by the
-// worker count, in index-launch order. Bodies run on dedicated
-// goroutines and hold no Analyze slot, so they may themselves call
-// Analyze. Cancellation sheds before each launch: once ctx
-// is observed done, no further body starts (not even one already
-// holding a semaphore slot), and Map returns after every launched body
-// has finished. The return value is how many bodies launched — indices
-// [launched, n) never ran, and the caller owns saying so in its
-// per-item results (serve's /batch records ctx.Err() in the trailing
-// slots).
+// Map runs f for every index in [0, n), in index-launch order, each
+// body on its own goroutine and slot, so it may call Analyze. The
+// caller must hold a slot from Admit: the first body runs on it, each
+// further one on whichever slot frees first, so Map stays within
+// Workers and on one slot runs the bodies in turn instead of
+// deadlocking. Once ctx is observed done no
+// further body starts (a slot won as it died goes back), and Map
+// returns after every launched body has finished. It returns how many
+// launched — indices [launched, n) never ran, and the caller owns
+// saying so (serve's /batch records ctx.Err() in the trailing slots).
 func (e *Engine) Map(ctx context.Context, n int, f func(ctx context.Context, i int)) int {
-	sem := make(chan struct{}, e.cfg.Workers)
+	own := make(chan struct{}, 1) // the caller's slot: full while a body runs on it
 	var wg sync.WaitGroup
 	launched := 0
-	for i := 0; i < n; i++ {
+	for ; launched < n; launched++ {
+		pool := e.slots
+		if launched == 0 {
+			pool = nil // the first body runs on the caller's slot
+		}
+		var slot chan struct{}
 		select {
 		case <-ctx.Done():
-		case sem <- struct{}{}:
+		case own <- struct{}{}:
+			slot = own
+		case pool <- struct{}{}:
+			slot = e.slots
 		}
 		if ctx.Err() != nil {
+			if slot != nil {
+				<-slot
+			}
 			break
 		}
 		wg.Add(1)
-		launched++
 		go func(i int) {
 			defer wg.Done()
-			defer func() { <-sem }()
+			defer func() { <-slot }()
 			f(ctx, i)
-		}(i)
+		}(launched)
 	}
 	wg.Wait()
 	return launched
 }
 
 // PoolStats is a point-in-time snapshot of the worker count, the stage
-// panics, and the admission accounting the serving layer reports into
-// it.
+// panics, and Admit's won and shed (timed-out) outcomes.
 type PoolStats struct {
 	Workers       int   `json:"workers"`
 	Panics        int64 `json:"panics"`
@@ -227,8 +254,8 @@ type Stats struct {
 	Pool     PoolStats    `json:"pool"`
 	Cache    CacheStats   `json:"cache"`
 	Pipeline []StageStats `json:"pipeline"`
-	// PipelineShed counts Analyze calls that gave up, because their
-	// context died, while waiting for a slot or at a stage boundary.
+	// PipelineShed counts callers that gave up, because their context
+	// died, while waiting in Admit or at an Analyze stage boundary.
 	PipelineShed int64 `json:"pipeline_shed"`
 }
 
@@ -239,24 +266,12 @@ func (e *Engine) Stats() Stats {
 		Pipeline:     e.PipelineStats(),
 		PipelineShed: e.shed.Load(),
 		Pool: PoolStats{
-			Workers: e.cfg.Workers,
-			Panics:  e.taskPanics.Load(),
-
+			Workers:       e.cfg.Workers,
+			Panics:        e.taskPanics.Load(),
 			AdmissionWon:  e.admitWon.Load(),
 			AdmissionShed: e.admitShed.Load(),
 		},
 		Cache: e.cache.snapshot(),
-	}
-}
-
-// NoteAdmission records one admission-queue outcome: won (a request got
-// an analysis slot) or shed (it timed out of the queue). The serving
-// layer calls this so slot accounting lives with the engine stats.
-func (e *Engine) NoteAdmission(won bool) {
-	if won {
-		e.admitWon.Add(1)
-	} else {
-		e.admitShed.Add(1)
 	}
 }
 
@@ -269,7 +284,7 @@ func (e *Engine) NoteAdmission(won bool) {
 // stage-panic, pipeline-item and pipeline-shed counters.
 func (e *Engine) RegisterMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc(obs.MetricPoolWorkers,
-		"Engine worker count: the Analyze slots and the Map fan-out bound.",
+		"Engine worker count: the slots Admit lets callers hold at once.",
 		func() float64 { return float64(e.cfg.Workers) })
 	reg.GaugeFunc(obs.MetricCacheEntries,
 		"Resident result-cache entries.",
@@ -316,7 +331,7 @@ func (e *Engine) RegisterMetrics(reg *telemetry.Registry) {
 		"Programs serviced per pipeline stage.", []string{"stage"},
 		perStage(func(st StageStats) int64 { return st.Items }))
 	reg.GaugeSeriesFunc(obs.MetricPipelineQueueDepth,
-		"Analyze calls waiting for a slot, on cfg-build; 0 on every other stage.", []string{"stage"},
+		"Callers waiting in Admit for a slot, on cfg-build; 0 on every other stage.", []string{"stage"},
 		perStage(func(st StageStats) int64 { return int64(st.QueueDepth) }))
 	reg.GaugeSeriesFunc(obs.MetricPipelineOccupancy,
 		"Programs inside each stage right now.", []string{"stage"},

@@ -192,9 +192,15 @@ func TestPoolPanicBecomesError(t *testing.T) {
 	}
 }
 
-// TestMapBoundsFanOut: Map never runs more than Workers bodies at once.
+// TestMapBoundsFanOut: Map never runs more than Workers bodies at once,
+// the caller's own slot included.
 func TestMapBoundsFanOut(t *testing.T) {
 	e := New(Config{Workers: 3})
+	release, err := e.Admit(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
 	var mu sync.Mutex
 	cur, peak := 0, 0
 	e.Map(context.Background(), 20, func(ctx context.Context, i int) {

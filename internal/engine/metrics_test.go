@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"givetake/internal/frontend"
 	"givetake/internal/ir"
@@ -97,17 +98,14 @@ func parseLoop(t *testing.T) *ir.Program {
 // TestRegisterMetrics drives every event an engine family counts, each
 // an exact number of times, and reads them back from /metrics: the
 // admission outcomes, a cache miss with its single-flight follower, a
-// hit and an eviction, a stage panic, and a job shed while it waited
-// for the engine's only slot. The serve counter golden covers the same
-// families end to end but cannot time a follower or a stage panic.
+// hit and an eviction, a stage panic, and a caller shed while it waited
+// in Admit for the engine's only slot. The serve counter golden covers
+// the same families end to end but cannot time a follower or a stage
+// panic.
 func TestRegisterMetrics(t *testing.T) {
 	e := New(Config{Workers: 1, CacheBytes: 200})
 	reg := telemetry.NewRegistry()
 	e.RegisterMetrics(reg)
-
-	e.NoteAdmission(true)
-	e.NoteAdmission(true)
-	e.NoteAdmission(false)
 
 	// "a" weighs 6+1+64 bytes, "b" 100+1+64: storing b evicts a
 	leadAndFollow(t, e, "a")
@@ -119,7 +117,10 @@ func TestRegisterMetrics(t *testing.T) {
 	})
 
 	// the first job's interval-reduce body panics; the second job is
-	// held inside cfg-build, so a third waits for the slot and is shed
+	// admitted (won 1) and held inside cfg-build, so a third caller
+	// waits in Admit and is shed when its ctx dies, and a fourth times
+	// out (admission shed 1); a fifth is admitted once the slot is free
+	// (won 2)
 	var pe *PanicError
 	if _, err := e.Analyze(context.Background(), Job{Prog: parseLoop(t), Collector: panicCollector{}}); !errors.As(err, &pe) {
 		t.Fatalf("want *PanicError, got %v", err)
@@ -128,26 +129,28 @@ func TestRegisterMetrics(t *testing.T) {
 	col := newGateCollector()
 	heldProg, queued := parseLoop(t), parseLoop(t)
 	ran := make(chan error, 1)
-	go func() {
-		_, err := e.Analyze(context.Background(), Job{Prog: heldProg, Collector: col})
-		ran <- err
-	}()
+	go func() { ran <- analyzeAdmitted(context.Background(), e, Job{Prog: heldProg, Collector: col}) }()
 	<-col.started
 	ctx, cancel := context.WithCancel(context.Background())
 	shed := make(chan error, 1)
-	go func() {
-		_, err := e.Analyze(ctx, Job{Prog: queued})
-		shed <- err
-	}()
+	go func() { shed <- analyzeAdmitted(ctx, e, Job{Prog: queued}) }()
 	waitQueueDepth(t, e, 1)
 	cancel()
-	close(col.gate)
 	if err := <-shed; !errors.Is(err, context.Canceled) {
 		t.Fatalf("queued job: %v, want context.Canceled", err)
 	}
+	if _, err := e.Admit(context.Background(), time.Millisecond); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("Admit on a full engine: %v, want ErrOverloaded", err)
+	}
+	close(col.gate)
 	if err := <-ran; err != nil {
 		t.Fatalf("held job: %v", err)
 	}
+	release, err := e.Admit(context.Background(), time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
 
 	fams := scrapeFamilies(t, reg)
 	for name, typ := range map[string]string{

@@ -85,10 +85,10 @@ func (e *Engine) runStage(ctx context.Context, idx int, job *Job, res *Result) (
 // occupancy, the programs inside the stage now (the
 // gnt_pipeline_occupancy gauge); Items and BusyMS are cumulative, and
 // their ratio is the stage's mean service time. Workers is the
-// engine's Workers on every stage, since every stage runs on an
-// Analyze slot. QueueDepth is the number of Analyze calls waiting for
-// a slot, reported on cfg-build, the first stage they will enter; it
-// is 0 on every other stage, where nothing ever waits.
+// engine's Workers on every stage, since every stage runs on a slot.
+// QueueDepth is the number of callers waiting in Admit, reported on
+// cfg-build, the first stage they will enter; it is 0 on every other
+// stage, where nothing ever waits.
 type StageStats struct {
 	Stage      string  `json:"stage"`
 	Workers    int     `json:"workers"`

@@ -74,7 +74,7 @@ func (panicCollector) BeginSpan(name string, kv ...any) obs.EndFunc {
 // slot.
 func waitQueueDepth(t *testing.T, e *Engine, want int) {
 	t.Helper()
-	waitFor(t, "Analyze calls waiting for a slot", want,
+	waitFor(t, "callers waiting in Admit for a slot", want,
 		func() int { return e.PipelineStats()[stageCFG].QueueDepth })
 }
 
@@ -89,12 +89,29 @@ func waitFor(t *testing.T, what string, want int, get func() int) {
 	}
 }
 
+// analyzeAdmitted runs job the way serve does: admitted to a slot
+// first, then analyzed on it.
+func analyzeAdmitted(ctx context.Context, e *Engine, job Job) error {
+	release, err := e.Admit(ctx, time.Minute)
+	if err != nil {
+		return err
+	}
+	defer release()
+	_, err = e.Analyze(ctx, job)
+	return err
+}
+
 // TestMapCancelStopsLaunching is the regression test for Map ignoring
-// its context: with one worker pinned, canceling must stop the launch
-// loop — no body past the in-flight one starts, and the return value
-// reports exactly how many launched.
+// its context: with the caller's one slot pinned by body 0, canceling
+// must stop the launch loop — no body past the in-flight one starts,
+// and the return value reports exactly how many launched.
 func TestMapCancelStopsLaunching(t *testing.T) {
 	e := New(Config{Workers: 1})
+	release, err := e.Admit(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
 	block := make(chan struct{})
 	first := make(chan struct{})
 	var bodies atomic.Int64
@@ -109,7 +126,7 @@ func TestMapCancelStopsLaunching(t *testing.T) {
 			<-block
 		})
 	}()
-	<-first // body 0 holds the only semaphore slot
+	<-first // body 0 holds the only slot
 	cancel()
 	close(block)
 	launched := <-done
@@ -121,10 +138,51 @@ func TestMapCancelStopsLaunching(t *testing.T) {
 	}
 }
 
+// TestMapLateCancelReleasesSlots is the regression test for a slot
+// leak: when Map's launch select wins one of the engine's slots just as
+// ctx dies, that slot must go back. Each round cancels from inside the
+// first body while slots are free, so the select often picks a free
+// slot over the dead ctx; after every round all Workers slots are free
+// again.
+func TestMapLateCancelReleasesSlots(t *testing.T) {
+	const workers = 4
+	e := New(Config{Workers: workers})
+	for round := range 50 {
+		release, err := e.Admit(context.Background(), 0)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		var bodies atomic.Int64
+		launched := e.Map(ctx, 100, func(ctx context.Context, i int) {
+			bodies.Add(1)
+			if i == 0 {
+				cancel()
+			}
+		})
+		cancel()
+		release()
+		if got := bodies.Load(); got != int64(launched) {
+			t.Fatalf("round %d: Map reported %d launches but %d bodies ran", round, launched, got)
+		}
+		var frees []func()
+		for k := range workers {
+			free, err := e.Admit(context.Background(), 0)
+			if err != nil {
+				t.Fatalf("round %d: slot %d of %d not free after Map returned: %v", round, k+1, workers, err)
+			}
+			frees = append(frees, free)
+		}
+		for _, free := range frees {
+			free()
+		}
+	}
+}
+
 // TestAnalyzeCancelShedsInFlight is the in-flight cancellation
-// regression test. On one slot, the first of n jobs is pinned inside
-// cfg-build and the other n-1 wait for the slot. After cancel: (a) no
-// further cfg-build ever starts, (b) every job returns
+// regression test. On one slot, the first of n jobs is admitted and
+// pinned inside cfg-build and the other n-1 wait in Admit. After
+// cancel: (a) no further cfg-build ever starts, (b) every job returns
 // context.Canceled, and (c) PipelineShed is exactly n — the n-1 jobs
 // that gave up waiting for the slot, and the pinned one at its next
 // stage boundary. No job's context was dead on entry, so every job is
@@ -141,8 +199,7 @@ func TestAnalyzeCancelShedsInFlight(t *testing.T) {
 	defer cancel()
 	errs := make(chan error, n)
 	analyze := func(prog *ir.Program) {
-		_, err := e.Analyze(ctx, Job{Prog: prog, Collector: col})
-		errs <- err
+		errs <- analyzeAdmitted(ctx, e, Job{Prog: prog, Collector: col})
 	}
 	go analyze(parseLoop(t))
 	<-col.started // job 0 holds the slot, pinned inside cfg-build
@@ -198,10 +255,10 @@ func TestCanceledAnalyzeRunsNoSolves(t *testing.T) {
 	}
 }
 
-// TestAnalyzeBoundsConcurrency: on two slots, eight concurrent jobs
-// held inside cfg-build leave six waiting for a slot, never more than
-// two programs are inside the stages at once, and every job finishes
-// once the gate opens.
+// TestAnalyzeBoundsConcurrency: on two slots, eight concurrent
+// admitted jobs, two of them held inside cfg-build, leave six waiting
+// in Admit, never more than two programs are inside the stages at
+// once, and every job finishes once the gate opens.
 func TestAnalyzeBoundsConcurrency(t *testing.T) {
 	const n, workers = 8, 2
 	col := newGateCollector()
@@ -213,8 +270,7 @@ func TestAnalyzeBoundsConcurrency(t *testing.T) {
 	for range n {
 		prog := parseLoop(t)
 		go func() {
-			_, err := e.Analyze(context.Background(), Job{Prog: prog, Collector: col})
-			errs <- err
+			errs <- analyzeAdmitted(context.Background(), e, Job{Prog: prog, Collector: col})
 		}()
 	}
 	waitQueueDepth(t, e, n-workers)

@@ -105,12 +105,12 @@ const (
 	MetricJournalPending       = "gnt_journal_pending_records"
 
 	// Engine stages. MetricPipelineItems counts programs serviced per
-	// stage by (stage); MetricPipelineShed counts Analyze calls whose
-	// context died while they waited for an engine slot or at a stage
-	// boundary. The gauges are sampled live at scrape time by (stage):
-	// occupancy is the programs inside each stage, and queue depth is
-	// the calls waiting for a slot, reported on cfg-build (0 on every
-	// other stage). Occupancy reads as a utilization ratio against
+	// stage by (stage); MetricPipelineShed counts callers whose
+	// context died while they waited in engine.Admit for a slot or at
+	// an Analyze stage boundary. The gauges are sampled live at scrape
+	// time by (stage): occupancy is the programs inside each stage, and
+	// queue depth is the requests waiting in Admit, reported on
+	// cfg-build (0 on every other stage). Occupancy reads as a utilization ratio against
 	// MetricPoolWorkers, the slot count every stage shares.
 	MetricPipelineItems      = "gnt_pipeline_items_total"
 	MetricPipelineShed       = "gnt_pipeline_shed_total"

@@ -20,10 +20,10 @@ import (
 // TestSlowBodyDoesNotHoldSlot is the regression test for the slowloris
 // admission bug: the handler used to acquire its in-flight slot BEFORE
 // reading the body, so a client trickling bytes pinned the slot for its
-// whole upload and starved fast requests behind it. With MaxInFlight=1,
-// a stalled upload must not block a concurrent well-formed request.
+// whole upload and starved fast requests behind it. With Workers=1, a
+// stalled upload must not block a concurrent well-formed request.
 func TestSlowBodyDoesNotHoldSlot(t *testing.T) {
-	srv := mustNew(t, Config{MaxInFlight: 1, QueueTimeout: 5 * time.Second})
+	srv := mustNew(t, Config{Workers: 1, QueueTimeout: 5 * time.Second})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -71,7 +71,7 @@ func TestSlowBodyDoesNotHoldSlot(t *testing.T) {
 // TestAdmissionCountersInHealthz: admission outcomes (slot won, shed on
 // queue timeout) surface in the engine stats that /healthz renders.
 func TestAdmissionCountersInHealthz(t *testing.T) {
-	srv := mustNew(t, Config{MaxInFlight: 1, QueueTimeout: 30 * time.Millisecond})
+	srv := mustNew(t, Config{Workers: 1, QueueTimeout: 30 * time.Millisecond})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -80,9 +80,12 @@ func TestAdmissionCountersInHealthz(t *testing.T) {
 		t.Fatalf("warmup failed: %d", hr.StatusCode)
 	}
 
-	srv.sem <- struct{}{} // hold the only slot
+	release, err := srv.Engine().Admit(context.Background(), 0) // hold the only slot
+	if err != nil {
+		t.Fatal(err)
+	}
 	hr, resp := postJSON(t, ts.URL, Request{Source: goodSrc})
-	<-srv.sem
+	release()
 	if hr.StatusCode != http.StatusTooManyRequests || resp.Code != "overloaded" {
 		t.Fatalf("status=%d code=%q, want 429 overloaded", hr.StatusCode, resp.Code)
 	}
@@ -241,7 +244,7 @@ func TestCacheKeyedOnParameters(t *testing.T) {
 // they lead, follow the in-flight leader, or hit the already-stored
 // result — all receive identical bytes, and the analysis runs once.
 func TestCacheHerdByteIdentical(t *testing.T) {
-	srv := mustNew(t, Config{MaxInFlight: 16})
+	srv := mustNew(t, Config{Workers: 16})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -422,5 +425,122 @@ func TestBatchLimits(t *testing.T) {
 	}
 	if hr.StatusCode != http.StatusUnprocessableEntity || resp.Code != "batch-too-large" {
 		t.Fatalf("status=%d code=%q, want 422 batch-too-large", hr.StatusCode, resp.Code)
+	}
+}
+
+// TestOverloadShedsInsteadOfDegrading: with the engine's only slot
+// held, a request whose own deadline outlasts the queue timeout is shed
+// with a 429 when the queue timeout passes. It must not be admitted
+// past a second gate, wait out its deadline there, and come back as a
+// 200 from the atomic rung with a deadline attempt on its ladder.
+func TestOverloadShedsInsteadOfDegrading(t *testing.T) {
+	srv := mustNew(t, Config{Workers: 1, QueueTimeout: 100 * time.Millisecond})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	release, err := srv.Engine().Admit(context.Background(), 0)
+	if err != nil {
+		t.Fatalf("holding the only slot: %v", err)
+	}
+	hr, resp := postJSON(t, ts.URL, Request{Source: goodSrc, TimeoutMS: 300})
+	release()
+	for _, att := range resp.Ladder {
+		if att.Outcome == "deadline" {
+			t.Errorf("admitted past a full engine: rung %s ran out its deadline (%s)", att.Name, att.Detail)
+		}
+	}
+	if hr.StatusCode != http.StatusTooManyRequests || resp.Code != "overloaded" {
+		t.Fatalf("status=%d code=%q rung=%d, want 429 overloaded", hr.StatusCode, resp.Code, resp.Rung)
+	}
+	if ra := hr.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After = %q, want 1", ra)
+	}
+	if pool := srv.Engine().Stats().Pool; pool.AdmissionShed != 1 {
+		t.Errorf("admission_shed = %d, want 1", pool.AdmissionShed)
+	}
+}
+
+// TestWorkersIsAdmissionWidth: Workers alone sets how many requests are
+// in flight at once. Eight concurrent stalled requests on eight workers
+// are all admitted together, with no narrower gate in front of the
+// engine.
+func TestWorkersIsAdmissionWidth(t *testing.T) {
+	const workers = 8
+	srv := mustNew(t, Config{Workers: workers, QueueTimeout: 10 * time.Second, AllowChaos: true})
+	h := srv.Handler()
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+
+	var wg sync.WaitGroup
+	for i := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if code := post(t, h, "/analyze", Request{Source: srcAt(i), Chaos: &ChaosSpec{StallMS: 300}}); code != http.StatusOK {
+				t.Errorf("request %d: status %d", i, code)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	peak := int64(0)
+	for polling := true; polling; {
+		select {
+		case <-done:
+			polling = false
+		default:
+			peak = max(peak, getHealth(t, ts.URL).InFlight)
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	if peak != workers {
+		t.Fatalf("in_flight peaked at %d, want all %d workers busy at once", peak, workers)
+	}
+}
+
+// TestBatchAndAnalyzeShareOneAdmissionSlot: on one worker, a
+// four-program batch and a concurrent /analyze both finish, and no two
+// programs are ever inside the engine's stages at once.
+func TestBatchAndAnalyzeShareOneAdmissionSlot(t *testing.T) {
+	srv := mustNew(t, Config{Workers: 1, QueueTimeout: 10 * time.Second})
+	h := srv.Handler()
+
+	var breq BatchRequest
+	for i := range 4 {
+		breq.Requests = append(breq.Requests, Request{Source: srcAt(i)})
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		if code := post(t, h, "/batch", breq); code != http.StatusOK {
+			t.Errorf("batch: status %d", code)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		if code := post(t, h, "/analyze", Request{Source: srcAt(4)}); code != http.StatusOK {
+			t.Errorf("analyze: status %d", code)
+		}
+	}()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for polling := true; polling; {
+		select {
+		case <-done:
+			polling = false
+		default:
+			busy := int64(0)
+			for _, st := range srv.Engine().PipelineStats() {
+				busy += st.Busy
+			}
+			if busy > 1 {
+				t.Fatalf("%d programs inside the stages at once on one worker", busy)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	if items := srv.Engine().PipelineStats()[0].Items; items != 5 {
+		t.Errorf("cfg-build serviced %d programs, want 5", items)
 	}
 }

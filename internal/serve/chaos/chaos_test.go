@@ -51,7 +51,7 @@ func loadCorpus(t *testing.T) []string {
 // time-boxed instead (the CI soak job uses 60).
 func TestChaos(t *testing.T) {
 	srv, err := serve.New(serve.Config{
-		MaxInFlight:    4,
+		Workers:        4,
 		QueueTimeout:   5 * time.Second,
 		RequestTimeout: 5 * time.Second,
 		MaxSteps:       200_000,

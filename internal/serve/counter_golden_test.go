@@ -159,7 +159,7 @@ func TestCounterGolden(t *testing.T) {
 	// a response weighs about 810 bytes against the cache bound, so
 	// 2000 bytes hold exactly two of them whatever their timing fields
 	cfg := Config{
-		Workers: 1, MaxInFlight: 1, QueueTimeout: 20 * time.Millisecond,
+		Workers: 1, QueueTimeout: 20 * time.Millisecond,
 		CacheBytes: 2000, AllowChaos: true,
 		JournalBackend: journal.NewMemBackend(), JournalFlushWait: time.Hour,
 	}

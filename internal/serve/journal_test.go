@@ -172,7 +172,7 @@ func TestReadyzWithoutJournal(t *testing.T) {
 // admission balance in its JSON body.
 func TestOverloadRetryAfterAndAdmission(t *testing.T) {
 	srv := mustNew(t, Config{
-		MaxInFlight:  1,
+		Workers:      1,
 		QueueTimeout: 30 * time.Millisecond,
 		AllowChaos:   true,
 	})

@@ -239,8 +239,8 @@ func (s *Server) ladder(ctx context.Context, prog *ir.Program, req *Request, res
 		}
 		att := Attempt{Rung: r.rung, Name: RungName(r.rung)}
 		start := time.Now()
-		// Rungs 1 and 2 run through engine.Analyze, which waits for one
-		// of the engine's slots and runs every stage on this goroutine:
+		// Rungs 1 and 2 run through engine.Analyze on the slot this
+		// request was admitted to, every stage on this goroutine:
 		// the solve stage solves READ then WRITE, the check stage
 		// verifies both, and the chaos mutation rides the PostSolve
 		// hook — inside the solve stage after both solves, before

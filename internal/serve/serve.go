@@ -15,9 +15,9 @@
 //     no dataflow solver and is trivially balanced, so every
 //     well-formed request ends in a statically verified placement;
 //
-//   - admission control: a bounded in-flight pool with a queue
-//     timeout sheds overload as 429s instead of queueing unboundedly,
-//     and request bodies are capped before JSON decoding.
+//   - admission control: the engine's Workers slots are the one queue
+//     (engine.Admit), whose timeout sheds overload as 429s, and request
+//     bodies are capped before JSON decoding.
 //
 // The chaos subpackage replays corpus and generated programs with
 // injected panics, corrupted solutions, malformed sources, and
@@ -45,7 +45,6 @@ import (
 
 // Defaults for the zero Config.
 const (
-	DefaultMaxInFlight    = 4
 	DefaultQueueTimeout   = 2 * time.Second
 	DefaultRequestTimeout = 10 * time.Second
 	DefaultMaxSteps       = 2_000_000
@@ -58,10 +57,8 @@ const (
 type Config struct {
 	// Addr is the listen address for ListenAndServe (":8075" style).
 	Addr string
-	// MaxInFlight bounds concurrently analyzed requests; excess waits.
-	MaxInFlight int
-	// QueueTimeout bounds how long an excess request waits for a slot
-	// before being shed with 429.
+	// QueueTimeout bounds how long a request waits for one of the
+	// engine's slots before being shed with 429.
 	QueueTimeout time.Duration
 	// RequestTimeout caps each request's analysis wall clock; a
 	// client-supplied timeout_ms is clamped to it.
@@ -72,8 +69,8 @@ type Config struct {
 	MaxSourceBytes int64
 	// MaxBatch bounds the programs accepted in one /batch request.
 	MaxBatch int
-	// Workers is how many programs the engine analyzes at once, and the
-	// fan-out bound of a /batch; zero means GOMAXPROCS.
+	// Workers is the number of engine slots: requests in flight and
+	// programs analyzed at once, /batch items included; 0: GOMAXPROCS.
 	Workers int
 	// CacheBytes bounds the engine's result cache; zero means the engine
 	// default, negative disables caching.
@@ -122,9 +119,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = DefaultMaxInFlight
-	}
 	if c.QueueTimeout <= 0 {
 		c.QueueTimeout = DefaultQueueTimeout
 	}
@@ -150,7 +144,6 @@ func (c Config) withDefaults() Config {
 // call ListenAndServe), and every POST /analyze gets a Response.
 type Server struct {
 	cfg      Config
-	sem      chan struct{}
 	engine   *engine.Engine
 	journal  *journal.Journal
 	inst     *instruments
@@ -206,7 +199,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:     cfg,
-		sem:     make(chan struct{}, cfg.MaxInFlight),
 		journal: jn,
 		inst:    inst,
 		engine: engine.New(engine.Config{
@@ -387,13 +379,11 @@ type JournalHealth struct {
 
 // Health is the healthz payload.
 type Health struct {
-	OK          bool           `json:"ok"`
-	InFlight    int64          `json:"in_flight"`
-	MaxInFlight int            `json:"max_in_flight"`
-	Served      int64          `json:"served"`
-	Shed        int64          `json:"shed"`
-	Engine      engine.Stats   `json:"engine"`
-	Journal     *JournalHealth `json:"journal,omitempty"`
+	OK       bool           `json:"ok"`
+	InFlight int64          `json:"in_flight"`
+	Served   int64          `json:"served"`
+	Engine   engine.Stats   `json:"engine"`
+	Journal  *JournalHealth `json:"journal,omitempty"`
 }
 
 func (s *Server) journalHealth() *JournalHealth {
@@ -414,15 +404,12 @@ func (s *Server) journalHealth() *JournalHealth {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	es := s.engine.Stats()
 	writeJSON(w, http.StatusOK, Health{
-		OK:          true,
-		InFlight:    s.inFlight.Load(),
-		MaxInFlight: s.cfg.MaxInFlight,
-		Served:      s.served.Load(),
-		Shed:        es.Pool.AdmissionShed,
-		Engine:      es,
-		Journal:     s.journalHealth(),
+		OK:       true,
+		InFlight: s.inFlight.Load(),
+		Served:   s.served.Load(),
+		Engine:   s.engine.Stats(),
+		Journal:  s.journalHealth(),
 	})
 }
 
@@ -514,22 +501,18 @@ func (s *Server) requestTimeout(req *Request) time.Duration {
 	return timeout
 }
 
-// admit waits for an analysis slot, bounded by the queue timeout.
-// Returns a release func on success, nil when the request was shed or
-// the client left. The timer is explicitly stopped on every exit: the
-// old time.After here leaked one timer per admitted request, which
-// under sustained load was a slow, invisible heap bleed.
+// admit waits for one of the engine's slots, bounded by the queue
+// timeout, and counts the request in flight. Returns a release func on
+// success, nil when the request was shed (with a 429) or the client left.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request) func() {
 	start := time.Now()
-	timer := time.NewTimer(s.cfg.QueueTimeout)
-	defer timer.Stop()
-	select {
-	case s.sem <- struct{}{}:
-		s.engine.NoteAdmission(true)
+	release, err := s.engine.Admit(r.Context(), s.cfg.QueueTimeout)
+	switch {
+	case err == nil:
 		s.observeQueueWait("won", start)
-		return func() { <-s.sem }
-	case <-timer.C:
-		s.engine.NoteAdmission(false)
+		s.inFlight.Add(1)
+		return func() { s.inFlight.Add(-1); release() }
+	case errors.Is(err, engine.ErrOverloaded):
 		s.observeQueueWait("shed", start)
 		// Retry-After tells well-behaved clients to back off for about
 		// one queue-timeout window — retrying sooner would just re-queue
@@ -543,11 +526,10 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) func() {
 				Shed: pool.AdmissionShed,
 			},
 		})
-		return nil
-	case <-r.Context().Done():
-		s.observeQueueWait("abandoned", start)
-		return nil // client gone while queued; nothing to say to no one
+	default:
+		s.observeQueueWait("abandoned", start) // client gone while queued; nothing to say to no one
 	}
+	return nil
 }
 
 // RetryAfterSeconds rounds a backoff window up to whole seconds,
@@ -648,15 +630,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// admission: wait for an analysis slot, but not forever — overload
-	// degrades to fast structured 429s, not an unbounded queue
+	// admission: wait for a slot, but not forever — overload degrades to
+	// fast structured 429s; the slot is held until the response is done
 	release := s.admit(w, r)
 	if release == nil {
 		return
 	}
 	defer release()
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(&req))
 	defer cancel()
@@ -697,10 +677,10 @@ type BatchResponse struct {
 	Cache   []string          `json:"cache"`
 }
 
-// handleBatch analyzes a batch of programs with the fan-out bounded by
-// the engine's worker count (Engine.Map). The whole batch holds ONE admission slot:
-// batch admission competes fairly with single requests instead of a
-// 64-program batch starving 64 slots.
+// handleBatch analyzes a batch of programs through Engine.Map. The
+// batch is admitted once, competing fairly with single requests; its
+// first program runs on that slot and the rest on whatever engine slots
+// free up, so the engine's bound holds across /analyze and /batch.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, &Response{
@@ -734,8 +714,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
 
 	out := BatchResponse{
 		Results: make([]json.RawMessage, len(breq.Requests)),

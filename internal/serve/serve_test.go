@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -113,17 +115,17 @@ func TestHTTPHealthz(t *testing.T) {
 	if err := json.NewDecoder(hr.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
-	if !h.OK || h.MaxInFlight != DefaultMaxInFlight {
+	if !h.OK || h.Engine.Pool.Workers != runtime.GOMAXPROCS(0) {
 		t.Fatalf("healthz = %+v", h)
 	}
 }
 
-// TestHTTPAdmissionControl saturates the in-flight pool with slow
-// requests and asserts excess load is shed as structured 429s within
-// the queue timeout, not queued unboundedly.
+// TestHTTPAdmissionControl saturates the engine's slots and asserts
+// excess load is shed as structured 429s within the queue timeout, not
+// queued unboundedly.
 func TestHTTPAdmissionControl(t *testing.T) {
 	cfg := Config{
-		MaxInFlight:  1,
+		Workers:      1,
 		QueueTimeout: 50 * time.Millisecond,
 		AllowChaos:   true,
 	}
@@ -131,19 +133,19 @@ func TestHTTPAdmissionControl(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// occupy the single slot with a request that holds it long enough
-	// for the others to time out of the queue
-	release := make(chan struct{})
+	// occupy the single slot long enough for the others to time out of
+	// the queue; taking it directly is deterministic
+	free, err := srv.Engine().Admit(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		srv.sem <- struct{}{} // take the slot directly; deterministic
-		close(release)
 		time.Sleep(300 * time.Millisecond)
-		<-srv.sem
+		free()
 	}()
-	<-release
 
 	hr, resp := postJSON(t, ts.URL, Request{Source: goodSrc})
 	if hr.StatusCode != http.StatusTooManyRequests || resp.Code != "overloaded" {

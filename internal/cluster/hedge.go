@@ -23,36 +23,51 @@ const minHedgeSamples = 20
 // the hedged-request trigger. Hedging after the rolling p99 means at
 // most ~1% of requests pay the second copy, the classic tail-latency
 // bound.
+//
+// Beside the ring (arrival order, which says what to evict) it keeps
+// the same window's values in ascending order, updated by observe, so
+// the p99 read on every proxied request is one index with no copy and
+// no sort.
 type latTracker struct {
-	mu   sync.Mutex // guards ring, next, n
-	ring [latWindow]time.Duration
-	next int
-	n    int
+	mu     sync.Mutex // guards ring, sorted, next, n
+	ring   [latWindow]time.Duration
+	sorted [latWindow]time.Duration // sorted[:n] holds ring[:n]'s values, ascending
+	next   int
+	n      int
 }
 
+// observe records one latency, evicting the oldest once the window is
+// full. The sorted window is kept by two binary searches and at most
+// two shifts: out goes one copy of the evicted value (copies of equal
+// values are interchangeable), in goes d at its rank.
 func (l *latTracker) observe(d time.Duration) {
 	l.mu.Lock()
-	l.ring[l.next] = d
-	l.next = (l.next + 1) % latWindow
-	if l.n < latWindow {
+	s := l.sorted[:l.n]
+	if l.n == latWindow {
+		i, _ := slices.BinarySearch(s, l.ring[l.next])
+		copy(s[i:], s[i+1:])
+		s = s[:len(s)-1]
+	} else {
 		l.n++
 	}
+	i, _ := slices.BinarySearch(s, d)
+	s = s[:len(s)+1]
+	copy(s[i+1:], s[i:])
+	s[i] = d
+	l.ring[l.next] = d
+	l.next = (l.next + 1) % latWindow
 	l.mu.Unlock()
 }
 
-// p99 returns the rolling 99th percentile and whether enough samples
-// back it.
+// p99 returns the rolling 99th percentile (nearest rank over the
+// window) and whether enough samples back it.
 func (l *latTracker) p99() (time.Duration, bool) {
 	l.mu.Lock()
-	n := l.n
-	buf := make([]time.Duration, n)
-	copy(buf, l.ring[:n])
-	l.mu.Unlock()
-	if n < minHedgeSamples {
+	defer l.mu.Unlock()
+	if l.n < minHedgeSamples {
 		return 0, false
 	}
-	slices.Sort(buf)
-	return buf[(n-1)*99/100], true
+	return l.sorted[(l.n-1)*99/100], true
 }
 
 // hedgeDelay is the current trigger: the rolling p99 clamped to

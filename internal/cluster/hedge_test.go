@@ -1,6 +1,10 @@
 package cluster
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 )
@@ -153,3 +157,117 @@ func TestHedgeJitterDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// refP99 is the reference the tracker must match: sort a copy of the
+// last min(len(obs), latWindow) observations and take the nearest-rank
+// 99th percentile.
+func refP99(obs []time.Duration) (time.Duration, bool) {
+	win := obs[max(0, len(obs)-latWindow):]
+	if len(win) < minHedgeSamples {
+		return 0, false
+	}
+	buf := slices.Clone(win)
+	slices.Sort(buf)
+	return buf[(len(buf)-1)*99/100], true
+}
+
+// TestLatTrackerMatchesSortedCopy checks p99 after every observation
+// against refP99, over random sequences of one to three windows whose
+// values repeat often (few distinct latencies) or rarely (a wide tail),
+// so evictions hit duplicates, the minimum, the maximum and the rank
+// boundary itself.
+func TestLatTrackerMatchesSortedCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 40; trial++ {
+		l := &latTracker{}
+		distinct := 1 + rng.Intn(8)
+		if trial%4 == 3 {
+			distinct = 1 << 20
+		}
+		n := latWindow + rng.Intn(2*latWindow+1)
+		if trial < 4 {
+			n = 1 + rng.Intn(latWindow) // a window that never fills
+		}
+		var obs []time.Duration
+		for i := 0; i < n; i++ {
+			d := time.Duration(rng.Intn(distinct)) * time.Microsecond
+			obs = append(obs, d)
+			l.observe(d)
+			got, gotOK := l.p99()
+			want, wantOK := refP99(obs)
+			if got != want || gotOK != wantOK {
+				t.Fatalf("trial %d, observation %d: p99 = %v (ok=%v), sorted copy gives %v (ok=%v)",
+					trial, i, got, gotOK, want, wantOK)
+			}
+		}
+	}
+}
+
+// TestLatTrackerConcurrent races observers against hedge-delay readers
+// (run it under -race). Every delay read must be an observed value or
+// a clamp, and once the writers stop the window must equal a sorted
+// copy of the ring.
+func TestLatTrackerConcurrent(t *testing.T) {
+	l := &latTracker{}
+	min, max := 2*time.Millisecond, 40*time.Millisecond
+	const writers, readers, perWriter = 4, 4, 3 * latWindow
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < perWriter; i++ {
+				l.observe(time.Duration(1+rng.Intn(50)) * time.Millisecond)
+			}
+		}(int64(w))
+	}
+	errs := make(chan error, readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				d := l.hedgeDelay(min, max)
+				if d < min || d > max || d%time.Millisecond != 0 {
+					errs <- fmt.Errorf("hedge delay %v is neither an observation nor a clamp", d)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	ring := slices.Clone(l.ring[:l.n])
+	got, ok := l.p99()
+	want, wantOK := refP99(ring)
+	if got != want || ok != wantOK {
+		t.Fatalf("after concurrent observes p99 = %v (ok=%v), sorted copy of the ring gives %v (ok=%v)", got, ok, want, wantOK)
+	}
+}
+
+// BenchmarkHedgeDelay measures one proxied request's tracker cost at a
+// full window: one observe (its latency) and one hedgeDelay (its hedge
+// trigger).
+func BenchmarkHedgeDelay(b *testing.B) {
+	l := &latTracker{}
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]time.Duration, 4096)
+	for i := range vals {
+		vals[i] = time.Duration(200+rng.Intn(2000)) * time.Microsecond
+	}
+	for i := 0; i < latWindow; i++ {
+		l.observe(vals[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.observe(vals[i%len(vals)])
+		sinkDelay = l.hedgeDelay(20*time.Millisecond, 2*time.Second)
+	}
+}
+
+var sinkDelay time.Duration

@@ -28,7 +28,7 @@ func TestJournalRestartByteIdentity(t *testing.T) {
 		key := CacheKey(fmt.Sprintf("prog-%d", i), comm.Opts{})
 		body := []byte(fmt.Sprintf(`{"result":%d,"pad":"xxxxxxxxxxxxxxxx"}`, i))
 		val, src, err := e1.Do(context.Background(), key, func(context.Context) (Cached, bool, error) {
-			return Cached{Status: 200, Body: body}, true, nil
+			return Cached{Status: 200, Body: body, Meta: len(body)}, true, nil
 		})
 		if err != nil || src != CacheMiss {
 			t.Fatalf("fill %d: src=%v err=%v", i, src, err)
@@ -45,7 +45,8 @@ func TestJournalRestartByteIdentity(t *testing.T) {
 	}
 	defer j2.Close()
 	e2 := New(Config{Workers: 2, Journal: j2})
-	rs, err := e2.WarmFromJournal(context.Background())
+	// the journal keeps no Meta: replay rebuilds it from each body
+	rs, err := e2.WarmFromJournal(context.Background(), func(body []byte) any { return len(body) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,6 +66,9 @@ func TestJournalRestartByteIdentity(t *testing.T) {
 		}
 		if got.Status != w.Status || !bytes.Equal(got.Body, w.Body) {
 			t.Fatalf("warm bytes for %q differ from originally served", key)
+		}
+		if got.Meta != w.Meta {
+			t.Fatalf("warm meta for %q = %v, want %v rebuilt at replay", key, got.Meta, w.Meta)
 		}
 	}
 }
@@ -159,7 +163,7 @@ func TestCacheStatsInvariantUnderHammer(t *testing.T) {
 				if i%97 == 0 {
 					// replay into the live cache mid-hammer: putReplay
 					// must hold the same invariant
-					e.WarmFromJournal(context.Background())
+					e.WarmFromJournal(context.Background(), noMeta)
 				}
 			}
 		}(w)
@@ -179,10 +183,13 @@ func TestCacheStatsInvariantUnderHammer(t *testing.T) {
 	}
 }
 
+// noMeta is a replay meta function for tests that store no Meta.
+func noMeta([]byte) any { return nil }
+
 // TestWarmFromJournalNil: warming without a journal is a clean no-op.
 func TestWarmFromJournalNil(t *testing.T) {
 	e := New(Config{Workers: 1})
-	rs, err := e.WarmFromJournal(context.Background())
+	rs, err := e.WarmFromJournal(context.Background(), noMeta)
 	if err != nil || rs.Records != 0 {
 		t.Fatalf("nil journal warm: %+v, %v", rs, err)
 	}

@@ -49,13 +49,19 @@ func hashResponse(t *testing.T, sum hash.Hash, h http.Handler, label string, req
 	return &resp
 }
 
-// TestServeGoldenIdentity pins the /analyze answers for the testdata
-// corpus and for generated programs of 20 to 200 statements, each sent
-// plain and with a seeded solution mutation; the corpus is also sent
-// with an injected rung-1 panic. Where the engine schedules a request
-// and where it runs the mutation hook are free to change; the bytes the
-// service answers, up to timing, are not.
-func TestServeGoldenIdentity(t *testing.T) {
+// goldenProgram is one request of the serve golden corpus: kind is
+// "plain", "mutate" or "panic".
+type goldenProgram struct {
+	label, kind string
+	req         Request
+}
+
+// goldenPrograms lists the requests TestServeGoldenIdentity hashes, in
+// order: the testdata corpus and 40 generated programs of 20 to 200
+// statements, each plain and with a seeded solution mutation, and the
+// corpus also with an injected rung-1 panic.
+func goldenPrograms(t *testing.T) []goldenProgram {
+	t.Helper()
 	var files []string
 	for _, pat := range []string{"../../testdata/*.f", "../../testdata/kernels/*.f"} {
 		m, err := filepath.Glob(pat)
@@ -82,21 +88,34 @@ func TestServeGoldenIdentity(t *testing.T) {
 		src := progen.GenerateSource(int64(7000+i), progen.Config{Stmts: stmts, Arrays: true, PGoto: 0.1})
 		progs = append(progs, program{fmt.Sprintf("progen%d/%d", stmts, i), src})
 	}
+	var out []goldenProgram
+	for i, p := range progs {
+		out = append(out,
+			goldenProgram{p.label, "plain", Request{Source: p.src}},
+			goldenProgram{p.label + "/mutate", "mutate", Request{Source: p.src, Chaos: &ChaosSpec{MutateSeed: int64(i + 1)}}})
+		if i < corpus {
+			out = append(out, goldenProgram{p.label + "/panic", "panic", Request{Source: p.src, Chaos: &ChaosSpec{PanicRung: "full"}}})
+		}
+	}
+	return out
+}
 
+// TestServeGoldenIdentity pins the /analyze answers for the testdata
+// corpus and for generated programs of 20 to 200 statements, each sent
+// plain and with a seeded solution mutation; the corpus is also sent
+// with an injected rung-1 panic. Where the engine schedules a request
+// and where it runs the mutation hook are free to change; the bytes the
+// service answers, up to timing, are not.
+func TestServeGoldenIdentity(t *testing.T) {
 	h := mustNew(t, Config{AllowChaos: true, CacheBytes: -1}).Handler()
 	sum := sha256.New()
 	rungs := map[string]int{}
-	for i, p := range progs {
-		resp := hashResponse(t, sum, h, p.label, Request{Source: p.src})
-		rungs["plain "+resp.RungName]++
-		resp = hashResponse(t, sum, h, p.label+"/mutate", Request{Source: p.src, Chaos: &ChaosSpec{MutateSeed: int64(i + 1)}})
-		rungs["mutate "+resp.RungName]++
-		if i < corpus {
-			resp = hashResponse(t, sum, h, p.label+"/panic", Request{Source: p.src, Chaos: &ChaosSpec{PanicRung: "full"}})
-			rungs["panic "+resp.RungName]++
-		}
+	progs := goldenPrograms(t)
+	for _, p := range progs {
+		resp := hashResponse(t, sum, h, p.label, p.req)
+		rungs[p.kind+" "+resp.RungName]++
 	}
-	t.Logf("hashed %d programs, rungs %v", len(progs), rungs)
+	t.Logf("hashed %d requests, rungs %v", len(progs), rungs)
 
 	if got := hex.EncodeToString(sum.Sum(nil)); got != serveDigest {
 		t.Fatalf("serve response digest %s, want %s", got, serveDigest)

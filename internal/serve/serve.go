@@ -230,7 +230,7 @@ func New(cfg Config) (*Server, error) {
 // only backend access failures surface as a replay error, and even
 // then the node becomes ready (cold) rather than wedged.
 func (s *Server) warm() {
-	rs, err := s.engine.WarmFromJournal(context.Background())
+	rs, err := s.engine.WarmFromJournal(context.Background(), decodeMeta)
 	s.replayMu.Lock()
 	s.replay, s.replayErr = rs, err
 	s.replayMu.Unlock()
@@ -583,11 +583,16 @@ func cacheable(resp *Response) bool {
 // scale-out would scatter a key's requests across nodes and destroy
 // the hit rate.
 func CacheKeyFor(req *Request) string {
-	return engine.CacheKey(req.Source, comm.Opts{},
-		fmt.Sprintf("execute=%t", req.Execute),
-		fmt.Sprintf("n=%d", req.N),
-		fmt.Sprintf("timeout_ms=%d", req.TimeoutMS),
-	)
+	// the three parameters are encoded into one buffer and passed as
+	// slices of one string: "execute=<bool>", "n=<int>", "timeout_ms=<int>"
+	b := make([]byte, 0, 80)
+	b = strconv.AppendBool(append(b, "execute="...), req.Execute)
+	i := len(b)
+	b = strconv.AppendInt(append(b, "n="...), req.N, 10)
+	j := len(b)
+	b = strconv.AppendInt(append(b, "timeout_ms="...), req.TimeoutMS, 10)
+	ex := string(b)
+	return engine.CacheKey(req.Source, comm.Opts{}, ex[:i], ex[i:j], ex[j:])
 }
 
 // analyzeCached runs one admitted request through the result cache:
@@ -603,7 +608,7 @@ func (s *Server) analyzeCached(ctx context.Context, req *Request) (engine.Cached
 			return engine.Cached{}, false, err
 		}
 		body = append(body, '\n')
-		return engine.Cached{Status: statusFor(resp), Body: body}, cacheable(resp), nil
+		return engine.Cached{Status: statusFor(resp), Body: body, Meta: metaOf(resp)}, cacheable(resp), nil
 	}
 	if req.Chaos != nil {
 		c, _, err := compute(ctx)
@@ -650,11 +655,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.served.Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Gnt-Cache", string(src))
-	// Every stored body carries its rung and ladder, so hits and misses
-	// are equally reconstructable: the meta feeds the trace ring and the
-	// rung lands on a response header for the client and the latency
-	// histogram's rung label.
-	if rung := noteResponseMeta(r.Context(), cached.Body); rung != "" {
+	// Every cache entry carries its rung and ladder as meta, so hits and
+	// misses are equally reconstructable: the meta feeds the trace ring
+	// and the rung lands on a response header for the client and the
+	// latency histogram's rung label.
+	meta, _ := cached.Meta.(*responseMeta)
+	if rung := noteMeta(r.Context(), meta); rung != "" {
 		w.Header().Set("X-Gnt-Rung", rung)
 	}
 	w.WriteHeader(cached.Status)

@@ -322,7 +322,7 @@ func TestEndToEndTraceReconstruction(t *testing.T) {
 		t.Fatalf("second request disposition %q, want hit", got)
 	}
 	if got := hr2.Header.Get("X-Gnt-Rung"); got != "full" {
-		t.Fatalf("hit X-Gnt-Rung = %q, want full (meta must come from the stored body)", got)
+		t.Fatalf("hit X-Gnt-Rung = %q, want full (the meta stored with the entry)", got)
 	}
 	tr2 := findTrace(t, ts.URL, traceID+"-hit")
 	if tr2.Cache != "hit" || tr2.Rung != "full" || len(tr2.Attempts) != 1 {
